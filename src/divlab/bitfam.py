@@ -8,8 +8,9 @@ masks, optionally k-uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -20,6 +21,9 @@ MAX_GROUND = 63
 # Above this size the O(|F|^2) pairwise scan is refused; use the dense
 # up-set machinery in booleanlab instead.
 PAIRWISE_CHECK_CAP = 1 << 16
+
+# Largest C(n, k) that ksubset_masks materialises.
+KSUBSET_CAP = 1 << 26
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
@@ -117,13 +121,42 @@ def family_from_masks(
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) >> n):
         raise ValueError(f"mask with bits outside ground set [1, {n}]")
     if not presorted:
-        arr = np.unique(arr)
+        arr = np.sort(arr)
+        keep = np.ones(arr.size, dtype=bool)
+        keep[1:] = arr[1:] != arr[:-1]
+        arr = arr[keep]
     if k is not None:
         if not 0 <= k <= n:
             raise ValueError(f"uniformity k={k} outside [0, {n}]")
         if arr.size and not bool(np.all(np.bitwise_count(arr.astype(np.uint64)) == k)):
             raise ValueError(f"member with cardinality != k={k}")
     return Family(n=n, k=k, members=arr)
+
+
+def ksubset_masks(n: int, k: int) -> np.ndarray:
+    """Masks of the k-subsets of [n] in lex order, the order of
+    ``itertools.combinations(range(n), k)``; empty unless 0 <= k <= n.
+
+    Level j holds the j-sets of {k-j, ..., n-1}: those with least element e
+    are e joined to the last C(n-e-1, j-1) entries of level j-1, the
+    (j-1)-sets above e.  Refuses C(n, k) > KSUBSET_CAP before allocating.
+    """
+    if not 0 <= n <= MAX_GROUND:
+        raise ValueError(f"ground set size {n} outside [0, {MAX_GROUND}]")
+    if not 0 <= k <= n:
+        return np.zeros(0, dtype=np.int64)
+    if math.comb(n, k) > KSUBSET_CAP:
+        raise ResourceCapError(f"C({n},{k}) exceeds the enumeration cap 2^26")
+    level = np.zeros(1, dtype=np.int64)
+    for j in range(1, k + 1):
+        out = np.empty(math.comb(n - k + j, j), dtype=np.int64)
+        pos = 0
+        for e in range(k - j, n - j + 1):
+            c = math.comb(n - e - 1, j - 1)
+            np.bitwise_or(level[level.size - c :], np.int64(1 << e), out=out[pos : pos + c])
+            pos += c
+        level = out
+    return level
 
 
 def make_family(n: int, k: Optional[int], sets: Iterable[Iterable[int]]) -> Family:

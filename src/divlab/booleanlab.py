@@ -129,20 +129,24 @@ def biased_measure(spec: JuntaSpec, p: Bias) -> BiasedMeasure:
     return _measure_from_weight_counts(counts, j, p)
 
 
-def _flip_bit_view(table: np.ndarray, b: int) -> np.ndarray:
-    """The table reindexed with bit b flipped."""
-    return table.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(-1)
+def _pivotal_counts(table: np.ndarray, j: int, b: int) -> np.ndarray:
+    """Weight histogram of the points whose membership flips with coordinate
+    b, read against the table reindexed with bit b flipped.  Independent of
+    the bias."""
+    flipped = table.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(-1)
+    return np.bincount(_popcounts(j)[table != flipped].astype(np.int64), minlength=j + 1)
 
 
-def _boundary_weight_counts(table: np.ndarray, j: int) -> list[np.ndarray]:
-    """For each coordinate, weight histogram of the points whose membership
-    flips with that coordinate.  Independent of the bias."""
-    weights = _popcounts(j)
-    out = []
-    for b in range(j):
-        pivotal = table != _flip_bit_view(table, b)
-        out.append(np.bincount(weights[pivotal].astype(np.int64), minlength=j + 1))
-    return out
+def _influence_profile(counts_by_coord: list[np.ndarray], j: int, p: Bias) -> InfluenceProfile:
+    """Coordinate influences from their pivotal weight histograms, and their sum."""
+    per = [_measure_from_weight_counts(c, j, p) for c in counts_by_coord]
+    pf, _ = _check_bias(p)
+    if pf is not None:
+        total_exact = sum((m.exact for m in per), Fraction(0))
+        total = BiasedMeasure(exact=total_exact, approx=float(total_exact))
+    else:
+        total = BiasedMeasure(exact=None, approx=math.fsum(m.approx for m in per))
+    return InfluenceProfile(per_coordinate=tuple(per), total=total, p=p)
 
 
 def coordinate_influence(
@@ -159,8 +163,7 @@ def coordinate_influence(
     if not 1 <= i <= j:
         raise ValueError(f"coordinate {i} outside center [1, {j}]")
     if mode == "general":
-        table = spec.membership_table()
-        counts = _boundary_weight_counts_single(table, j, i - 1)
+        counts = _pivotal_counts(spec.membership_table(), j, i - 1)
         return _measure_from_weight_counts(counts, j, p)
     if mode == "monotone":
         if not spec_is_up_closed(spec):
@@ -180,26 +183,11 @@ def coordinate_influence(
     raise ValueError(f"unknown influence mode {mode!r}")
 
 
-def _boundary_weight_counts_single(table: np.ndarray, j: int, b: int) -> np.ndarray:
-    weights = _popcounts(j)
-    pivotal = table != _flip_bit_view(table, b)
-    return np.bincount(weights[pivotal].astype(np.int64), minlength=j + 1)
-
-
 def total_influence(spec: JuntaSpec, p: Bias) -> InfluenceProfile:
     """All coordinate influences (general mode) and their sum."""
     j = spec.center_size
     table = spec.membership_table()
-    per = [
-        _measure_from_weight_counts(c, j, p) for c in _boundary_weight_counts(table, j)
-    ]
-    pf, _ = _check_bias(p)
-    if pf is not None:
-        total_exact = sum((m.exact for m in per), Fraction(0))
-        total = BiasedMeasure(exact=total_exact, approx=float(total_exact))
-    else:
-        total = BiasedMeasure(exact=None, approx=math.fsum(m.approx for m in per))
-    return InfluenceProfile(per_coordinate=tuple(per), total=total, p=p)
+    return _influence_profile([_pivotal_counts(table, j, b) for b in range(j)], j, p)
 
 
 def biased_diversity(spec: JuntaSpec, p: Bias) -> BiasedMeasure:
@@ -297,12 +285,11 @@ def counterexample_table(
         for name, spec in specs.items():
             j = spec.center_size
             table = spec.membership_table()
-            counts_by_coord = _boundary_weight_counts(table, j)
-            member_counts = _weight_counts_of_masks(spec.defining.members, j)
-            mu = _measure_from_weight_counts(member_counts, j, p)
+            counts_by_coord = [_pivotal_counts(table, j, b) for b in range(j)]
+            mu = biased_measure(spec, p)
             gp = biased_diversity(spec, p)
-            inf_p = _total_from_counts(counts_by_coord, j, p)
-            inf_half = _total_from_counts(counts_by_coord, j, half)
+            inf_p = _influence_profile(counts_by_coord, j, p).total
+            inf_half = _influence_profile(counts_by_coord, j, half).total
             per_family[name] = (mu, gp, inf_p, inf_half)
         inf_ratio = (
             per_family["run_dominance"][2].approx / per_family["window_majority"][2].approx
@@ -360,12 +347,3 @@ def counterexample_table(
             "majority there), so strict decay starts at r = 4 -> 5"
         )
     return report.finish()
-
-
-def _total_from_counts(counts_by_coord: list[np.ndarray], j: int, p: Bias) -> BiasedMeasure:
-    per = [_measure_from_weight_counts(c, j, p) for c in counts_by_coord]
-    pf, _ = _check_bias(p)
-    if pf is not None:
-        total = sum((m.exact for m in per), Fraction(0))
-        return BiasedMeasure(exact=total, approx=float(total))
-    return BiasedMeasure(exact=None, approx=math.fsum(m.approx for m in per))

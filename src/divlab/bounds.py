@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Optional
 
-import numpy as np
-
-from .bitfam import Family, are_cross_intersecting, stats
+from .bitfam import Family, are_cross_intersecting
 from .constructions import triangle_decompose
 from .report import Report
-from .shiftlex import _lex_masks, lex_partner_max
+from .shiftlex import lex_partner_maxima
 
 
 def binom(n: int, k: int) -> int:
@@ -81,7 +78,9 @@ def verify_cross_weighted_bound(
     """Sweep |B| from 0 to C(m-(b-a+1), a-1) and check |A|max + weight*|B| <= C(m,a).
 
     |A|max is the longest lex prefix of a-sets cross-intersecting the lex
-    segment of b-sets, computed by scanning (no closed-form counting).
+    segment of b-sets.  The first a-set disjoint from a b-set B is the a
+    least elements outside B, so |A|max for segment size s is the least lex
+    rank of those a-sets over the first s b-sets (shiftlex.lex_partner_maxima).
     Explicit b_sizes beyond the cap are refused.
     """
     if m <= (weight + 1) * max(a, b):
@@ -98,21 +97,12 @@ def verify_cross_weighted_bound(
     else:
         sizes = list(range(swept_max + 1))
     ca = binom(m, a)
-    a_masks = np.fromiter(_lex_masks(m, a), dtype=np.int64, count=ca)
-    b_masks = np.fromiter(islice(_lex_masks(m, b), swept_max), dtype=np.int64, count=swept_max)
-    # first_miss[s] = index of the first a-set (in lex order) disjoint from b-set s
-    if swept_max:
-        disjoint = (b_masks[:, None] & a_masks[None, :]) == 0
-        any_miss = disjoint.any(axis=1)
-        first_miss = np.where(any_miss, disjoint.argmax(axis=1), ca)
-    else:
-        first_miss = np.zeros(0, dtype=np.int64)
-    prefix_min = np.minimum.accumulate(first_miss) if swept_max else first_miss
+    partner_max = lex_partner_maxima(swept_max, a, b, m)
     worst = None
     violations: list[dict] = []
     rows: list[dict] = []
     for s in sizes:
-        amax = ca if s == 0 else int(prefix_min[s - 1])
+        amax = int(partner_max[s])
         slack = ca - (amax + weight * s)
         if worst is None or slack < worst:
             worst = slack

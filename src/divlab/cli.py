@@ -10,8 +10,8 @@ including the seed, reproduces byte-identical result tables.
 from __future__ import annotations
 
 import argparse
+import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -19,12 +19,10 @@ from typing import Optional
 from . import booleanlab as bl
 from . import bounds, extremal, runstat, shiftlex, verify
 from .bitfam import (
+    KSUBSET_CAP,
     are_cross_intersecting,
-    family_from_text,
-    family_to_text,
     is_t_intersecting,
     load_family,
-    make_family,
     save_family,
     stats,
 )
@@ -41,8 +39,6 @@ from .constructions import (
 )
 from .errors import ResourceCapError
 from .report import Report
-
-LIFT_CAP = 1 << 26
 
 
 def parse_bias(text: str):
@@ -74,15 +70,10 @@ def word_from_string(text: str) -> tuple[int, int]:
 
 
 def _cap_check(n: int, k: int) -> None:
-    if math.comb(n, k) > LIFT_CAP:
+    """Refuse an enumeration the k-subset kernel would refuse, before any work
+    (dry runs included)."""
+    if math.comb(n, k) > KSUBSET_CAP:
         raise ResourceCapError(f"C({n},{k}) exceeds the enumeration cap 2^26")
-
-
-def _resolve_threads(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("DIVLAB_THREADS")
-    return int(env) if env else 0
 
 
 def _junta_for(args) -> object:
@@ -423,12 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification workbench for diversity of intersecting families",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, help="0 = auto (default from DIVLAB_THREADS)")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
     common.add_argument("--csv", dest="csv_path", default=None, help="write result tables as CSV")
-    common.add_argument("--budget", type=float, default=60.0, help="time budget in seconds")
-    common.add_argument("--quick", action="store_true")
     common.add_argument("--dry-run", action="store_true", help="validate parameters without computing")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -493,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("--samples", type=int, default=None)
     p_rho.add_argument("--word", default=None, help="binary literal, leftmost char = position 1")
     p_rho.add_argument("--t", type=int, default=None)
+    p_rho.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (mc mode)")
 
     p_ext = sub.add_parser("extremal", parents=[common], help="maximum-diversity search")
     p_ext.add_argument("--n", type=int, required=True)
@@ -500,8 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--enumerate", action="store_true", help="enumerate maximal families instead of searching")
     p_ext.add_argument("--cap", type=int, default=None)
     p_ext.add_argument("--emit-witness", default=None)
+    p_ext.add_argument("--budget", type=float, default=60.0, help="time budget in seconds")
 
-    sub.add_parser("verify-all", parents=[common], help="run the acceptance criteria")
+    p_verify = sub.add_parser("verify-all", parents=[common], help="run the acceptance criteria")
+    p_verify.add_argument("--quick", action="store_true", help="shrunken parameter ranges")
 
     return parser
 
@@ -522,7 +512,6 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = _resolve_threads(args.threads)
     try:
         result = _HANDLERS[args.command](args)
     except ResourceCapError as exc:
@@ -534,13 +523,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     reports = result if isinstance(result, list) else [result]
     for rep in reports:
-        rep.parameters.setdefault("threads", threads)
-        if args.seed is not None:
-            rep.seed = rep.seed if rep.seed is not None else args.seed
         for line in rep.summary_lines():
             print(line)
     if args.command == "verify-all" and not args.dry_run:
-        combined = Report(command="verify-all", parameters={"quick": args.quick, "threads": threads})
+        combined = Report(command="verify-all", parameters={"quick": args.quick})
         for rep in reports:
             combined.check(rep.command, True, rep.ok)
         combined.add_table(
@@ -554,16 +540,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         reports = reports + [combined]
         print(f"verify-all: {'PASS' if combined.ok else 'FAIL'}")
     if args.json_path:
-        payload = reports[0] if len(reports) == 1 else None
-        if payload is not None:
-            payload.write_json(args.json_path)
+        if len(reports) == 1:
+            reports[0].write_json(args.json_path)
         else:
-            import json as _json
-
             with open(args.json_path, "w", encoding="utf-8") as fh:
-                _json.dump(
-                    {"schema": 1, "reports": [r.to_json_dict() for r in reports]}, fh, indent=2
-                )
+                json.dump({"schema": 1, "reports": [r.to_json_dict() for r in reports]}, fh, indent=2)
                 fh.write("\n")
     if args.csv_path:
         target = reports[-1] if args.command == "verify-all" else reports[0]

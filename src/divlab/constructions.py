@@ -7,19 +7,21 @@ JuntaSpec: the center size plus an explicit defining family over the center.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import runstat
-from .bitfam import Family, family_from_masks, is_t_intersecting, make_family, stats
-from .errors import ResourceCapError
+from .bitfam import (
+    Family,
+    family_from_masks,
+    is_t_intersecting,
+    ksubset_masks,
+    make_family,
+    stats,
+)
 
 CENTER_CAP = 25
-LIFT_CAP = 1 << 26
 
 
 @dataclass(eq=False)
@@ -61,17 +63,10 @@ def build_hub_block_family(n: int, k: int, u: int) -> Family:
         raise ValueError(f"need 2 <= u <= k, got u={u}, k={k}")
     if n < 2 * k:
         raise ValueError(f"need n >= 2k, got n={n}, k={k}")
-    block = list(range(2, u + 2))
-    block_mask = sum(1 << (e - 1) for e in block)
-    rest = [e for e in range(1, n + 1) if e not in block]
-    masks = []
-    for extra in combinations(rest, k - u):
-        masks.append(block_mask | sum(1 << (e - 1) for e in extra))
-    for tail in combinations(range(2, n + 1), k - 1):
-        m = 1 | sum(1 << (e - 1) for e in tail)
-        if m & block_mask:
-            masks.append(m)
-    return family_from_masks(n, k, masks)
+    block = ((1 << u) - 1) << 1
+    masks = ksubset_masks(n, k)
+    meets = masks & block
+    return family_from_masks(n, k, masks[(meets == block) | (((masks & 1) != 0) & (meets != 0))])
 
 
 def build_window_majority(n: int, k: int, r: int) -> Family:
@@ -81,15 +76,9 @@ def build_window_majority(n: int, k: int, r: int) -> Family:
     w = 2 * r + 1
     if w > n:
         raise ValueError(f"window 2r+1={w} exceeds ground set n={n}")
-    window = list(range(1, w + 1))
-    rest = list(range(w + 1, n + 1))
-    masks = []
-    for i in range(r + 1, min(k, w) + 1):
-        for inside in combinations(window, i):
-            base = sum(1 << (e - 1) for e in inside)
-            for outside in combinations(rest, k - i):
-                masks.append(base | sum(1 << (e - 1) for e in outside))
-    return family_from_masks(n, k, masks)
+    masks = ksubset_masks(n, k)
+    inside = np.bitwise_count((masks & ((1 << w) - 1)).astype(np.uint64))
+    return family_from_masks(n, k, masks[inside >= r + 1])
 
 
 def build_run_dominance_defining(r: int) -> JuntaSpec:
@@ -131,18 +120,9 @@ def lift_junta(spec: JuntaSpec, n: int, k: int) -> Family:
     """All k-sets of [n] whose trace on the center is a defining member."""
     if spec.center_size > n:
         raise ValueError(f"center size {spec.center_size} exceeds ground set {n}")
-    if math.comb(n, k) > LIFT_CAP:
-        raise ResourceCapError(f"lift of C({n},{k}) sets exceeds cap {LIFT_CAP}")
+    masks = ksubset_masks(n, k)
     table = spec.membership_table()
-    jmask = (1 << spec.center_size) - 1
-    masks = []
-    for combo in combinations(range(n), k):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        if table[m & jmask]:
-            masks.append(m)
-    return family_from_masks(n, k, masks)
+    return family_from_masks(n, k, masks[table[masks & ((1 << spec.center_size) - 1)]])
 
 
 @dataclass(eq=False)
@@ -216,21 +196,15 @@ def triangle_decompose(fam: Family) -> TriangleDecomposition:
 
 def full_uniform_family(n: int, k: int) -> Family:
     """All k-subsets of [n]."""
-    masks = []
-    for combo in combinations(range(n), k):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        masks.append(m)
-    return family_from_masks(n, k, masks)
+    return family_from_masks(n, k, ksubset_masks(n, k))
 
 
 def star(n: int, k: int, element: int = 1) -> Family:
     """All k-sets through a fixed element."""
-    bit = 1 << (element - 1)
-    rest = [e for e in range(1, n + 1) if e != element]
-    masks = [bit | sum(1 << (e - 1) for e in tail) for tail in combinations(rest, k - 1)]
-    return family_from_masks(n, k, masks)
+    if not 1 <= element <= n:
+        raise ValueError(f"element {element} outside ground set [1, {n}]")
+    masks = ksubset_masks(n, k)
+    return family_from_masks(n, k, masks[(masks & (1 << (element - 1))) != 0])
 
 
 def fano_plane() -> Family:

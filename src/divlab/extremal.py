@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
-from .bitfam import Family, family_from_masks, stats
+from .bitfam import Family, family_from_masks, ksubset_masks, stats
 from .constructions import build_hub_block_family, build_window_majority
 
 
@@ -35,18 +34,9 @@ class SearchResult:
     budget_seconds: float
 
 
-def _vertex_masks(n: int, k: int) -> list[int]:
-    masks = []
-    for combo in combinations(range(n), k):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        masks.append(m)
-    return masks
-
-
-def _adjacency(masks: list[int]) -> list[int]:
-    """adj[v] has bit w set iff masks[v] and masks[w] intersect (v != w)."""
+def _intersection_graph(n: int, k: int) -> tuple[list[int], list[int]]:
+    """k-set masks of [n] in lex order; adj[v] has bit w iff sets v != w intersect."""
+    masks = ksubset_masks(n, k).tolist()
     nv = len(masks)
     adj = [0] * nv
     for v in range(nv):
@@ -56,7 +46,7 @@ def _adjacency(masks: list[int]) -> list[int]:
             if w != v and mv & masks[w]:
                 row |= 1 << w
         adj[v] = row
-    return adj
+    return masks, adj
 
 
 def _iter_bits(mask: int):
@@ -75,8 +65,7 @@ def enumerate_maximal_intersecting(
     ``cap`` limits the output count; hitting it returns a partial list with
     complete=False.
     """
-    masks = _vertex_masks(n, k)
-    adj = _adjacency(masks)
+    masks, adj = _intersection_graph(n, k)
     nv = len(masks)
     out: list[list[int]] = []
     complete = True
@@ -135,8 +124,7 @@ def max_diversity_search(
     """
     if k < 2 or n < 2 * k:
         raise ValueError(f"need k >= 2 and n >= 2k, got n={n}, k={k}")
-    masks = _vertex_masks(n, k)
-    adj = _adjacency(masks)
+    masks, adj = _intersection_graph(n, k)
     nv = len(masks)
     deadline = time.monotonic() + budget_seconds
 

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
-from .bitfam import Family, family_from_masks
+from .bitfam import Family, family_from_masks, ksubset_masks
 
 
 def random_intersecting_family(
@@ -18,12 +17,7 @@ def random_intersecting_family(
     keeping at least one), so the output is intersecting but usually not
     maximal.
     """
-    candidates = []
-    for combo in combinations(range(n), k):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        candidates.append(m)
+    candidates = ksubset_masks(n, k).tolist()
     rng.shuffle(candidates)
     kept: list[int] = []
     for mask in candidates:

@@ -267,12 +267,12 @@ def rho_distribution(
 
     Exact mode enumerates all 2^length words under the uniform measure
     (length <= 25); mc mode draws ``samples`` words from a counter-based
-    generator keyed by ``seed`` and reports standard errors.
+    generator keyed by ``seed`` (default 0) and reports standard errors.  Only
+    mc mode consumes a seed, so only mc reports record one.
     """
     report = Report(
         command="rho-dist",
         parameters={"L": length, "mode": mode, "samples": samples},
-        seed=seed,
     )
     _check_word(0, length)
     kmax = length // 2
@@ -307,9 +307,7 @@ def rho_distribution(
     elif mode == "mc":
         if samples is None or samples < 1:
             raise ValueError("mc mode needs samples >= 1")
-        if seed is None:
-            seed = 0
-            report.seed = 0
+        report.seed = seed = 0 if seed is None else seed
         rng = np.random.Generator(np.random.Philox(key=seed))
         words = rng.integers(0, 1 << length, size=samples, dtype=np.uint64)
         tie, dom, nrun_sums, nrun_sumsq = scan_words(words, length)

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 
-from .bitfam import Family, family_from_masks
+from .bitfam import MAX_GROUND, Family, family_from_masks, ksubset_masks
 
 
 def shift_set(mask: int, i: int, j: int) -> int:
@@ -97,39 +96,47 @@ class LexSegment:
     realized: Family
 
 
-def _lex_masks(n: int, k: int):
-    """Masks of k-sets of [n] in lex order."""
-    for combo in combinations(range(n), k):
-        m = 0
-        for e in combo:
-            m |= 1 << e
-        yield m
+def _lex_prefix(m: int, k: int, n: int) -> np.ndarray:
+    """Masks of the first m k-sets of [n] in lex order.  The first C(n-1, k-1)
+    of them hold the least element, so a short prefix skips the full list."""
+    if 0 < k <= n and math.comb(n - 1, k - 1) >= m:
+        return (_lex_prefix(m, k - 1, n - 1) << 1) | 1
+    return ksubset_masks(n, k)[:m]
 
 
 def lex_segment(m: int, k: int, n: int) -> LexSegment:
     """Initial segment of the lex order on k-sets of [n]."""
     if not 0 <= m <= math.comb(n, k):
         raise ValueError(f"segment size {m} outside [0, C({n},{k})]")
-    masks = list(islice(_lex_masks(n, k), m))
-    return LexSegment(m_sets=m, k=k, n=n, realized=family_from_masks(n, k, masks))
+    return LexSegment(m_sets=m, k=k, n=n, realized=family_from_masks(n, k, _lex_prefix(m, k, n)))
+
+
+def lex_partner_maxima(b_size: int, a: int, b: int, m: int) -> np.ndarray:
+    """Entry s is the longest lex prefix of a-sets of [m] whose members all
+    meet the first s b-sets in lex order, for s = 0, ..., b_size.
+
+    The first a-set in lex order disjoint from a b-set B is the a least
+    elements of [m] \\ B (none when m - b < a); entry s is the least lex rank
+    of those a-sets over the first s b-sets.
+    """
+    if not 1 <= a <= m or not 1 <= b <= m or m > MAX_GROUND:
+        raise ValueError(f"need 1 <= a,b <= m <= {MAX_GROUND}, got a={a}, b={b}, m={m}")
+    if not 0 <= b_size <= math.comb(m, b):
+        raise ValueError(f"partner size {b_size} outside [0, C({m},{b})]")
+    ca = math.comb(m, a)
+    if b_size == 0 or m - b < a:
+        return np.full(b_size + 1, ca, dtype=np.int64)
+    free = ~_lex_prefix(b_size, b, m) & ((1 << m) - 1)
+    rest = free
+    for _ in range(a):  # clear the a lowest bits; free ^ rest is then those bits
+        rest = rest & (rest - 1)
+    a_masks = ksubset_masks(m, a)
+    order = np.argsort(a_masks)
+    ranks = order[np.searchsorted(a_masks[order], free ^ rest)]
+    return np.minimum.accumulate(np.concatenate(([ca], ranks)))
 
 
 def lex_partner_max(b_size: int, a: int, b: int, m: int) -> int:
     """Longest lex prefix of a-sets of [m] whose members all meet the first
-    b_size b-sets in lex order.
-
-    Scans the a-sets in lex order and stops at the first violator.
-    """
-    if not 1 <= a <= m or not 1 <= b <= m:
-        raise ValueError(f"need 1 <= a,b <= m, got a={a}, b={b}, m={m}")
-    if not 0 <= b_size <= math.comb(m, b):
-        raise ValueError(f"partner size {b_size} outside [0, C({m},{b})]")
-    if b_size == 0:
-        return math.comb(m, a)
-    b_masks = np.fromiter(islice(_lex_masks(m, b), b_size), dtype=np.int64, count=b_size)
-    count = 0
-    for mask in _lex_masks(m, a):
-        if bool(np.any((b_masks & mask) == 0)):
-            break
-        count += 1
-    return count
+    b_size b-sets in lex order: the last entry of lex_partner_maxima."""
+    return int(lex_partner_maxima(b_size, a, b, m)[-1])

@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import booleanlab as bl
 from . import bounds, extremal, shiftlex
-from .bitfam import (
-    Family,
-    are_cross_intersecting,
-    family_from_masks,
-    is_t_intersecting,
-    stats,
-)
+from .bitfam import family_from_masks, is_t_intersecting, ksubset_masks, stats
 from .constructions import (
     build_dictator_defining,
     build_hub_block_family,
@@ -163,10 +156,10 @@ def criterion_05_lex_cross_pairs(quick: bool = False, seed: int = 20240813) -> R
         n = int(rng.integers(4, 13))
         a = int(rng.integers(1, min(6, n - 1) + 1))
         b = int(rng.integers(1, min(6, n - 1) + 1))
-        a_all = np.fromiter(shiftlex._lex_masks(n, a), dtype=np.int64)
+        a_all = ksubset_masks(n, a)
         size = int(rng.integers(1, a_all.size + 1))
         chosen = a_all[rng.choice(a_all.size, size=size, replace=False)]
-        b_all = np.fromiter(shiftlex._lex_masks(n, b), dtype=np.int64)
+        b_all = ksubset_masks(n, b)
         partner = b_all[np.all((b_all[:, None] & chosen[None, :]) != 0, axis=1)]
         la = shiftlex.lex_segment(size, a, n).realized.members
         lb = shiftlex.lex_segment(int(partner.size), b, n).realized.members

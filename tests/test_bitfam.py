@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from divlab.bitfam import (
     family_from_text,
     family_to_text,
     is_t_intersecting,
+    ksubset_masks,
     make_family,
     mask_from_elements,
     stats,
@@ -193,3 +197,35 @@ def test_text_format_non_uniform():
     round_tripped = family_from_text(family_to_text(fam))
     assert round_tripped == fam
     assert "k=-" in family_to_text(fam)
+
+
+def test_ksubset_masks_is_combinations_order():
+    for n in range(13):
+        for k in range(n + 1):
+            want = [sum(1 << e for e in c) for c in combinations(range(n), k)]
+            assert ksubset_masks(n, k).tolist() == want, (n, k)
+
+
+def test_ksubset_masks_empty_when_k_exceeds_n():
+    out = ksubset_masks(4, 5)
+    assert out.dtype == np.int64 and out.size == 0
+
+
+def test_ksubset_masks_cap_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            ksubset_masks(40, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_family_from_masks_sorts_and_dedups_like_unique():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 50, 1000):
+        masks = rng.integers(0, 1 << 10, size=size, dtype=np.int64)
+        fam = family_from_masks(10, None, masks)
+        assert fam.members.dtype == np.int64
+        assert fam.members.tolist() == np.unique(masks).tolist()

@@ -181,10 +181,20 @@ def test_rho_profile_cli():
     assert run(["rho", "profile", "--word", "1011011", "--t", "2"]) == 0
 
 
-def test_threads_flag_and_env(monkeypatch, tmp_path):
-    json_path = tmp_path / "rep.json"
-    monkeypatch.setenv("DIVLAB_THREADS", "4")
-    assert run(["lex", "--op", "segment", "--m", "1", "--k", "2", "--n", "4",
-                "--json", str(json_path)]) == 0
-    payload = json.loads(json_path.read_text())
-    assert payload["parameters"]["threads"] == 4
+def test_rho_seed_recorded_only_when_consumed(tmp_path):
+    exact_path, mc_path = tmp_path / "exact.json", tmp_path / "mc.json"
+    assert run(["rho", "dist", "--L", "11", "--mode", "exact", "--seed", "5",
+                "--json", str(exact_path)]) == 0
+    assert run(["rho", "dist", "--L", "11", "--mode", "mc", "--samples", "1000",
+                "--seed", "5", "--json", str(mc_path)]) == 0
+    assert json.loads(exact_path.read_text())["seed"] is None
+    assert json.loads(mc_path.read_text())["seed"] == 5
+
+
+def test_options_only_on_subcommands_that_use_them():
+    with pytest.raises(SystemExit) as exc:
+        run(["extremal", "--n", "7", "--k", "3", "--quick"])
+    assert exc.value.code == 2
+    for argv in (["lex", "--op", "segment", "--seed", "1"], ["verify-all", "--budget", "5"]):
+        with pytest.raises(SystemExit):
+            run(argv)

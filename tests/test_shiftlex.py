@@ -131,6 +131,9 @@ def test_lex_segment_edges():
     assert len(lex_segment(0, 3, 7).realized) == 0
     with pytest.raises(ValueError):
         lex_segment(36, 3, 7)  # beyond C(7,3)
+    # a short prefix of C(40,20) sets, far above the enumeration cap
+    head = tuple(range(1, 20))
+    assert lex_segment(2, 20, 40).realized.member_sets() == [head + (20,), head + (21,)]
 
 
 def test_lex_segment_ones_form_prefix():
@@ -154,14 +157,19 @@ def test_lex_partner_max_full_partner():
 
 
 def test_lex_partner_max_is_prefix_scan():
-    # the scan result is the longest valid prefix: prefix members all meet
-    # the partner segment, and the next one fails
-    b_size, a, b, m = 5, 2, 3, 8
-    count = lex_partner_max(b_size, a, b, m)
-    a_sets = lex_sorted_ksets(m, a)
-    b_sets = lex_sorted_ksets(m, b)[:b_size]
-    assert all(s & t for s in a_sets[:count] for t in b_sets)
-    assert count == len(a_sets) or any(not (a_sets[count] & t) for t in b_sets)
+    # the result is the longest valid prefix: prefix members all meet the
+    # partner segment, and the next one fails; checked over m <= 8, every
+    # a and b, and partner sizes from empty to all b-sets
+    for m in range(1, 9):
+        for a in range(1, m + 1):
+            a_sets = lex_sorted_ksets(m, a)
+            for b in range(1, m + 1):
+                cb = math.comb(m, b)
+                for b_size in sorted({0, 1, 2, 5, cb // 2, cb - 1, cb} & set(range(cb + 1))):
+                    count = lex_partner_max(b_size, a, b, m)
+                    b_sets = lex_sorted_ksets(m, b)[:b_size]
+                    assert all(s & t for s in a_sets[:count] for t in b_sets)
+                    assert count == len(a_sets) or any(not (a_sets[count] & t) for t in b_sets)
 
 
 def test_lex_partner_max_rejects_oversize():
