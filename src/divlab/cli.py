@@ -71,7 +71,7 @@ def word_from_string(text: str) -> tuple[int, int]:
 
 def _cap_check(n: int, k: int) -> None:
     """Refuse an enumeration the k-subset kernel would refuse, before any work
-    (dry runs included)."""
+    (a run-dominance lift builds its defining table first)."""
     if math.comb(n, k) > KSUBSET_CAP:
         raise ResourceCapError(f"C({n},{k}) exceeds the enumeration cap 2^26")
 
@@ -87,12 +87,6 @@ def _junta_for(args) -> object:
     raise ValueError(f"unknown junta family {kind!r}")
 
 
-def _dry_report(args, parameters: dict) -> Report:
-    report = Report(command=f"{args.command}-dry-run", parameters=parameters)
-    report.note("dry-run: parameters validated, nothing computed")
-    return report.finish()
-
-
 # ---------------------------------------------------------------------------
 # command handlers (each returns a Report or a list of Reports)
 # ---------------------------------------------------------------------------
@@ -103,8 +97,6 @@ def cmd_family(args) -> Report:
         n, k = args.n, args.k
         _cap_check(n, k)
         params = {"kind": args.kind, "n": n, "k": k, "u": args.u, "r": args.r}
-        if args.dry_run:
-            return _dry_report(args, params)
         if args.kind == "hub-block":
             fam = build_hub_block_family(n, k, args.u)
         elif args.kind == "window-majority":
@@ -139,8 +131,6 @@ def cmd_family(args) -> Report:
         return report.finish()
     if args.action == "stats":
         params = {"in": args.infile}
-        if args.dry_run:
-            return _dry_report(args, params)
         fam = load_family(args.infile)
         st = stats(fam)
         report = Report(command="family-stats", parameters=params)
@@ -163,8 +153,6 @@ def cmd_family(args) -> Report:
         return report.finish()
     if args.action == "check":
         params = {"in": args.infile, "t": args.t, "cross": args.cross}
-        if args.dry_run:
-            return _dry_report(args, params)
         fam = load_family(args.infile)
         report = Report(command="family-check", parameters=params)
         if args.cross:
@@ -177,9 +165,6 @@ def cmd_family(args) -> Report:
 
 
 def cmd_decompose(args) -> Report:
-    params = {"in": args.infile}
-    if args.dry_run:
-        return _dry_report(args, params)
     fam = load_family(args.infile)
     return bounds.verify_triangle_chain(fam)
 
@@ -193,8 +178,6 @@ def cmd_lemma_sweep(args) -> Report:
         "cprime": args.cprime,
         "m_max": args.m_max,
     }
-    if args.dry_run:
-        return _dry_report(args, params)
     report = Report(command="lemma-sweep", parameters=params)
     if single:
         rep = bounds.verify_cross_weighted_bound(
@@ -232,8 +215,6 @@ def cmd_lex(args) -> Report:
     params = {"op": args.op}
     if args.op == "segment":
         params.update({"m": args.m, "k": args.k, "n": args.n})
-        if args.dry_run:
-            return _dry_report(args, params)
         seg = shiftlex.lex_segment(args.m, args.k, args.n)
         report = Report(command="lex-segment", parameters=params)
         report.add_table(
@@ -242,8 +223,6 @@ def cmd_lex(args) -> Report:
         return report.finish()
     if args.op == "partner-max":
         params.update({"b_size": args.b_size, "a": args.a, "b": args.b, "m": args.m})
-        if args.dry_run:
-            return _dry_report(args, params)
         value = shiftlex.lex_partner_max(args.b_size, args.a, args.b, args.m)
         report = Report(command="lex-partner-max", parameters=params)
         report.add_table("rows", [{"a_max": value}])
@@ -253,8 +232,6 @@ def cmd_lex(args) -> Report:
 
 def cmd_shift(args) -> Report:
     params = {"in": args.infile, "op": args.op, "i": args.i, "j": args.j}
-    if args.dry_run:
-        return _dry_report(args, params)
     fam = load_family(args.infile)
     report = Report(command=f"shift-{args.op}", parameters=params)
     if args.op == "closure":
@@ -279,13 +256,8 @@ def cmd_shift(args) -> Report:
 
 def cmd_boolean(args) -> Report:
     if args.action == "counterexample-table":
-        r_values = parse_r_range(args.r)
-        if args.dry_run:
-            return _dry_report(args, {"r_values": r_values})
-        return bl.counterexample_table(r_values)
+        return bl.counterexample_table(parse_r_range(args.r))
     spec_params = {"family": args.family, "r": args.r}
-    if args.dry_run:
-        return _dry_report(args, spec_params)
     r_values = parse_r_range(args.r)
     if len(r_values) != 1:
         raise ValueError(f"{args.action} takes a single r, got {args.r!r}")
@@ -328,17 +300,10 @@ def cmd_boolean(args) -> Report:
 
 def cmd_rho(args) -> Report:
     if args.action == "dist":
-        params = {"L": args.L, "mode": args.mode, "samples": args.samples}
-        if args.dry_run:
-            if args.mode == "exact" and args.L > runstat.EXACT_CAP_L:
-                raise ResourceCapError(f"exact enumeration capped at length {runstat.EXACT_CAP_L}")
-            return _dry_report(args, params)
         return runstat.rho_distribution(args.L, args.mode, args.samples, args.seed)
     if args.action == "profile":
         mask, length = word_from_string(args.word)
         params = {"word": args.word, "t": args.t}
-        if args.dry_run:
-            return _dry_report(args, params)
         profile = runstat.run_profile(mask, length)
         comparison = runstat.compare_run_profiles(mask, length)
         report = Report(command="rho-profile", parameters=params)
@@ -358,9 +323,6 @@ def cmd_rho(args) -> Report:
 
 def cmd_extremal(args) -> Report:
     params = {"n": args.n, "k": args.k, "budget": args.budget, "enumerate": args.enumerate}
-    _cap_check(args.n, args.k)
-    if args.dry_run:
-        return _dry_report(args, params)
     report = Report(command="extremal", parameters=params)
     if args.enumerate:
         enum = extremal.enumerate_maximal_intersecting(args.n, args.k, cap=args.cap)
@@ -398,8 +360,6 @@ def cmd_extremal(args) -> Report:
 
 
 def cmd_verify_all(args) -> list[Report]:
-    if args.dry_run:
-        return [_dry_report(args, {"quick": args.quick})]
     return verify.run_all(quick=args.quick)
 
 
@@ -416,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
     common.add_argument("--csv", dest="csv_path", default=None, help="write result tables as CSV")
-    common.add_argument("--dry-run", action="store_true", help="validate parameters without computing")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -525,7 +484,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     for rep in reports:
         for line in rep.summary_lines():
             print(line)
-    if args.command == "verify-all" and not args.dry_run:
+    if args.command == "verify-all":
         combined = Report(command="verify-all", parameters={"quick": args.quick})
         for rep in reports:
             combined.check(rep.command, True, rep.ok)

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .bitfam import Family, family_from_masks, ksubset_masks, stats
 from .constructions import build_hub_block_family, build_window_majority
 
@@ -35,18 +37,16 @@ class SearchResult:
 
 
 def _intersection_graph(n: int, k: int) -> tuple[list[int], list[int]]:
-    """k-set masks of [n] in lex order; adj[v] has bit w iff sets v != w intersect."""
-    masks = ksubset_masks(n, k).tolist()
-    nv = len(masks)
-    adj = [0] * nv
-    for v in range(nv):
-        row = 0
-        mv = masks[v]
-        for w in range(nv):
-            if w != v and mv & masks[w]:
-                row |= 1 << w
-        adj[v] = row
-    return masks, adj
+    """k-set masks of [n] in lex order; adj[v] has bit w iff sets v != w intersect.
+
+    Rows are built one vertex at a time, so no V x V temporary is made."""
+    masks = ksubset_masks(n, k)
+    adj = []
+    for v, mv in enumerate(masks):
+        row = (masks & mv) != 0
+        row[v] = False
+        adj.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
+    return masks.tolist(), adj
 
 
 def _iter_bits(mask: int):
@@ -113,7 +113,6 @@ def max_diversity_search(
     n: int,
     k: int,
     budget_seconds: float = 60.0,
-    seed_incumbents: bool = True,
 ) -> SearchResult:
     """Branch-and-bound maximum of diversity over intersecting k-uniform families.
 
@@ -130,12 +129,11 @@ def max_diversity_search(
 
     best = -1
     witness_masks: list[int] = []
-    if seed_incumbents:
-        for fam in _seed_incumbents(n, k):
-            d = stats(fam).diversity
-            if d > best:
-                best = d
-                witness_masks = [int(m) for m in fam.members]
+    for fam in _seed_incumbents(n, k):
+        d = stats(fam).diversity
+        if d > best:
+            best = d
+            witness_masks = [int(m) for m in fam.members]
 
     node_count = 0
     complete = True

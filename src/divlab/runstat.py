@@ -136,8 +136,8 @@ def count_long_runs(word: int, length: int, t: int) -> int:
 def _scan_block(words: np.ndarray, length: int):
     """Per-word tie length, dominance and run-count sums for a word block.
 
-    Returns (tie, dominant, tied_out, nrun_sums, nrun_sumsq) where nrun_sums[t]
-    is the sum over words of N(t) = number of maximal runs of length >= t.
+    Returns (tie, dominant, nrun_sums, nrun_sumsq) where nrun_sums[t] is the
+    sum over words of N(t) = number of maximal runs of length >= t.
     """
     dt = words.dtype.type
     full = dt((1 << length) - 1)
@@ -179,19 +179,45 @@ def _scan_block(words: np.ndarray, length: int):
             acc1 &= rot1
             acc0 &= rot0
     tie = np.where(tied, runs_total, tie).astype(np.uint8)
-    return tie, dominant, tied, nrun_sums, nrun_sumsq
+    return tie, dominant, nrun_sums, nrun_sumsq
 
 
 def scan_words(words: np.ndarray, length: int):
     """Tie lengths and dominance flags for an arbitrary array of words."""
     _check_word(0, length)
     dtype = np.uint32 if length <= 30 else np.uint64
-    arr = np.asarray(words).astype(dtype)
-    tie, dom, _, nrun_sums, nrun_sumsq = _scan_block(arr, length)
-    return tie, dom, nrun_sums, nrun_sumsq
+    return _scan_block(np.asarray(words).astype(dtype), length)
 
 
 @lru_cache(maxsize=2)
+def _exact_scan(length: int):
+    """One scan of all 2^length words, in blocks.
+
+    Returns read-only (dominant, tie_hist, nrun_sums, nrun_sumsq): the
+    per-word dominance flags, the tie-length histogram over 0..length//2 + 1,
+    and the run-count sums of ``_scan_block`` over every word.
+    """
+    if length > EXACT_CAP_L:
+        raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
+    total = 1 << length
+    bins = length // 2 + 2
+    dominant = np.empty(total, dtype=bool)
+    hist = np.zeros(bins, dtype=np.int64)
+    nrun_sums = np.zeros(length + 1, dtype=np.int64)
+    nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        # EXACT_CAP_L <= 30, so uint32 holds every word
+        tie, dom, s, s2 = _scan_block(np.arange(lo, hi, dtype=np.uint32), length)
+        dominant[lo:hi] = dom
+        hist += np.bincount(tie, minlength=bins)[:bins]
+        nrun_sums += s
+        nrun_sumsq += s2
+    for arr in (dominant, hist, nrun_sums, nrun_sumsq):
+        arr.setflags(write=False)
+    return dominant, hist, nrun_sums, nrun_sumsq
+
+
 def in_t_table(length: int) -> np.ndarray:
     """Dominance membership for every word of the given odd length.
 
@@ -200,18 +226,7 @@ def in_t_table(length: int) -> np.ndarray:
     """
     if length % 2 == 0:
         raise ValueError("run dominance needs an odd word length")
-    if length > EXACT_CAP_L:
-        raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
-    total = 1 << length
-    out = np.empty(total, dtype=bool)
-    dtype = np.uint32 if length <= 30 else np.uint64
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
-        block = np.arange(lo, hi, dtype=dtype)
-        _, dom, _, _, _ = _scan_block(block, length)
-        out[lo:hi] = dom
-    out.setflags(write=False)
-    return out
+    return _exact_scan(length)[0]
 
 
 def _fit_alpha(rows) -> Optional[float]:
@@ -226,12 +241,9 @@ def _fit_alpha(rows) -> Optional[float]:
 
 def _expected_runs_rows(length: int, sums, sumsq, total: int, exact: bool):
     rows = []
-    odd = length % 2 == 1
-    half_window = (length - 1) // 2
     for t in range(1, length + 1):
         if exact:
             expected = Fraction(int(sums[t]), total)
-            approx = float(expected)
             stderr = None
         else:
             approx = sums[t] / total
@@ -241,18 +253,6 @@ def _expected_runs_rows(length: int, sums, sumsq, total: int, exact: bool):
         row = {"t": t, "expected_runs": expected}
         if stderr is not None:
             row["stderr"] = stderr
-        if odd:
-            cand_full = length * 2.0 ** (-t)
-            cand_half = half_window * 2.0 ** (-t)
-            row["candidate_full_window"] = cand_full
-            row["candidate_half_window"] = cand_half
-            row["ratio_to_full"] = approx / cand_full if cand_full else None
-            row["ratio_to_half"] = approx / cand_half if cand_half else None
-            row["closer_candidate"] = (
-                "full_window"
-                if abs(approx - cand_full) <= abs(approx - cand_half)
-                else "half_window"
-            )
         rows.append(row)
     return rows
 
@@ -277,33 +277,26 @@ def rho_distribution(
     _check_word(0, length)
     kmax = length // 2
     if mode == "exact":
-        if length > EXACT_CAP_L:
-            raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
+        dom, hist, nrun_sums, nrun_sumsq = _exact_scan(length)
         total = 1 << length
-        hist = np.zeros(kmax + 2, dtype=np.int64)
-        nrun_sums = np.zeros(length + 1, dtype=np.int64)
-        nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
-        dom_count = 0
-        dtype = np.uint32 if length <= 30 else np.uint64
-        for lo in range(0, total, _BLOCK):
-            hi = min(lo + _BLOCK, total)
-            block = np.arange(lo, hi, dtype=dtype)
-            tie, dom, _, s, s2 = _scan_block(block, length)
-            hist += np.bincount(tie, minlength=kmax + 2)[: kmax + 2]
-            nrun_sums += s
-            nrun_sumsq += s2
-            dom_count += int(dom.sum())
         tail = np.concatenate([np.cumsum(hist[::-1])[::-1], [0]])
         rows = [
             {"k": k, "prob": Fraction(int(tail[k]), total), "stderr": None}
             for k in range(0, kmax + 1)
         ]
         report.add_table("rho_tail", rows)
-        report.add_table(
-            "expected_runs", _expected_runs_rows(length, nrun_sums, nrun_sumsq, total, True)
+        runs = _expected_runs_rows(length, nrun_sums, nrun_sumsq, total, True)
+        report.add_table("expected_runs", runs)
+        # E[#runs >= t] = L 2^-t [t < L] + 2^(1-L): a run starts wherever the
+        # bit changes, and each constant word is one run of length L
+        mismatches = sum(
+            row["expected_runs"]
+            != Fraction(length, 1 << row["t"]) * (row["t"] < length) + Fraction(2, total)
+            for row in runs
         )
+        report.check("expected_runs_closed_form_mismatches", 0, mismatches)
         if length % 2 == 1:
-            report.check("dominant_count", 1 << (length - 1), dom_count)
+            report.check("dominant_count", 1 << (length - 1), int(dom.sum()))
     elif mode == "mc":
         if samples is None or samples < 1:
             raise ValueError("mc mode needs samples >= 1")

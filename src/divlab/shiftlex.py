@@ -53,26 +53,22 @@ def is_shifted(fam: Family) -> bool:
 
 
 def shift_closure(fam: Family) -> Family:
-    """Apply shifts in lex pair order, restarting after any change, to a fixed point.
+    """One sweep of (i,j)-shifts, pairs in lex order (i, then j, ascending).
 
-    Terminates because each effective shift strictly decreases the element sum.
-    The fixed point depends on the sweep order; the lex sweep makes it
-    reproducible.
+    The result is shifted, and it is the fixed point of the loop that
+    restarts the lex sweep at (1,2) after every effective shift, by this
+    lemma (any family, uniform or not): order pairs lexicographically; if F
+    is (a,b)-stable for every (a,b) < (i,j), then S_ij(F) is (a,b)-stable
+    for every (a,b) <= (i,j).  (Take G in S_ij(F) with b in G, a not in G;
+    check G - b + a in S_ij(F) in three cases: a < i with G kept from F,
+    a < i with G an image G = A - j + i, and a = i < b < j, where G is kept.)
+    So effective shifts only ever come in strictly increasing pair order,
+    and after the last pair every pair fixes the family.
     """
-    current = fam
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, current.n):
-            for j in range(i + 1, current.n + 1):
-                nxt = shift_family(current, i, j)
-                if nxt != current:
-                    current = nxt
-                    changed = True
-                    break
-            if changed:
-                break
-    return current
+    for i in range(1, fam.n):
+        for j in range(i + 1, fam.n + 1):
+            fam = shift_family(fam, i, j)
+    return fam
 
 
 def lex_compare(a: int, b: int) -> int:

@@ -81,37 +81,32 @@ def criterion_02_a3_size_identity(quick: bool = False) -> Report:
 
 
 def criterion_03_run_dominance_counts(quick: bool = False) -> Report:
-    """Run-dominance defining families: 2^(2r) members for r <= 12,
-    intersecting and up-closed verified exhaustively for r <= 8."""
+    """Run-dominance defining families: 2^(2r) members, intersecting and
+    up-closed, each verified exhaustively for every r <= 12 (r <= 8 quick)."""
     report = Report(command="criterion-03-run-dominance", parameters={"quick": quick})
     r_max = 8 if quick else 12
     rows = []
-    count_bad = verified_bad = 0
+    count_bad = structure_bad = 0
     for r in range(1, r_max + 1):
         spec = build_run_dominance_defining(r)
         count_ok = len(spec.defining) == 1 << (2 * r)
-        row = {"r": r, "members": len(spec.defining), "expected": 1 << (2 * r), "count_ok": count_ok}
-        if not count_ok:
-            count_bad += 1
-        if r <= 8:
-            inter = bl.spec_is_intersecting(spec)
-            up = bl.spec_is_up_closed(spec)
-            row["intersecting"] = inter
-            row["up_closed"] = up
-            if not (inter and up):
-                verified_bad += 1
-        else:
-            row["intersecting"] = "asserted-not-verified"
-            row["up_closed"] = "asserted-not-verified"
-        rows.append(row)
+        inter = bl.spec_is_intersecting(spec)
+        up = bl.spec_is_up_closed(spec)
+        rows.append(
+            {
+                "r": r,
+                "members": len(spec.defining),
+                "expected": 1 << (2 * r),
+                "count_ok": count_ok,
+                "intersecting": inter,
+                "up_closed": up,
+            }
+        )
+        count_bad += not count_ok
+        structure_bad += not (inter and up)
     report.add_table("rows", rows)
     report.check("member_count_mismatches", 0, count_bad)
-    report.check("verified_structure_failures_r_le_8", 0, verified_bad)
-    if r_max > 8:
-        report.note(
-            "r in 9..12: intersecting/up-closed asserted from the run-disjointness "
-            "argument, not re-verified (flagged per design decision)"
-        )
+    report.check("structure_failures", 0, structure_bad)
     return report.finish()
 
 
@@ -292,8 +287,9 @@ def criterion_08_russo(quick: bool = False) -> Report:
 
 
 def criterion_09_rho_stats(quick: bool = False, seed: int = 22) -> Report:
-    """Exact tie-length distributions vs Monte Carlo at 3.5 standard errors,
-    plus the expected-long-run comparison against both candidate formulas."""
+    """Exact tie-length distributions and expected long-run counts vs Monte
+    Carlo at 3.5 standard errors; the exact reports' assertions (among them
+    E[#runs >= t] = L 2^-t [t < L] + 2^(1-L)) are carried over."""
     report = Report(command="criterion-09-rho-stats", parameters={"quick": quick}, seed=seed)
     lengths = (11,) if quick else (11, 15, 19)
     samples = 10**5 if quick else 10**6
@@ -326,11 +322,6 @@ def criterion_09_rho_stats(quick: bool = False, seed: int = 22) -> Report:
                 )
         report.add_table(f"exact_tail_L{length}", exact.tables["rho_tail"])
         report.add_table(f"expected_runs_L{length}", exact.tables["expected_runs"])
-        closer = {row["closer_candidate"] for row in exact.tables["expected_runs"]}
-        report.note(
-            f"L={length}: enumeration matches candidate {sorted(closer)} "
-            "(full window = (2r+1)/2^t vs half window = r/2^t)"
-        )
         for other in (exact, mc):
             for a in other.assertions:
                 report.check(f"L{length}_{other.parameters['mode']}_{a.name}", a.expected, a.actual, a.passed)
@@ -341,8 +332,8 @@ def criterion_09_rho_stats(quick: bool = False, seed: int = 22) -> Report:
 
 def criterion_10_extremal(quick: bool = False, probe_budget: float = 600.0) -> Report:
     """Search equals the maximal-family oracle at tiny parameters; at (10,3)
-    the seeded search stays within budget and reports at least the
-    two-out-of-three diversity of 7."""
+    the search completes within budget and proves the maximum is the
+    two-out-of-three diversity C(7,1) = 7."""
     report = Report(command="criterion-10-extremal", parameters={"quick": quick})
     pairs = [(4, 2), (5, 2), (6, 3), (7, 3)]
     rows = []
@@ -383,12 +374,8 @@ def criterion_10_extremal(quick: bool = False, probe_budget: float = 600.0) -> R
             }
         ],
     )
-    report.check("probe_best_at_least_7", True, probe.best_diversity >= 7)
-    if probe.best_diversity > 7:
-        report.note(
-            f"DIVERSITY BOUND EXCEEDED AT (10,3): search found {probe.best_diversity} > 7 "
-            "= C(7,1); witness recorded"
-        )
+    report.check("probe_complete", True, probe.complete)
+    report.check("probe_best", 7, probe.best_diversity)
     return report.finish()
 
 

@@ -126,3 +126,27 @@ def tie_len_by_padding(u, z):
     while tie < m and pu[tie] == pz[tie]:
         tie += 1
     return len(u) if tie == m else tie
+
+
+def shift_sets(sets, i, j):
+    """(i,j)-shift of a set of frozensets: replace j by i unless the image is present."""
+    out = set()
+    for s in sets:
+        image = (s - {j}) | {i}
+        out.add(image if j in s and i not in s and image not in sets else s)
+    return out
+
+
+def shift_closure_by_restart(sets, n):
+    """Shift to a fixed point, restarting the lex pair sweep at (1,2) after
+    every shift that changes the family."""
+    current = set(sets)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in combinations(range(1, n + 1), 2):
+            nxt = shift_sets(current, i, j)
+            if nxt != current:
+                current, changed = nxt, True
+                break
+    return current

@@ -60,11 +60,7 @@ def test_usage_error_exit_code(tmp_path):
 def test_resource_cap_exit_code():
     assert run(["rho", "dist", "--L", "30", "--mode", "exact"]) == 3
     assert run(["family", "build", "--n", "60", "--k", "30"]) == 3
-
-
-def test_dry_run_validates_without_computing():
-    assert run(["extremal", "--n", "10", "--k", "3", "--dry-run"]) == 0
-    assert run(["rho", "dist", "--L", "30", "--mode", "exact", "--dry-run"]) == 3
+    assert run(["extremal", "--n", "40", "--k", "20"]) == 3
 
 
 def test_rho_dist_csv_shape(tmp_path):
@@ -195,6 +191,11 @@ def test_options_only_on_subcommands_that_use_them():
     with pytest.raises(SystemExit) as exc:
         run(["extremal", "--n", "7", "--k", "3", "--quick"])
     assert exc.value.code == 2
-    for argv in (["lex", "--op", "segment", "--seed", "1"], ["verify-all", "--budget", "5"]):
-        with pytest.raises(SystemExit):
+    for argv in (
+        ["lex", "--op", "segment", "--seed", "1"],
+        ["verify-all", "--budget", "5"],
+        ["extremal", "--n", "7", "--k", "3", "--dry-run"],
+    ):
+        with pytest.raises(SystemExit) as exc:
             run(argv)
+        assert exc.value.code == 2

@@ -9,6 +9,7 @@ from divlab import booleanlab as bl
 from divlab.errors import ResourceCapError
 from divlab.runstat import (
     RunComparison,
+    _exact_scan,
     compare_run_profiles,
     count_long_runs,
     in_t_table,
@@ -189,12 +190,26 @@ def test_rho_distribution_expected_runs_match_direct_enumeration():
         assert row["expected_runs"] == Fraction(total, 1 << length)
 
 
-def test_rho_distribution_candidate_comparison_recorded():
-    rep = rho_distribution(11, "exact")
-    row = next(r for r in rep.tables["expected_runs"] if r["t"] == 2)
-    assert row["candidate_full_window"] == 11 / 4
-    assert row["candidate_half_window"] == 5 / 4
-    assert row["closer_candidate"] in ("full_window", "half_window")
+def test_rho_distribution_expected_runs_closed_form():
+    # E[#runs >= t] = L 2^-t [t < L] + 2^(1-L), for every t at L = 1..17
+    for length in range(1, 18):
+        rep = rho_distribution(length, "exact")
+        checks = [a for a in rep.assertions if a.name == "expected_runs_closed_form_mismatches"]
+        assert [a.passed for a in checks] == [True]
+        for row in rep.tables["expected_runs"]:
+            t = row["t"]
+            want = Fraction(length, 2**t) * (t < length) + Fraction(2, 2**length)
+            assert row["expected_runs"] == want
+
+
+def test_rho_exact_tables_same_with_or_without_in_t_table_first():
+    length = 13
+    _exact_scan.cache_clear()
+    cold = rho_distribution(length, "exact").tables
+    _exact_scan.cache_clear()
+    in_t_table(length)
+    warm = rho_distribution(length, "exact").tables
+    assert cold == warm
 
 
 def test_rho_distribution_mc_deterministic():

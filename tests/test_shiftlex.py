@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from divlab.bitfam import family_from_masks, is_t_intersecting, make_family, stats
 from divlab.constructions import fano_plane, star
+from divlab.randfam import random_intersecting_family
 from divlab.shiftlex import (
     is_shifted,
     lex_compare,
@@ -17,7 +19,7 @@ from divlab.shiftlex import (
 )
 
 from conftest import small_intersecting_families
-from oracles import family_as_sets, lex_sorted_ksets
+from oracles import family_as_sets, lex_sorted_ksets, shift_closure_by_restart
 
 
 def test_shift_set_cases():
@@ -67,6 +69,7 @@ def test_is_shifted_negative():
 @settings(max_examples=60, deadline=None)
 def test_shift_closure_properties(fam):
     closed = shift_closure(fam)
+    assert set(family_as_sets(closed)) == shift_closure_by_restart(family_as_sets(fam), fam.n)
     assert len(closed) == len(fam)
     assert closed.k == fam.k
     assert is_shifted(closed)
@@ -78,6 +81,24 @@ def test_shift_closure_properties(fam):
         closed.n, closed.k, [m for m in closed if not m & 1]
     )
     assert is_t_intersecting(avoiding, 2)
+
+
+def test_shift_closure_equals_restart_loop_on_seeded_batch():
+    # uniform intersecting, uniform arbitrary and non-uniform families, n <= 10
+    rng = random.Random(1709)
+    families = []
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        k = rng.randint(1, n // 2)
+        if n >= 2 * k and k >= 2:
+            families.append(random_intersecting_family(n, k, rng))
+        uniform = [m for m in range(1 << n) if m.bit_count() == k]
+        families.append(family_from_masks(n, k, rng.sample(uniform, min(len(uniform), 30))))
+        families.append(family_from_masks(n, None, rng.sample(range(1 << n), min(1 << n, 30))))
+    assert any(not is_t_intersecting(f, 1) for f in families)
+    for fam in families:
+        want = shift_closure_by_restart(family_as_sets(fam), fam.n)
+        assert set(family_as_sets(shift_closure(fam))) == want
 
 
 @given(small_intersecting_families(), st.integers(1, 8), st.integers(2, 9))
