@@ -92,25 +92,28 @@ def _junta_for(args) -> object:
 # ---------------------------------------------------------------------------
 
 
+# family kind -> (the arguments it reads, its builder); every kind that reads
+# --k enumerates the k-subsets of [n]
+_FAMILY_KINDS = {
+    "hub-block": (("n", "k", "u"), lambda a: build_hub_block_family(a.n, a.k, a.u)),
+    "window-majority": (("n", "k", "r"), lambda a: build_window_majority(a.n, a.k, a.r)),
+    "star": (("n", "k"), lambda a: star(a.n, a.k)),
+    "full": (("n", "k"), lambda a: full_uniform_family(a.n, a.k)),
+    "fano": ((), lambda a: fano_plane()),
+    "run-dominance-lift": (
+        ("n", "k", "r"),
+        lambda a: lift_junta(build_run_dominance_defining(a.r), a.n, a.k),
+    ),
+}
+
+
 def cmd_family(args) -> Report:
     if args.action == "build":
-        n, k = args.n, args.k
-        _cap_check(n, k)
-        params = {"kind": args.kind, "n": n, "k": k, "u": args.u, "r": args.r}
-        if args.kind == "hub-block":
-            fam = build_hub_block_family(n, k, args.u)
-        elif args.kind == "window-majority":
-            fam = build_window_majority(n, k, args.r)
-        elif args.kind == "star":
-            fam = star(n, k)
-        elif args.kind == "full":
-            fam = full_uniform_family(n, k)
-        elif args.kind == "fano":
-            fam = fano_plane()
-        elif args.kind == "run-dominance-lift":
-            fam = lift_junta(build_run_dominance_defining(args.r), n, k)
-        else:
-            raise ValueError(f"unknown family kind {args.kind!r}")
+        used, build = _FAMILY_KINDS[args.kind]
+        if "k" in used:
+            _cap_check(args.n, args.k)
+        fam = build(args)
+        params = {"kind": args.kind, **{name: getattr(args, name) for name in used}}
         report = Report(command="family-build", parameters=params)
         st = stats(fam)
         report.add_table(
@@ -382,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family = sub.add_parser("family", parents=[common], help="build, inspect or check families")
     p_family.add_argument("action", choices=["build", "stats", "check"])
     p_family.add_argument("--kind", default="hub-block",
-                          choices=["hub-block", "window-majority", "star", "full", "fano", "run-dominance-lift"])
+                          choices=list(_FAMILY_KINDS))
     p_family.add_argument("--n", type=int, default=7)
     p_family.add_argument("--k", type=int, default=3)
     p_family.add_argument("--u", type=int, default=2)

@@ -138,55 +138,68 @@ def _scan_block(words: np.ndarray, length: int):
 
     Returns (tie, dominant, nrun_sums, nrun_sumsq) where nrun_sums[t] is the
     sum over words of N(t) = number of maximal runs of length >= t.
+
+    After step t, bit p of acc1 (acc0) is set iff positions p..p+t all hold
+    a 1 (a 0).  A run of length r >= t holds r - t + 1 windows of length t
+    and r - t of length t + 1, so step t counts the ones-runs of length >= t
+    as nu = popcount(acc1) before minus after; likewise nz for zeros, and a
+    constant word counts one run at every t.  nu and nz only fall as t grows,
+    so the last t where they differ fixes the tie, min(nu, nz), and the
+    dominance; a full tie (even length only) keeps tie nu(1).  A word whose
+    runs are used up (acc1 | acc0 == 0) has nu = nz = 0 at every larger t: it
+    adds nothing more and its results are final, so it is dropped from the
+    scan, in one batch once a quarter of the words left are used up.
     """
     dt = words.dtype.type
     full = dt((1 << length) - 1)
-    one = dt(1)
-    w = words
-    wc = (~w) & full
-    # bit p-1 of prev_one is set iff position p-1 (cyclically) holds a 1
-    prev_one = ((w << one) & full) | (w >> dt(length - 1))
-    rot1, rot0 = w.copy(), wc.copy()
-    acc1, acc0 = w.copy(), wc.copy()
-    is_full = w == full
-    is_zero = w == 0
-    tie = np.full(w.shape, 255, dtype=np.uint8)
-    dominant = np.zeros(w.shape, dtype=bool)
-    tied = np.ones(w.shape, dtype=bool)
-    runs_total = None
+    one, high = dt(1), dt(length - 1)
+    tie_out = np.empty(words.shape, dtype=np.uint8)
+    dom_out = np.empty(words.shape, dtype=bool)
+    pos = np.arange(words.size)
+    rot1, acc1, acc0 = words.copy(), words.copy(), ~words & full
+    cnt1, cnt0 = np.bitwise_count(acc1), np.bitwise_count(acc0)
+    dominant = np.zeros(words.shape, dtype=bool)
     nrun_sums = np.zeros(length + 1, dtype=np.int64)
     nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
     for t in range(1, length + 1):
-        s1 = acc1 & ~prev_one
-        s0 = acc0 & prev_one
-        nu = np.bitwise_count(s1).astype(np.uint8)
-        nz = np.bitwise_count(s0).astype(np.uint8)
-        nu += is_full
-        nz += is_zero
-        both = nu.astype(np.int64) + nz
-        nrun_sums[t] = both.sum()
-        nrun_sumsq[t] = (both * both).sum()
-        diff = nu != nz
-        np.minimum(tie, np.minimum(nu, nz), out=tie, where=diff)
-        # ascending t with overwrite: the last differing t (the largest) wins
-        dominant = np.where(diff, nu > nz, dominant)
-        tied &= ~diff
+        rot1 = (rot1 >> one) | ((rot1 & one) << high)
+        acc1 &= rot1
+        acc0 &= ~rot1
+        nu, cnt1 = cnt1, np.bitwise_count(acc1)
+        nz, cnt0 = cnt0, np.bitwise_count(acc0)
+        nu -= cnt1
+        nz -= cnt0
+        nu += cnt1 == length
+        nz += cnt0 == length
+        both = nu + nz
+        nrun_sums[t] = both.sum(dtype=np.int64)
+        both = both.astype(np.uint16)  # both <= 64, so both^2 fits
+        nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
         if t == 1:
-            runs_total = nu.copy()
-        if t < length:
-            rot1 = (rot1 >> one) | ((rot1 & one) << dt(length - 1))
-            rot0 = (rot0 >> one) | ((rot0 & one) << dt(length - 1))
-            acc1 &= rot1
-            acc0 &= rot0
-    tie = np.where(tied, runs_total, tie).astype(np.uint8)
-    return tie, dominant, nrun_sums, nrun_sumsq
+            tie = nu.copy()
+        # where nu != nz: tie = min(nu, nz), dominant = nu > nz; arithmetic
+        # (exact mod 256) is several times faster than a masked copy
+        low, same = np.minimum(nu, nz), nu == nz
+        tie = low + (tie - low) * same
+        dominant = (dominant & same) | (nu > nz)
+        live = np.logical_or(cnt1, cnt0)
+        if t == length or 4 * (live.size - np.count_nonzero(live)) >= live.size:
+            tie_out[pos] = tie
+            dom_out[pos] = dominant
+            keep = np.flatnonzero(live)
+            state = (pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant)
+            pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant = (a[keep] for a in state)
+    return tie_out, dom_out, nrun_sums, nrun_sumsq
 
 
 def scan_words(words: np.ndarray, length: int):
-    """Tie lengths and dominance flags for an arbitrary array of words."""
+    """Tie lengths and dominance flags for a 1-D array of words."""
     _check_word(0, length)
+    words = np.asarray(words)
+    if words.ndim != 1 or words.size and (words.min() < 0 or int(words.max()) >> length):
+        raise ValueError(f"words must be a 1-D array of integers in [0, 2^{length})")
     dtype = np.uint32 if length <= 30 else np.uint64
-    return _scan_block(np.asarray(words).astype(dtype), length)
+    return _scan_block(words.astype(dtype), length)
 
 
 @lru_cache(maxsize=2)
@@ -196,23 +209,32 @@ def _exact_scan(length: int):
     Returns read-only (dominant, tie_hist, nrun_sums, nrun_sumsq): the
     per-word dominance flags, the tie-length histogram over 0..length//2 + 1,
     and the run-count sums of ``_scan_block`` over every word.
+
+    The complement w -> ~w swaps the two profiles: it keeps the tie and
+    every N(t), and flips dominance unless the profiles tie outright, which
+    odd length rules out.  ~w maps [2^(L-1), 2^L) onto [0, 2^(L-1)) reversed,
+    so odd length scans the lower half only and mirrors it.
     """
     if length > EXACT_CAP_L:
         raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
     total = 1 << length
+    scanned = total >> (length % 2)
     bins = length // 2 + 2
     dominant = np.empty(total, dtype=bool)
     hist = np.zeros(bins, dtype=np.int64)
     nrun_sums = np.zeros(length + 1, dtype=np.int64)
     nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
+    for lo in range(0, scanned, _BLOCK):
+        hi = min(lo + _BLOCK, scanned)
         # EXACT_CAP_L <= 30, so uint32 holds every word
         tie, dom, s, s2 = _scan_block(np.arange(lo, hi, dtype=np.uint32), length)
         dominant[lo:hi] = dom
         hist += np.bincount(tie, minlength=bins)[:bins]
         nrun_sums += s
         nrun_sumsq += s2
+    if scanned < total:
+        dominant[scanned:] = ~dominant[:scanned][::-1]
+        hist, nrun_sums, nrun_sumsq = 2 * hist, 2 * nrun_sums, 2 * nrun_sumsq
     for arr in (dominant, hist, nrun_sums, nrun_sumsq):
         arr.setflags(write=False)
     return dominant, hist, nrun_sums, nrun_sumsq

@@ -199,3 +199,25 @@ def test_options_only_on_subcommands_that_use_them():
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+
+def test_family_build_fano_ignores_n_and_k(tmp_path):
+    json_path = tmp_path / "fano.json"
+    assert run(["family", "build", "--kind", "fano", "--n", "60", "--k", "30",
+                "--json", str(json_path)]) == 0
+    payload = json.loads(json_path.read_text())
+    assert payload["results"]["rows"][0]["size"] == 7
+    assert payload["parameters"] == {"kind": "fano"}
+
+
+def test_family_build_records_only_the_parameters_its_kind_reads(tmp_path):
+    json_path = tmp_path / "hub.json"
+    assert run(["family", "build", "--kind", "hub-block", "--n", "7", "--k", "3",
+                "--u", "2", "--json", str(json_path)]) == 0
+    assert json.loads(json_path.read_text())["parameters"] == {
+        "kind": "hub-block", "n": 7, "k": 3, "u": 2,
+    }
+
+
+def test_family_build_cap_still_refuses_enumerating_kinds():
+    assert run(["family", "build", "--kind", "full", "--n", "60", "--k", "30"]) == 3

@@ -240,3 +240,43 @@ def test_rho_distribution_caps_and_validation():
         rho_distribution(11, "mc")  # samples missing
     with pytest.raises(ValueError):
         rho_distribution(11, "bogus")
+
+
+@pytest.mark.parametrize("length", range(1, 17))
+def test_exact_scan_matches_full_word_scan(length):
+    # the exact scan mirrors the upper half for odd length; scan_words
+    # scans every word
+    dom, hist, sums, sumsq = _exact_scan(length)
+    tie, full_dom, full_sums, full_sumsq = scan_words(np.arange(1 << length), length)
+    assert np.array_equal(dom, full_dom)
+    assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
+    assert np.array_equal(sums, full_sums)
+    assert np.array_equal(sumsq, full_sumsq)
+
+
+@pytest.mark.parametrize("length", [2, 3, 6, 17, 25, 33, 63])
+def test_scan_words_matches_scalar_per_word_and_in_sums(length):
+    rng = np.random.Generator(np.random.Philox(key=length))
+    full = (1 << length) - 1
+    alternating = int("01" * 32, 2) & full
+    special = [0, full, alternating, alternating ^ full]
+    words = np.concatenate(
+        [np.array(special, dtype=np.uint64), rng.integers(0, 1 << length, size=40, dtype=np.uint64)]
+    )
+    tie, dom, sums, sumsq = scan_words(words, length)
+    for w, t, d in zip(words.tolist(), tie.tolist(), dom.tolist()):
+        rc = compare_run_profiles(w, length)
+        assert rc.tie_len == t
+        if length % 2 == 1:
+            assert rc.ones_dominant == d
+    for t in range(1, length + 1):
+        counts = [count_long_runs(w, length, t) for w in words.tolist()]
+        assert sums[t] == sum(counts)
+        assert sumsq[t] == sum(c * c for c in counts)
+
+
+def test_scan_words_rejects_words_outside_the_length():
+    with pytest.raises(ValueError):
+        scan_words(np.array([-1]), 5)
+    with pytest.raises(ValueError):
+        scan_words(np.array([0b101011]), 5)
