@@ -351,6 +351,7 @@ def cmd_extremal(args) -> Report:
                 "best_diversity": res.best_diversity,
                 "complete": res.complete,
                 "node_count": res.node_count,
+                "elapsed_s": res.elapsed_s,
                 "witness_size": len(res.witness),
             }
         ],

@@ -1,10 +1,29 @@
 """Exact maximum-diversity search over intersecting k-uniform families.
 
-Vertices are the k-sets of [n]; pairwise-intersecting families are the
-cliques of the intersection graph.  Since adding a set to an intersecting
-family never decreases diversity, the maximum is attained on maximal
-cliques, which both the oracle enumeration (pivoted Bron-Kerbosch) and the
-branch-and-bound search exploit.
+Vertices are k-sets and two are adjacent when they intersect, so
+intersecting families are cliques.  ``enumerate_maximal_intersecting`` is
+the oracle: it lists every maximal clique on the k-sets of [n] (pivoted
+Bron-Kerbosch).
+
+``max_diversity_search`` searches only the part of the family that misses
+its top element.  Relabel so that element 1 has the largest degree, and
+write X(x) for the sets of X through x and X(~x) for those missing x.  Then
+the diversity is gamma(F) = |F| - deg 1 = |B| for B = F(~1), an
+intersecting family on [2..n].  So the maximum is the largest |B| over
+cliques B of k-sets of [2..n] with |A(~x)| >= |B(x)| for every x >= 2,
+where A is every k-set through 1 that meets all of B; the constraint says
+deg 1 >= deg x.  Three facts make this exact and let it prune:
+
+- A maximal A loses nothing: F(1) lies in A, and A u B is intersecting.
+  Growing F(1) to A adds |A| - |F(1)| to deg 1 but at most that to deg x,
+  since A(~x) contains F(1)(~x); so deg 1 stays the largest.
+- A violation is monotone: adding a set to B shrinks A, hence every A(~x),
+  and grows every B(x), so a broken constraint stays broken below.
+- The root has one branch: a permutation of [2..n] moves any member of a
+  nonempty B to {2..k+1} and maps A with it.
+
+At n = 2k any two k-sets of [2..2k] meet, so the graph on B is complete and
+only the degree constraints prune; such searches end on the time budget.
 """
 
 from __future__ import annotations
@@ -15,8 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitfam import Family, family_from_masks, ksubset_masks, stats
-from .constructions import build_hub_block_family, build_window_majority
+from .bitfam import Family, family_from_masks, ksubset_masks
 
 
 @dataclass
@@ -34,19 +52,19 @@ class SearchResult:
     node_count: int
     complete: bool
     budget_seconds: float
+    elapsed_s: float
 
 
-def _intersection_graph(n: int, k: int) -> tuple[list[int], list[int]]:
-    """k-set masks of [n] in lex order; adj[v] has bit w iff sets v != w intersect.
+def _intersection_graph(masks: np.ndarray) -> list[int]:
+    """Row v has bit w iff masks v != w intersect.
 
     Rows are built one vertex at a time, so no V x V temporary is made."""
-    masks = ksubset_masks(n, k)
     adj = []
     for v, mv in enumerate(masks):
         row = (masks & mv) != 0
         row[v] = False
         adj.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
-    return masks.tolist(), adj
+    return adj
 
 
 def _iter_bits(mask: int):
@@ -65,7 +83,9 @@ def enumerate_maximal_intersecting(
     ``cap`` limits the output count; hitting it returns a partial list with
     complete=False.
     """
-    masks, adj = _intersection_graph(n, k)
+    masks = ksubset_masks(n, k)
+    adj = _intersection_graph(masks)
+    masks = masks.tolist()
     nv = len(masks)
     out: list[list[int]] = []
     complete = True
@@ -99,87 +119,83 @@ def enumerate_maximal_intersecting(
     return MaximalEnumeration(families=families, complete=complete)
 
 
-def _seed_incumbents(n: int, k: int) -> list[Family]:
-    seeds = []
-    if n >= 2 * k and k >= 2:
-        seeds.append(build_hub_block_family(n, k, 2))
-    for r in range(1, k):
-        if 2 * r + 1 <= n:
-            seeds.append(build_window_majority(n, k, r))
-    return seeds
-
-
-def max_diversity_search(
-    n: int,
-    k: int,
-    budget_seconds: float = 60.0,
-) -> SearchResult:
-    """Branch-and-bound maximum of diversity over intersecting k-uniform families.
-
-    Expansion follows Bron-Kerbosch (so only maximal families are completed)
-    with the prune rule |current| + |candidates| - max_degree(current) <= best.
-    Known constructions are fed in as incumbents.  If the time budget runs
-    out the result is best-found with complete=False.
+def max_diversity_search(n: int, k: int, budget_seconds: float = 60.0) -> SearchResult:
+    """Maximum diversity over intersecting k-uniform families on [n]: the
+    largest clique B of k-sets of [2..n] with |A(~x)| >= |B(x)| for all x >= 2,
+    A being every k-set through 1 that meets all of B (module docstring: a
+    maximal A loses nothing).  B grows in lex order from the one root branch
+    {2..k+1}; a candidate leaves P once adding it alone breaks a constraint
+    (violations are monotone), and a node is cut when |B| + |P| <= best.  The
+    witness is A u B, of diversity |B|.  Out of time, the result is best-found
+    with complete=False, as at n = 2k, where every two B-sets meet.
     """
     if k < 2 or n < 2 * k:
         raise ValueError(f"need k >= 2 and n >= 2k, got n={n}, k={k}")
-    masks, adj = _intersection_graph(n, k)
-    nv = len(masks)
-    deadline = time.monotonic() + budget_seconds
-
-    best = -1
-    witness_masks: list[int] = []
-    for fam in _seed_incumbents(n, k):
-        d = stats(fam).diversity
-        if d > best:
-            best = d
-            witness_masks = [int(m) for m in fam.members]
-
+    start = time.monotonic()
+    deadline = start + budget_seconds
+    # vertices: the B-sets (k-sets of [2..n]), the A-sets (k-sets through 1),
+    # and one point {x} per x = 2..n, whose row holds the A-sets through x
+    b_masks = ksubset_masks(n - 1, k) << 1
+    a_masks = (ksubset_masks(n - 1, k - 1) << 1) | 1
+    points = np.left_shift(1, np.arange(1, n, dtype=np.int64))
+    nb, na = len(b_masks), len(a_masks)
+    rows = _intersection_graph(np.concatenate([b_masks, a_masks, points]))
+    all_a = (1 << na) - 1
+    adj = [row & ((1 << nb) - 1) for row in rows[:nb]]
+    meet = [row >> nb & all_a for row in rows[:nb]]
+    avoid = [all_a & ~(row >> nb) for row in rows[nb + na :]]
+    # element x = 2..n is index x - 2 in elems, count and avoid
+    b_list = b_masks.tolist()
+    elems = [[e - 1 for e in _iter_bits(b)] for b in b_list]
+    count = [0] * (n - 1)
+    chosen: list[int] = []
+    best, best_b, best_a = 0, [], 0
     node_count = 0
     complete = True
-    degrees = [0] * n
-    chosen: list[int] = []
 
-    def evaluate() -> None:
-        nonlocal best, witness_masks
-        gamma = len(chosen) - (max(degrees) if chosen else 0)
-        if gamma > best:
-            best = gamma
-            witness_masks = [masks[v] for v in chosen]
+    def fits(w: int, a: int) -> bool:
+        # B + w leaves A the sets of A that meet w
+        aw = a & meet[w]
+        ew = elems[w]
+        for x in range(n - 1):
+            need = count[x] + (x in ew)
+            if need and (aw & avoid[x]).bit_count() < need:
+                return False
+        return True
 
-    def expand(p: int, x: int, max_deg: int) -> bool:
-        nonlocal node_count, complete
+    def grow(v: int, p: int, a: int) -> bool:
+        """Add B-set v to B, cut A to the sets meeting it and search the
+        candidates p left after it; False once out of time."""
+        nonlocal best, best_b, best_a, node_count, complete
         node_count += 1
         if node_count % 1024 == 0 and time.monotonic() > deadline:
             complete = False
             return False
-        evaluate()
-        if len(chosen) + p.bit_count() - max_deg <= best:
-            return True  # cannot beat the incumbent below this node
-        if p == 0:
-            return True
-        pivot = max(_iter_bits(p | x), key=lambda u: (adj[u] & p).bit_count())
-        ext = p & ~adj[pivot]
-        for v in _iter_bits(ext):
-            bit = 1 << v
-            chosen.append(v)
-            new_max = max_deg
-            for e in _iter_bits(masks[v]):
-                degrees[e] += 1
-                if degrees[e] > new_max:
-                    new_max = degrees[e]
-            ok = expand(p & adj[v], x & adj[v], new_max)
-            chosen.pop()
-            for e in _iter_bits(masks[v]):
-                degrees[e] -= 1
-            if not ok:
-                return False
-            p &= ~bit
-            x |= bit
-        return True
+        chosen.append(v)
+        for x in elems[v]:
+            count[x] += 1
+        a &= meet[v]
+        if len(chosen) > best:
+            best, best_b, best_a = len(chosen), list(chosen), a
+        cand = 0
+        for w in _iter_bits(p & adj[v]):
+            if fits(w, a):
+                cand |= 1 << w
+        ok = True
+        while ok and cand and len(chosen) + cand.bit_count() > best:
+            low = cand & -cand
+            cand ^= low
+            ok = grow(low.bit_length() - 1, cand, a)
+        chosen.pop()
+        for x in elems[v]:
+            count[x] -= 1
+        return ok
 
-    expand((1 << nv) - 1 if nv else 0, 0, 0)
-    witness = family_from_masks(n, k, witness_masks)
+    grow(0, (1 << nb) - 2, all_a)
+    a_list = a_masks.tolist()
+    witness = family_from_masks(
+        n, k, [b_list[v] for v in best_b] + [a_list[i] for i in _iter_bits(best_a)]
+    )
     return SearchResult(
         n=n,
         k=k,
@@ -188,4 +204,5 @@ def max_diversity_search(
         node_count=node_count,
         complete=complete,
         budget_seconds=budget_seconds,
+        elapsed_s=time.monotonic() - start,
     )

@@ -251,16 +251,6 @@ def in_t_table(length: int) -> np.ndarray:
     return _exact_scan(length)[0]
 
 
-def _fit_alpha(rows) -> Optional[float]:
-    """Tightest alpha with Pr[tie >= k] <= 2^(-alpha log2(k)^2) on the data."""
-    alphas = []
-    for row in rows:
-        k, p = row["k"], float(row["prob"])
-        if k >= 2 and p > 0:
-            alphas.append(-math.log2(p) / math.log2(k) ** 2)
-    return min(alphas) if alphas else None
-
-
 def _expected_runs_rows(length: int, sums, sumsq, total: int, exact: bool):
     rows = []
     for t in range(1, length + 1):
@@ -352,7 +342,4 @@ def rho_distribution(
         all(probs[i] >= probs[i + 1] for i in range(len(probs) - 1)),
     )
     report.check("tail_starts_at_one", 1.0, probs[0])
-    alpha = _fit_alpha(report.tables["rho_tail"])
-    if alpha is not None:
-        report.note(f"fitted decay constant alpha={alpha:.4f} (reported, not asserted)")
     return report.finish()

@@ -149,6 +149,15 @@ def test_extremal_cli_with_witness(tmp_path):
     assert stats(fam).diversity == 5
 
 
+def test_extremal_cli_row_records_nodes_and_time(tmp_path):
+    json_path = tmp_path / "ext.json"
+    assert run(["extremal", "--n", "9", "--k", "3", "--json", str(json_path)]) == 0
+    row = json.loads(json_path.read_text())["results"]["rows"][0]
+    assert row["best_diversity"] == 6 and row["complete"] is True
+    assert row["node_count"] > 0
+    assert 0 <= row["elapsed_s"] < 60
+
+
 def test_extremal_enumerate_cli():
     assert run(["extremal", "--n", "5", "--k", "2", "--enumerate"]) == 0
 

@@ -81,7 +81,7 @@ def test_enumeration_cap_flags_partial():
     assert len(enum.families) == 100
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3)])
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (6, 2), (7, 2), (8, 2)])
 def test_search_matches_enumeration_oracle(n, k):
     enum = enumerate_maximal_intersecting(n, k)
     oracle = max(stats(f).diversity for f in enum.families)
@@ -91,6 +91,29 @@ def test_search_matches_enumeration_oracle(n, k):
     assert stats(res.witness).diversity == res.best_diversity
     assert is_t_intersecting(res.witness, 1)
     assert res.witness.k == k
+
+
+@pytest.mark.parametrize("n,nodes", [(8, 424), (9, 720), (10, 1125), (11, 1645), (12, 2292)])
+def test_search_certifies_k3_maxima(n, nodes):
+    # n - 3 = C(n-3, 1); for n <= 11 a branch and bound over all k-sets gave
+    # the same maxima.  A sound cut may only lower the node counts.
+    res = max_diversity_search(n, 3, budget_seconds=120)
+    assert res.complete
+    assert res.node_count <= nodes
+    assert res.best_diversity == n - 3
+    assert is_t_intersecting(res.witness, 1)
+    assert res.witness.k == 3
+    assert stats(res.witness).diversity == res.best_diversity
+    assert 0 <= res.elapsed_s < 120
+
+
+def test_search_n_equals_2k_ends_on_budget():
+    # any two 4-sets of [2..8] meet, so only the degree constraints prune
+    res = max_diversity_search(8, 4, budget_seconds=0.05)
+    assert not res.complete
+    assert is_t_intersecting(res.witness, 1)
+    assert res.witness.k == 4
+    assert stats(res.witness).diversity == res.best_diversity >= 1
 
 
 def test_search_monotonicity_justification_5_2():
