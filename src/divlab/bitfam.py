@@ -244,10 +244,6 @@ def stats(fam: Family) -> FamilyStats:
     )
 
 
-def diversity(fam: Family) -> int:
-    return stats(fam).diversity
-
-
 def family_to_text(fam: Family) -> str:
     """Serialize in the family text format.
 

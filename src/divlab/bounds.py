@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .bitfam import Family, are_cross_intersecting
 from .constructions import triangle_decompose
@@ -48,8 +48,9 @@ class CrossBoundReport:
 
     For every partner size s up to the cap, the largest lex prefix of a-sets
     cross-intersecting the lex s-segment of b-sets was computed and
-    amax + weight * s <= C(m, a) checked.  worst_slack is the minimum of
-    C(m, a) - (amax + weight * s); violations lists the failing sizes.
+    amax + weight * s <= C(m, a) checked.  rows holds one row per size,
+    worst_slack is the minimum of C(m, a) - (amax + weight * s), and
+    violations lists the rows with negative slack.
     """
 
     m: int
@@ -67,50 +68,31 @@ class CrossBoundReport:
         return not self.violations and self.worst_slack >= 0
 
 
-def verify_cross_weighted_bound(
-    m: int,
-    a: int,
-    b: int,
-    weight: int,
-    b_sizes: Optional[Iterable[int]] = None,
-    keep_rows: bool = False,
-) -> CrossBoundReport:
+def verify_cross_weighted_bound(m: int, a: int, b: int, weight: int) -> CrossBoundReport:
     """Sweep |B| from 0 to C(m-(b-a+1), a-1) and check |A|max + weight*|B| <= C(m,a).
 
     |A|max is the longest lex prefix of a-sets cross-intersecting the lex
     segment of b-sets.  The first a-set disjoint from a b-set B is the a
     least elements outside B, so |A|max for segment size s is the least lex
     rank of those a-sets over the first s b-sets (shiftlex.lex_partner_maxima).
-    Explicit b_sizes beyond the cap are refused.
+    Weights below 1 are refused: |A|max <= C(m, a) makes the bound trivially
+    true there, so such a sweep would pass without testing the lemma.
     """
+    if weight < 1:
+        raise ValueError(f"weight must be >= 1, got {weight}")
     if m <= (weight + 1) * max(a, b):
         raise ValueError(
             f"hypothesis violated: need m > (weight+1)*max(a,b) = {(weight + 1) * max(a, b)}, got m={m}"
         )
     b_cap = binom(m - (b - a + 1), a - 1)
     swept_max = min(b_cap, binom(m, b))
-    if b_sizes is not None:
-        sizes = sorted(set(int(s) for s in b_sizes))
-        bad = [s for s in sizes if s > swept_max or s < 0]
-        if bad:
-            raise ValueError(f"partner sizes {bad} beyond the cap {swept_max} are not covered")
-    else:
-        sizes = list(range(swept_max + 1))
     ca = binom(m, a)
     partner_max = lex_partner_maxima(swept_max, a, b, m)
-    worst = None
-    violations: list[dict] = []
-    rows: list[dict] = []
-    for s in sizes:
+    rows = []
+    for s in range(swept_max + 1):
         amax = int(partner_max[s])
-        slack = ca - (amax + weight * s)
-        if worst is None or slack < worst:
-            worst = slack
-        row = {"b_size": s, "a_max": amax, "lhs": amax + weight * s, "rhs": ca, "slack": slack}
-        if keep_rows:
-            rows.append(row)
-        if slack < 0:
-            violations.append(row)
+        lhs = amax + weight * s
+        rows.append({"b_size": s, "a_max": amax, "lhs": lhs, "rhs": ca, "slack": ca - lhs})
     return CrossBoundReport(
         m=m,
         a=a,
@@ -118,8 +100,8 @@ def verify_cross_weighted_bound(
         weight=weight,
         b_cap=b_cap,
         swept_max=swept_max,
-        worst_slack=worst if worst is not None else ca,
-        violations=violations,
+        worst_slack=min(row["slack"] for row in rows),
+        violations=[row for row in rows if row["slack"] < 0],
         rows=rows,
     )
 
@@ -135,6 +117,29 @@ def admissible_cross_bound_tuples(
                 for m in range((weight + 1) * max(a, b) + 1, m_max + 1):
                     tuples.append((m, a, b, weight))
     return sorted(tuples)
+
+
+def cross_bound_sweep(
+    m_max: int, a_max: int, b_max: int, weights: Iterable[int]
+) -> list[dict]:
+    """One row per admissible (m, a, b, weight): the cap, the swept range,
+    the worst slack and the violation count of verify_cross_weighted_bound."""
+    rows = []
+    for m, a, b, w in admissible_cross_bound_tuples(m_max, a_max, b_max, weights):
+        rep = verify_cross_weighted_bound(m, a, b, w)
+        rows.append(
+            {
+                "m": m,
+                "a": a,
+                "b": b,
+                "weight": w,
+                "b_cap": rep.b_cap,
+                "swept_max": rep.swept_max,
+                "worst_slack": rep.worst_slack,
+                "violations": len(rep.violations),
+            }
+        )
+    return rows
 
 
 def verify_triangle_chain(fam: Family) -> Report:

@@ -20,6 +20,8 @@ from . import booleanlab as bl
 from . import bounds, extremal, runstat, shiftlex, verify
 from .bitfam import (
     KSUBSET_CAP,
+    Family,
+    FamilyStats,
     are_cross_intersecting,
     is_t_intersecting,
     load_family,
@@ -44,7 +46,10 @@ from .report import Report
 def parse_bias(text: str):
     """'1/2' -> Fraction (exact mode); '0.45' -> float (approximate mode)."""
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"bias {text!r} has a zero denominator") from None
     return float(text)
 
 
@@ -107,6 +112,18 @@ _FAMILY_KINDS = {
 }
 
 
+def _stats_row(fam: Family, st: FamilyStats) -> dict:
+    """The row that ``family build`` and ``family stats`` report."""
+    return {
+        "n": fam.n,
+        "k": fam.k,
+        "size": st.size,
+        "max_degree": st.max_degree,
+        "max_degree_element": st.max_degree_element,
+        "diversity": st.diversity,
+    }
+
+
 def cmd_family(args) -> Report:
     if args.action == "build":
         used, build = _FAMILY_KINDS[args.kind]
@@ -115,19 +132,8 @@ def cmd_family(args) -> Report:
         fam = build(args)
         params = {"kind": args.kind, **{name: getattr(args, name) for name in used}}
         report = Report(command="family-build", parameters=params)
-        st = stats(fam)
-        report.add_table(
-            "rows",
-            [
-                {
-                    "size": st.size,
-                    "max_degree": st.max_degree,
-                    "max_degree_element": st.max_degree_element,
-                    "diversity": st.diversity,
-                    "intersecting": is_t_intersecting(fam, 1),
-                }
-            ],
-        )
+        row = {**_stats_row(fam, stats(fam)), "intersecting": is_t_intersecting(fam, 1)}
+        report.add_table("rows", [row])
         if args.out:
             save_family(fam, args.out)
             report.note(f"family written to {args.out}")
@@ -137,19 +143,7 @@ def cmd_family(args) -> Report:
         fam = load_family(args.infile)
         st = stats(fam)
         report = Report(command="family-stats", parameters=params)
-        report.add_table(
-            "rows",
-            [
-                {
-                    "n": fam.n,
-                    "k": fam.k,
-                    "size": st.size,
-                    "max_degree": st.max_degree,
-                    "max_degree_element": st.max_degree_element,
-                    "diversity": st.diversity,
-                }
-            ],
-        )
+        report.add_table("rows", [_stats_row(fam, st)])
         report.add_table(
             "degrees", [{"element": i + 1, "degree": d} for i, d in enumerate(st.degrees)]
         )
@@ -183,34 +177,18 @@ def cmd_lemma_sweep(args) -> Report:
     }
     report = Report(command="lemma-sweep", parameters=params)
     if single:
-        rep = bounds.verify_cross_weighted_bound(
-            args.m, args.a, args.b, args.cprime, keep_rows=True
-        )
+        if args.a is None or args.b is None:
+            raise ValueError("lemma-sweep --m needs --a and --b")
+        rep = bounds.verify_cross_weighted_bound(args.m, args.a, args.b, args.cprime)
         report.add_table("rows", rep.rows)
         report.check("violations", 0, len(rep.violations))
         report.check("worst_slack_nonnegative", True, rep.worst_slack >= 0)
     else:
-        tuples = bounds.admissible_cross_bound_tuples(
+        rows = bounds.cross_bound_sweep(
             args.m_max, args.a_max, args.b_max, tuple(args.cprime_list)
         )
-        rows = []
-        violations = 0
-        for m, a, b, w in tuples:
-            rep = bounds.verify_cross_weighted_bound(m, a, b, w)
-            violations += len(rep.violations)
-            rows.append(
-                {
-                    "m": m,
-                    "a": a,
-                    "b": b,
-                    "cprime": w,
-                    "b_cap": rep.b_cap,
-                    "worst_slack": rep.worst_slack,
-                    "violations": len(rep.violations),
-                }
-            )
         report.add_table("rows", rows)
-        report.check("violations", 0, violations)
+        report.check("violations", 0, sum(row["violations"] for row in rows))
     return report.finish()
 
 
@@ -221,7 +199,7 @@ def cmd_lex(args) -> Report:
         seg = shiftlex.lex_segment(args.m, args.k, args.n)
         report = Report(command="lex-segment", parameters=params)
         report.add_table(
-            "rows", [{"set": ",".join(map(str, s))} for s in seg.realized.member_sets()]
+            "rows", [{"set": ",".join(map(str, s))} for s in seg.member_sets()]
         )
         return report.finish()
     if args.op == "partner-max":

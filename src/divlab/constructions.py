@@ -108,11 +108,10 @@ def build_majority_defining(r: int) -> JuntaSpec:
     return JuntaSpec(center_size=length, defining=defining)
 
 
-def build_dictator_defining(center_size: int, element: int = 1) -> JuntaSpec:
-    """Defining family of the dictator junta: traces containing one element."""
-    bit = 1 << (element - 1)
+def build_dictator_defining(center_size: int) -> JuntaSpec:
+    """Defining family of the dictator junta: traces containing element 1."""
     masks = np.arange(1 << center_size, dtype=np.int64)
-    defining = family_from_masks(center_size, None, masks[(masks & bit) != 0], presorted=True)
+    defining = family_from_masks(center_size, None, masks[(masks & 1) != 0], presorted=True)
     return JuntaSpec(center_size=center_size, defining=defining)
 
 
@@ -129,28 +128,21 @@ def lift_junta(spec: JuntaSpec, n: int, k: int) -> Family:
 class TriangleDecomposition:
     """Split of a k-uniform intersecting family around the center {1,2,3}.
 
-    ``fi[i]`` holds the members whose center trace is exactly {i}.  The
+    ``fi[i-1]`` holds the members whose center trace is exactly {i}.  The
     largest of the three (ties to the smallest index) drives the bound:
     ``g`` collects the tails of members tracing the opposite pair, ``h1``
     the tails of the largest fi, ``h2`` the members avoiding the center.
     Tails are relabeled from [4, n] down to [1, n-3].
     """
 
-    f1: Family
-    f2: Family
-    f3: Family
+    fi: tuple[Family, Family, Family]
     g: Family
     h1: Family
     h2: Family
     largest_fi_index: int
-    relabel_offset: int
     gamma: int
     chain_bound: int
     chain_holds: bool
-
-    @property
-    def fi(self) -> tuple[Family, Family, Family]:
-        return (self.f1, self.f2, self.f3)
 
 
 def triangle_decompose(fam: Family) -> TriangleDecomposition:
@@ -174,20 +166,15 @@ def triangle_decompose(fam: Family) -> TriangleDecomposition:
     g = family_from_masks(n_tail, fam.k - 2, fam.members[traces == pair_mask] >> 3, presorted=True)
     h1 = family_from_masks(n_tail, fam.k - 1, fi_masks[largest] >> 3, presorted=True)
     h2 = family_from_masks(n_tail, fam.k, fam.members[traces == 0] >> 3, presorted=True)
-    f1, f2, f3 = (
-        family_from_masks(fam.n, fam.k, arr, presorted=True) for arr in fi_masks
-    )
+    fi = tuple(family_from_masks(fam.n, fam.k, arr, presorted=True) for arr in fi_masks)
     gamma = stats(fam).diversity
     chain_bound = len(g) + 2 * len(h1) + len(h2)
     return TriangleDecomposition(
-        f1=f1,
-        f2=f2,
-        f3=f3,
+        fi=fi,
         g=g,
         h1=h1,
         h2=h2,
         largest_fi_index=largest + 1,
-        relabel_offset=3,
         gamma=gamma,
         chain_bound=chain_bound,
         chain_holds=gamma <= chain_bound,

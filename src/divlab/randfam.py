@@ -7,13 +7,11 @@ import random
 from .bitfam import Family, family_from_masks, ksubset_masks
 
 
-def random_intersecting_family(
-    n: int, k: int, rng: random.Random, keep_prob: float = 0.7
-) -> Family:
+def random_intersecting_family(n: int, k: int, rng: random.Random) -> Family:
     """A random intersecting k-uniform family on [n].
 
     Greedily grows a maximal intersecting family along a shuffled candidate
-    order, then keeps each member independently with ``keep_prob`` (always
+    order, then keeps each member independently with probability 0.7 (always
     keeping at least one), so the output is intersecting but usually not
     maximal.
     """
@@ -23,7 +21,7 @@ def random_intersecting_family(
     for mask in candidates:
         if all(mask & other for other in kept):
             kept.append(mask)
-    members = [m for m in kept if rng.random() < keep_prob]
+    members = [m for m in kept if rng.random() < 0.7]
     if not members:
         members = [kept[0]]
     return family_from_masks(n, k, members)

@@ -80,31 +80,6 @@ def run_profile(word: int, length: int) -> RunProfile:
     return RunProfile(ones=tuple(ones), zeros=tuple(zeros), length=length, weight=weight)
 
 
-def runseq_compare(u: tuple[int, ...], z: tuple[int, ...]) -> int:
-    """Lexicographic comparison of descending run lists, zero-padded.
-
-    Returns 1 if u wins, -1 if z wins, 0 on a full tie.
-    """
-    for name, seq in (("u", u), ("z", z)):
-        if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
-            raise ValueError(f"run list {name}={seq} is not descending")
-    m = max(len(u), len(z))
-    pu = tuple(u) + (0,) * (m - len(u))
-    pz = tuple(z) + (0,) * (m - len(z))
-    return (pu > pz) - (pu < pz)
-
-
-def ones_runs_dominate(word: int, length: int) -> bool:
-    """Membership rule of the run-dominance family: ones-profile beats zeros-profile.
-
-    Only defined on odd lengths, where a tie is impossible.
-    """
-    if length % 2 == 0:
-        raise ValueError("run dominance needs an odd word length")
-    p = run_profile(word, length)
-    return runseq_compare(p.ones, p.zeros) > 0
-
-
 def compare_run_profiles(word: int, length: int) -> RunComparison:
     """Tie length of the padded profiles plus the dominance flag (odd L only)."""
     p = run_profile(word, length)

@@ -7,7 +7,6 @@ initial segment of that order on k-sets therefore starts at {1,...,k}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,27 +70,6 @@ def shift_closure(fam: Family) -> Family:
     return fam
 
 
-def lex_compare(a: int, b: int) -> int:
-    """-1 if a precedes b in lex order (min of the symmetric difference is in a),
-    1 if b precedes a, 0 if equal.  Requires equal cardinality."""
-    if int(a).bit_count() != int(b).bit_count():
-        raise ValueError("lex order compares sets of equal cardinality")
-    if a == b:
-        return 0
-    low = (a ^ b) & -(a ^ b)
-    return -1 if a & low else 1
-
-
-@dataclass(eq=False)
-class LexSegment:
-    """The first m_sets k-sets of [n] in lex order."""
-
-    m_sets: int
-    k: int
-    n: int
-    realized: Family
-
-
 def _lex_prefix(m: int, k: int, n: int) -> np.ndarray:
     """Masks of the first m k-sets of [n] in lex order.  The first C(n-1, k-1)
     of them hold the least element, so a short prefix skips the full list."""
@@ -100,11 +78,11 @@ def _lex_prefix(m: int, k: int, n: int) -> np.ndarray:
     return ksubset_masks(n, k)[:m]
 
 
-def lex_segment(m: int, k: int, n: int) -> LexSegment:
-    """Initial segment of the lex order on k-sets of [n]."""
+def lex_segment(m: int, k: int, n: int) -> Family:
+    """Initial segment of the lex order on k-sets of [n]: its first m sets."""
     if not 0 <= m <= math.comb(n, k):
         raise ValueError(f"segment size {m} outside [0, C({n},{k})]")
-    return LexSegment(m_sets=m, k=k, n=n, realized=family_from_masks(n, k, _lex_prefix(m, k, n)))
+    return family_from_masks(n, k, _lex_prefix(m, k, n))
 
 
 def lex_partner_maxima(b_size: int, a: int, b: int, m: int) -> np.ndarray:

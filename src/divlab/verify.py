@@ -62,17 +62,16 @@ def criterion_02_a3_size_identity(quick: bool = False) -> Report:
     arithmetic_failures = []
     cells = 0
     for n, k in _grid(quick):
-        closed1 = (
-            bounds.binom(n - 1, k - 1) + bounds.binom(n - 4, k - 3) - bounds.binom(n - 4, k - 1)
-        )
+        if k < 3:
+            continue
+        cells += 1
+        closed1 = bounds.intersecting_size_bound(n, k, 3)
         closed2 = 3 * bounds.binom(n - 3, k - 2) + bounds.binom(n - 3, k - 3)
         if closed1 != closed2:
             arithmetic_failures.append({"n": n, "k": k, "closed1": closed1, "closed2": closed2})
-        if k >= 3:
-            cells += 1
-            size = len(build_hub_block_family(n, k, 3))
-            if size != closed1:
-                mismatches.append({"n": n, "k": k, "enumerated": size, "closed": closed1})
+        size = len(build_hub_block_family(n, k, 3))
+        if size != closed1:
+            mismatches.append({"n": n, "k": k, "enumerated": size, "closed": closed1})
     report.parameters["enumerated_cells"] = cells
     report.add_table("mismatches", mismatches + arithmetic_failures)
     report.check("closed_forms_agree_failures", 0, len(arithmetic_failures))
@@ -115,27 +114,10 @@ def criterion_04_cross_weighted_sweep(quick: bool = False) -> Report:
     """Zero violations of |A|max + weight*|B| <= C(m,a) over all admissible tuples."""
     report = Report(command="criterion-04-lemma-sweep", parameters={"quick": quick})
     m_max = 10 if quick else 14
-    tuples = bounds.admissible_cross_bound_tuples(m_max, 4, 4, (2, 3))
-    rows = []
-    violations = 0
-    for m, a, b, w in tuples:
-        rep = bounds.verify_cross_weighted_bound(m, a, b, w)
-        violations += len(rep.violations)
-        rows.append(
-            {
-                "m": m,
-                "a": a,
-                "b": b,
-                "weight": w,
-                "b_cap": rep.b_cap,
-                "swept_max": rep.swept_max,
-                "worst_slack": rep.worst_slack,
-                "violations": len(rep.violations),
-            }
-        )
+    rows = bounds.cross_bound_sweep(m_max, 4, 4, (2, 3))
     report.add_table("rows", rows)
-    report.parameters["tuples"] = len(tuples)
-    report.check("total_violations", 0, violations)
+    report.parameters["tuples"] = len(rows)
+    report.check("total_violations", 0, sum(row["violations"] for row in rows))
     return report.finish()
 
 
@@ -157,8 +139,8 @@ def criterion_05_lex_cross_pairs(quick: bool = False, seed: int = 20240813) -> R
         chosen = a_all[rng.choice(a_all.size, size=size, replace=False)]
         b_all = ksubset_masks(n, b)
         partner = b_all[np.all((b_all[:, None] & chosen[None, :]) != 0, axis=1)]
-        la = shiftlex.lex_segment(size, a, n).realized.members
-        lb = shiftlex.lex_segment(int(partner.size), b, n).realized.members
+        la = shiftlex.lex_segment(size, a, n).members
+        lb = shiftlex.lex_segment(int(partner.size), b, n).members
         ok = (
             partner.size == 0
             or not bool(np.any((la[:, None] & lb[None, :]) == 0))

@@ -250,14 +250,6 @@ def test_counterexample_table_deficits_positive_at_r5():
         assert row["deficit"] > 0
 
 
-def test_counterexample_table_trend_assertions():
-    rep = bl.counterexample_table(range(2, 7))
-    assert rep.ok
-    names = [a.name for a in rep.assertions]
-    assert any("nonincreasing" in n for n in names)
-    assert any("strictly" in n for n in names)
-
-
 def test_counterexample_table_rejects_out_of_range():
     with pytest.raises(ValueError):
         bl.counterexample_table([1, 2])

@@ -73,8 +73,9 @@ def test_diversity_bound_matches_two_of_three(n):
 
 
 def test_cross_weighted_bound_10_2_3_2():
-    rep = verify_cross_weighted_bound(10, 2, 3, 2, keep_rows=True)
+    rep = verify_cross_weighted_bound(10, 2, 3, 2)
     assert rep.ok and rep.b_cap == 8
+    assert [r["b_size"] for r in rep.rows] == list(range(9))
     row8 = next(r for r in rep.rows if r["b_size"] == 8)
     assert row8["a_max"] == 17 and row8["lhs"] == 33 and row8["rhs"] == 45
 
@@ -83,14 +84,12 @@ def test_cross_weighted_bound_12_3_3_2():
     assert verify_cross_weighted_bound(12, 3, 3, 2).ok
 
 
-def test_cross_weighted_bound_refuses_oversize_partner():
-    with pytest.raises(ValueError, match="beyond the cap"):
-        verify_cross_weighted_bound(10, 2, 3, 2, b_sizes=[9])
-
-
 def test_cross_weighted_bound_hypothesis_guard():
     with pytest.raises(ValueError, match="hypothesis"):
         verify_cross_weighted_bound(9, 2, 3, 2)  # m = (weight+1)*max(a,b)
+    for weight in (0, -1):  # the bound holds trivially for weight < 1
+        with pytest.raises(ValueError, match="weight must be >= 1"):
+            verify_cross_weighted_bound(10, 2, 3, weight)
 
 
 def test_cross_weighted_bound_b_less_than_a_branch():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from divlab.cli import main, parse_bias, parse_r_range, word_from_string
+from divlab.verify import criterion_04_cross_weighted_sweep
 
 
 def run(argv):
@@ -112,6 +113,13 @@ def test_boolean_commands():
                 "--p0", "0.45", "--h", "0.0001"]) == 0
 
 
+def test_bias_with_zero_denominator_is_usage_error(capsys):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_bias("1/0")
+    assert run(["boolean", "mu", "--p", "1/0"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_json_report_schema(tmp_path):
     json_path = tmp_path / "rep.json"
     assert run(["boolean", "mu", "--family", "run-dominance", "--r", "3",
@@ -128,6 +136,21 @@ def test_lemma_sweep_single_and_json(tmp_path):
                 "--json", str(json_path)]) == 0
     payload = json.loads(json_path.read_text())
     assert payload["assertions"][0]["pass"] is True
+
+
+def test_lemma_sweep_usage_errors(capsys):
+    assert run(["lemma-sweep", "--m", "10", "--a", "2", "--b", "3", "--cprime", "-1"]) == 2
+    assert "weight must be >= 1" in capsys.readouterr().err
+    assert run(["lemma-sweep", "--m", "10"]) == 2
+    assert "needs --a and --b" in capsys.readouterr().err
+
+
+def test_lemma_sweep_rows_equal_criterion_04(tmp_path):
+    json_path = tmp_path / "sweep.json"
+    assert run(["lemma-sweep", "--m-max", "10", "--json", str(json_path)]) == 0
+    rows = json.loads(json_path.read_text())["results"]["rows"]
+    assert rows == criterion_04_cross_weighted_sweep(quick=True).tables["rows"]
+    assert rows and all(row["violations"] == 0 for row in rows)
 
 
 def test_shift_closure_cli(tmp_path):

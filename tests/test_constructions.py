@@ -168,7 +168,7 @@ def test_dictator_defining():
 
 def test_triangle_decompose_two_of_three():
     dec = triangle_decompose(build_hub_block_family(7, 3, 2))
-    assert len(dec.f1) == len(dec.f2) == len(dec.f3) == 0
+    assert [len(f) for f in dec.fi] == [0, 0, 0]
     assert len(dec.h2) == 0
     assert len(dec.g) == 4 == dec.gamma
     assert dec.chain_holds

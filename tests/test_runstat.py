@@ -13,10 +13,8 @@ from divlab.runstat import (
     compare_run_profiles,
     count_long_runs,
     in_t_table,
-    ones_runs_dominate,
     rho_distribution,
     run_profile,
-    runseq_compare,
     scan_words,
 )
 
@@ -68,15 +66,6 @@ def test_run_profile_matches_string_oracle(length, raw):
     assert sum(p.ones) == p.weight and sum(p.zeros) == length - p.weight
 
 
-def test_runseq_compare_examples():
-    assert runseq_compare((4, 1), (3, 3)) == 1
-    assert runseq_compare((2, 1), (2, 2)) == -1
-    assert runseq_compare((5,), ()) == 1
-    assert runseq_compare((2, 2), (2, 2)) == 0
-    with pytest.raises(ValueError, match="descending"):
-        runseq_compare((1, 2), (2,))
-
-
 def test_compare_run_profiles_examples():
     assert compare_run_profiles(word("1100100"), 7) == RunComparison(1, False)
     assert compare_run_profiles(word("11110001000"), 11) == RunComparison(0, True)
@@ -87,11 +76,6 @@ def test_compare_even_length_has_no_dominance():
     rc = compare_run_profiles(word("1100"), 4)
     assert rc.ones_dominant is None
     assert rc.tie_len == 1  # profiles (2,) vs (2,): full tie of one run each
-
-
-def test_ones_runs_dominate_rejects_even():
-    with pytest.raises(ValueError, match="odd"):
-        ones_runs_dominate(0b1, 4)
 
 
 def test_count_long_runs_examples():
@@ -113,7 +97,10 @@ def test_complement_swaps_profiles(length, raw):
     assert (p.ones, p.zeros) == (q.zeros, q.ones)
     assert compare_run_profiles(mask, length).tie_len == compare_run_profiles(comp, length).tie_len
     if length % 2 == 1:
-        assert ones_runs_dominate(mask, length) != ones_runs_dominate(comp, length)
+        assert (
+            compare_run_profiles(mask, length).ones_dominant
+            != compare_run_profiles(comp, length).ones_dominant
+        )
 
 
 @given(st.integers(2, 14), st.integers(0, (1 << 14) - 1), st.integers(1, 13))
@@ -134,14 +121,15 @@ def test_tie_len_matches_padding_oracle(length, raw):
     assert compare_run_profiles(mask, length).tie_len == tie_len_by_padding(p.ones, p.zeros)
     cmp = padded_compare(p.ones, p.zeros)
     if length % 2 == 1:
-        assert ones_runs_dominate(mask, length) == (cmp > 0)
+        assert compare_run_profiles(mask, length).ones_dominant == (cmp > 0)
 
 
 @pytest.mark.parametrize("length", [3, 5, 7, 9, 11])
 def test_in_t_table_matches_scalar(length):
     table = in_t_table(length)
     for mask in range(1 << length):
-        assert bool(table[mask]) == ones_runs_dominate(mask, length)
+        ones, zeros = run_profile_by_string(word_to_string(mask, length))
+        assert bool(table[mask]) == (padded_compare(ones, zeros) > 0)
     assert int(table.sum()) == 1 << (length - 1)
 
 

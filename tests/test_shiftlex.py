@@ -10,7 +10,6 @@ from divlab.constructions import fano_plane, star
 from divlab.randfam import random_intersecting_family
 from divlab.shiftlex import (
     is_shifted,
-    lex_compare,
     lex_partner_max,
     lex_segment,
     shift_closure,
@@ -112,54 +111,37 @@ def test_shift_preserves_size_and_intersecting(fam, i, j):
     assert is_t_intersecting(out, 1)
 
 
-def test_lex_compare_examples():
-    assert lex_compare(0b1001, 0b0110) == -1  # {1,4} before {2,3}
-    assert lex_compare(0b0011, 0b0101) == -1  # {1,2} before {1,3}
-    assert lex_compare(0b0101, 0b0101) == 0
-    with pytest.raises(ValueError):
-        lex_compare(0b1, 0b11)
-
-
-def test_lex_sort_of_pairs_on_5():
-    import functools
-
-    masks = [m for m in range(1 << 5) if bin(m).count("1") == 2]
-    ordered = sorted(masks, key=functools.cmp_to_key(lex_compare))
-    got = [tuple(sorted(i + 1 for i in range(5) if m >> i & 1)) for m in ordered]
-    assert got == [tuple(sorted(s)) for s in lex_sorted_ksets(5, 2)]
-
-
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3)])
 def test_lex_segment_star_prefix(n, k):
     seg = lex_segment(math.comb(n - 1, k - 1), k, n)
-    assert seg.realized == star(n, k)
+    assert seg == star(n, k)
 
 
 def test_lex_segment_all_contain_leading_pair():
     seg = lex_segment(8, 3, 10)
-    assert all({1, 2} <= set(s) for s in seg.realized.member_sets())
-    assert len(seg.realized) == 8
+    assert all({1, 2} <= set(s) for s in seg.member_sets())
+    assert len(seg) == 8
 
 
 def test_lex_segment_matches_sorted_oracle():
     seg = lex_segment(6, 3, 6)
-    assert [set(s) for s in sorted(seg.realized.member_sets())] == sorted(
+    assert [set(s) for s in sorted(seg.member_sets())] == sorted(
         [set(s) for s in lex_sorted_ksets(6, 3)[:6]]
     )
 
 
 def test_lex_segment_edges():
-    assert len(lex_segment(0, 3, 7).realized) == 0
+    assert len(lex_segment(0, 3, 7)) == 0
     with pytest.raises(ValueError):
         lex_segment(36, 3, 7)  # beyond C(7,3)
     # a short prefix of C(40,20) sets, far above the enumeration cap
     head = tuple(range(1, 20))
-    assert lex_segment(2, 20, 40).realized.member_sets() == [head + (20,), head + (21,)]
+    assert lex_segment(2, 20, 40).member_sets() == [head + (20,), head + (21,)]
 
 
 def test_lex_segment_ones_form_prefix():
     seg = lex_segment(30, 3, 8)
-    ordered = sorted(seg.realized.member_sets())  # tuple order = lex order
+    ordered = sorted(seg.member_sets())  # tuple order = lex order
     flags = [1 in set(s) for s in ordered]
     assert flags == sorted(flags, reverse=True)
 
