@@ -1,17 +1,17 @@
 """Exact biased-measure analysis over a junta center.
 
 All quantities are computed from the defining family on the center cube
-(at most 2^25 points).  When the bias p is a Fraction every value is an
-exact rational; float biases get compensated floating-point sums.
+(at most 2^25 points).  Every value is one exact rational: a float bias is
+taken at its exact binary value, so ``float()`` of a result is correctly
+rounded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -22,40 +22,19 @@ from .constructions import (
 )
 from .report import Report
 
-Bias = Union[Fraction, float]
-
-
-@dataclass(frozen=True)
-class BiasedMeasure:
-    """A probability under the product bias; exact when the bias is rational."""
-
-    exact: Optional[Fraction]
-    approx: float
-
-    def __repr__(self) -> str:
-        if self.exact is not None:
-            return f"BiasedMeasure({self.exact} ~ {self.approx:.6g})"
-        return f"BiasedMeasure({self.approx:.6g})"
-
 
 @dataclass(frozen=True)
 class InfluenceProfile:
     """Per-coordinate influences and their sum at one bias."""
 
-    per_coordinate: tuple[BiasedMeasure, ...]
-    total: BiasedMeasure
+    per_coordinate: tuple[Fraction, ...]
+    total: Fraction
 
 
-def _check_bias(p: Bias) -> tuple[Optional[Fraction], float]:
-    if isinstance(p, Fraction):
-        if not 0 < p < 1:
-            raise ValueError(f"bias {p} outside (0, 1)")
-        return p, float(p)
-    if isinstance(p, float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"bias {p} outside (0, 1)")
-        return None, p
-    raise TypeError(f"bias must be Fraction or float, got {type(p).__name__}")
+def _check_bias(p) -> Fraction:
+    if not 0 < p < 1:
+        raise ValueError(f"bias {p} outside (0, 1)")
+    return Fraction(p)
 
 
 @lru_cache(maxsize=4)
@@ -65,18 +44,11 @@ def _popcounts(j: int) -> np.ndarray:
     return w
 
 
-def _measure_from_weight_counts(counts: Sequence[int], j: int, p: Bias) -> BiasedMeasure:
-    """Sum of counts[w] * p^w * (1-p)^(j-w), exact for rational p."""
-    pf, pa = _check_bias(p)
-    if pf is None:
-        approx = math.fsum(
-            int(c) * pa**w * (1.0 - pa) ** (j - w) for w, c in enumerate(counts) if c
-        )
-        return BiasedMeasure(exact=None, approx=approx)
-    q = 1 - pf
-    exact = sum(int(c) * pf**w * q ** (j - w) for w, c in enumerate(counts) if c)
-    exact = Fraction(exact)
-    return BiasedMeasure(exact=exact, approx=float(exact))
+def _measure_from_weight_counts(counts: Sequence[int], j: int, p) -> Fraction:
+    """Sum of counts[w] * p^w * (1-p)^(j-w), exactly."""
+    p = _check_bias(p)
+    q = 1 - p
+    return sum((int(c) * p**w * q ** (j - w) for w, c in enumerate(counts) if c), Fraction(0))
 
 
 def _weight_counts_of_masks(masks: np.ndarray, j: int) -> np.ndarray:
@@ -117,7 +89,7 @@ def spec_is_intersecting(spec: JuntaSpec) -> bool:
     return is_intersecting_table(spec.membership_table())
 
 
-def biased_measure(spec: JuntaSpec, p: Bias) -> BiasedMeasure:
+def biased_measure(spec: JuntaSpec, p) -> Fraction:
     """Total bias-p measure of the defining family on its center cube."""
     j = spec.center_size
     counts = _weight_counts_of_masks(spec.defining.members, j)
@@ -132,72 +104,40 @@ def _pivotal_counts(table: np.ndarray, j: int, b: int) -> np.ndarray:
     return np.bincount(_popcounts(j)[table != flipped].astype(np.int64), minlength=j + 1)
 
 
-def coordinate_influence(
-    spec: JuntaSpec, i: int, p: Bias, mode: str = "general"
-) -> BiasedMeasure:
-    """Influence of coordinate i at bias p.
-
-    'general' measures the set of points whose membership flips with the
-    coordinate.  'monotone' uses the up-set identity
-    p^-1 mu(members with i) - (1-p)^-1 mu(members without i) and requires an
-    upward-closed defining family; the two agree exactly on up-sets.
-    """
+def coordinate_influence(spec: JuntaSpec, i: int, p) -> Fraction:
+    """Influence of coordinate i at bias p: the measure of the points whose
+    membership flips with the coordinate."""
     j = spec.center_size
     if not 1 <= i <= j:
         raise ValueError(f"coordinate {i} outside center [1, {j}]")
-    if mode == "general":
-        counts = _pivotal_counts(spec.membership_table(), j, i - 1)
-        return _measure_from_weight_counts(counts, j, p)
-    if mode == "monotone":
-        if not spec_is_up_closed(spec):
-            raise ValueError("monotone influence mode needs an upward-closed family")
-        pf, pa = _check_bias(p)
-        members = spec.defining.members
-        bit = np.int64(1 << (i - 1))
-        with_i = _weight_counts_of_masks(members[(members & bit) != 0], j)
-        without_i = _weight_counts_of_masks(members[(members & bit) == 0], j)
-        mu_with = _measure_from_weight_counts(with_i, j, p)
-        mu_without = _measure_from_weight_counts(without_i, j, p)
-        approx = mu_with.approx / pa - mu_without.approx / (1.0 - pa)
-        if pf is None:
-            return BiasedMeasure(exact=None, approx=approx)
-        exact = mu_with.exact / pf - mu_without.exact / (1 - pf)
-        return BiasedMeasure(exact=exact, approx=float(exact))
-    raise ValueError(f"unknown influence mode {mode!r}")
+    counts = _pivotal_counts(spec.membership_table(), j, i - 1)
+    return _measure_from_weight_counts(counts, j, p)
 
 
-def total_influence(spec: JuntaSpec, p: Bias) -> InfluenceProfile:
-    """All coordinate influences (general mode) and their sum."""
+def total_influence(spec: JuntaSpec, p) -> InfluenceProfile:
+    """All coordinate influences and their sum."""
     j = spec.center_size
     table = spec.membership_table()
     per = [_measure_from_weight_counts(_pivotal_counts(table, j, b), j, p) for b in range(j)]
-    pf, _ = _check_bias(p)
-    if pf is not None:
-        total_exact = sum((m.exact for m in per), Fraction(0))
-        total = BiasedMeasure(exact=total_exact, approx=float(total_exact))
-    else:
-        total = BiasedMeasure(exact=None, approx=math.fsum(m.approx for m in per))
-    return InfluenceProfile(per_coordinate=tuple(per), total=total)
+    return InfluenceProfile(per_coordinate=tuple(per), total=sum(per, Fraction(0)))
 
 
-def biased_diversity(spec: JuntaSpec, p: Bias) -> BiasedMeasure:
+def biased_diversity(spec: JuntaSpec, p) -> Fraction:
     """Minimum over coordinates of the measure of members avoiding the coordinate."""
     j = spec.center_size
     members = spec.defining.members
-    pf, _ = _check_bias(p)
     candidates = []
     for i in range(j):
         bit = np.int64(1 << i)
         counts = _weight_counts_of_masks(members[(members & bit) == 0], j)
         candidates.append(_measure_from_weight_counts(counts, j, p))
-    if pf is not None:
-        return min(candidates, key=lambda m: m.exact)
-    return min(candidates, key=lambda m: m.approx)
+    return min(candidates)
 
 
 def russo_check(spec: JuntaSpec, p0: float, h: float) -> Report:
     """Compare the centered finite difference of p -> mu_p against the total
-    influence at p0; the two agree for upward-closed families."""
+    influence at p0; the two agree for upward-closed families.  Both are
+    exact at the binary values of p0 and h, and rounded once for the row."""
     if not 0.0 < p0 - h < p0 + h < 1.0:
         raise ValueError(f"need 0 < p0-h < p0+h < 1, got p0={p0}, h={h}")
     report = Report(
@@ -208,22 +148,24 @@ def russo_check(spec: JuntaSpec, p0: float, h: float) -> Report:
         raise ValueError("derivative identity needs an upward-closed family")
     j = spec.center_size
     counts = _weight_counts_of_masks(spec.defining.members, j)
-    mu_plus = _measure_from_weight_counts(counts, j, p0 + h).approx
-    mu_minus = _measure_from_weight_counts(counts, j, p0 - h).approx
-    derivative = (mu_plus - mu_minus) / (2.0 * h)
-    influence = total_influence(spec, float(p0)).total.approx
+    pf, hf = Fraction(p0), Fraction(h)
+    mu_plus = _measure_from_weight_counts(counts, j, pf + hf)
+    mu_minus = _measure_from_weight_counts(counts, j, pf - hf)
+    derivative = (mu_plus - mu_minus) / (2 * hf)
+    influence = total_influence(spec, pf).total
     abs_gap = abs(derivative - influence)
-    rel_gap = abs_gap / max(abs(influence), 1e-300)
+    # zero total influence means a constant family, whose difference is 0 too
+    rel_gap = abs_gap / influence if influence else abs_gap
     report.add_table(
         "rows",
         [
             {
                 "p0": p0,
                 "h": h,
-                "finite_difference": derivative,
-                "total_influence": influence,
-                "abs_gap": abs_gap,
-                "rel_gap": rel_gap,
+                "finite_difference": float(derivative),
+                "total_influence": float(influence),
+                "abs_gap": float(abs_gap),
+                "rel_gap": float(rel_gap),
             }
         ],
     )
@@ -272,19 +214,19 @@ def counterexample_table(r_values: Sequence[int]) -> Report:
             gp = biased_diversity(spec, p)
             per_family[name] = (mu, gp, total_influence(spec, p).total)
         inf_ratio = (
-            per_family["run_dominance"][2].approx / per_family["window_majority"][2].approx
+            float(per_family["run_dominance"][2]) / float(per_family["window_majority"][2])
         )
         for name, (mu, gp, inf_p) in per_family.items():
-            deficit = (1.0 - pa) / 2.0 - gp.approx
+            deficit = (1.0 - pa) / 2.0 - float(gp)
             rows.append(
                 {
                     "r": r,
                     "p": pa,
                     "family": name,
-                    "mu": mu.approx,
-                    "gamma_p": gp.approx,
+                    "mu": float(mu),
+                    "gamma_p": float(gp),
                     "deficit": deficit,
-                    "total_influence": inf_p.approx,
+                    "total_influence": float(inf_p),
                     "ratio": inf_ratio,
                 }
             )
@@ -293,10 +235,10 @@ def counterexample_table(r_values: Sequence[int]) -> Report:
                     "r": r,
                     "p": p,
                     "family": name,
-                    "mu": mu.exact,
-                    "gamma_p": gp.exact,
-                    "deficit": (1 - p) / 2 - gp.exact,
-                    "total_influence": inf_p.exact,
+                    "mu": mu,
+                    "gamma_p": gp,
+                    "deficit": (1 - p) / 2 - gp,
+                    "total_influence": inf_p,
                 }
             )
     report.add_table("rows", rows)

@@ -43,14 +43,12 @@ from .errors import ResourceCapError
 from .report import Report
 
 
-def parse_bias(text: str):
-    """'1/2' -> Fraction (exact mode); '0.45' -> float (approximate mode)."""
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"bias {text!r} has a zero denominator") from None
-    return float(text)
+def parse_bias(text: str) -> Fraction:
+    """'2/5' -> Fraction(2, 5); a decimal is exact too: '0.45' -> Fraction(9, 20)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bias {text!r} has a zero denominator") from None
 
 
 def parse_r_range(text: str) -> list[int]:
@@ -168,13 +166,8 @@ def cmd_decompose(args) -> Report:
 
 def cmd_lemma_sweep(args) -> Report:
     single = args.m is not None
-    params = {
-        "m": args.m,
-        "a": args.a,
-        "b": args.b,
-        "cprime": args.cprime,
-        "m_max": args.m_max,
-    }
+    used = ("m", "a", "b", "cprime") if single else ("m_max", "a_max", "b_max", "cprime_list")
+    params = {name: getattr(args, name) for name in used}
     report = Report(command="lemma-sweep", parameters=params)
     if single:
         if args.a is None or args.b is None:
@@ -248,34 +241,36 @@ def cmd_boolean(args) -> Report:
         p = parse_bias(args.p)
         m = bl.biased_measure(spec, p)
         report = Report(command="boolean-mu", parameters={**spec_params, "p": p})
-        report.add_table("rows", [{"mu_exact": m.exact, "mu": m.approx}])
+        report.add_table("rows", [{"mu_exact": m, "mu": float(m)}])
         return report.finish()
     if args.action == "influence":
         p = parse_bias(args.p)
         report = Report(
             command="boolean-influence",
-            parameters={**spec_params, "p": p, "mode": args.mode},
+            parameters={**spec_params, "p": p},
         )
         if args.i is not None:
-            m = bl.coordinate_influence(spec, args.i, p, args.mode)
-            report.add_table("rows", [{"i": args.i, "influence_exact": m.exact, "influence": m.approx}])
+            m = bl.coordinate_influence(spec, args.i, p)
+            report.add_table("rows", [{"i": args.i, "influence_exact": m, "influence": float(m)}])
         else:
             prof = bl.total_influence(spec, p)
             rows = [
-                {"i": i + 1, "influence_exact": m.exact, "influence": m.approx}
+                {"i": i + 1, "influence_exact": m, "influence": float(m)}
                 for i, m in enumerate(prof.per_coordinate)
             ]
-            rows.append({"i": "total", "influence_exact": prof.total.exact, "influence": prof.total.approx})
+            rows.append({"i": "total", "influence_exact": prof.total, "influence": float(prof.total)})
             report.add_table("rows", rows)
         return report.finish()
     if args.action == "gammap":
         p = parse_bias(args.p)
         m = bl.biased_diversity(spec, p)
         report = Report(command="boolean-gammap", parameters={**spec_params, "p": p})
-        report.add_table("rows", [{"gamma_p_exact": m.exact, "gamma_p": m.approx}])
+        report.add_table("rows", [{"gamma_p_exact": m, "gamma_p": float(m)}])
         return report.finish()
     if args.action == "russo":
-        return bl.russo_check(spec, args.p0, args.h)
+        report = bl.russo_check(spec, args.p0, args.h)
+        report.parameters = {**spec_params, **report.parameters}
+        return report
     raise ValueError(f"unknown boolean action {args.action!r}")
 
 
@@ -284,26 +279,30 @@ def cmd_rho(args) -> Report:
         return runstat.rho_distribution(args.L, args.mode, args.samples, args.seed)
     if args.action == "profile":
         mask, length = word_from_string(args.word)
+        if args.t is not None and args.t < 1:
+            raise ValueError(f"run length threshold t={args.t} must be >= 1")
         params = {"word": args.word, "t": args.t}
         profile = runstat.run_profile(mask, length)
-        comparison = runstat.compare_run_profiles(mask, length)
+        tie, dominant, _, _ = runstat.scan_words([mask], length)
         report = Report(command="rho-profile", parameters=params)
         row = {
             "ones_runs": ",".join(map(str, profile.ones)),
             "zeros_runs": ",".join(map(str, profile.zeros)),
             "weight": profile.weight,
-            "tie_len": comparison.tie_len,
-            "ones_dominant": comparison.ones_dominant,
+            "tie_len": int(tie[0]),
+            # even length lets the profiles tie outright: no dominance there
+            "ones_dominant": None if length % 2 == 0 else bool(dominant[0]),
         }
         if args.t is not None:
-            row[f"runs_ge_{args.t}"] = runstat.count_long_runs(mask, length, args.t)
+            row[f"runs_ge_{args.t}"] = sum(run >= args.t for run in profile.ones + profile.zeros)
         report.add_table("rows", [row])
         return report.finish()
     raise ValueError(f"unknown rho action {args.action!r}")
 
 
 def cmd_extremal(args) -> Report:
-    params = {"n": args.n, "k": args.k, "budget": args.budget, "enumerate": args.enumerate}
+    mode_param = {"cap": args.cap} if args.enumerate else {"budget": args.budget}
+    params = {"n": args.n, "k": args.k, "enumerate": args.enumerate, **mode_param}
     report = Report(command="extremal", parameters=params)
     if args.enumerate:
         enum = extremal.enumerate_maximal_intersecting(args.n, args.k, cap=args.cap)
@@ -408,9 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bool.add_argument("--family", default="run-dominance",
                         choices=["run-dominance", "window-majority", "dictator"])
     p_bool.add_argument("--r", default="2", help="window parameter, or a range like 2..10 for the table")
-    p_bool.add_argument("--p", default="1/2", help="bias: a fraction '2/5' (exact) or a float '0.4'")
+    p_bool.add_argument("--p", default="1/2", help="bias, exact: a fraction '2/5' or a decimal '0.4'")
     p_bool.add_argument("--i", type=int, default=None, help="coordinate for influence")
-    p_bool.add_argument("--mode", choices=["general", "monotone"], default="general")
     p_bool.add_argument("--p0", type=float, default=0.45)
     p_bool.add_argument("--h", type=float, default=1e-4)
 

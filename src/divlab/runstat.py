@@ -36,18 +36,6 @@ class RunProfile:
     weight: int
 
 
-@dataclass(frozen=True)
-class RunComparison:
-    """Leading-tie length of the two run profiles, and which one wins.
-
-    ``ones_dominant`` is None for even word lengths, where the profiles can
-    tie outright and dominance is not defined.
-    """
-
-    tie_len: int
-    ones_dominant: Optional[bool]
-
-
 def _check_word(word: int, length: int) -> None:
     if not 1 <= length <= MAX_L:
         raise ValueError(f"word length {length} outside [1, {MAX_L}]")
@@ -78,29 +66,6 @@ def run_profile(word: int, length: int) -> RunProfile:
     ones.sort(reverse=True)
     zeros.sort(reverse=True)
     return RunProfile(ones=tuple(ones), zeros=tuple(zeros), length=length, weight=weight)
-
-
-def compare_run_profiles(word: int, length: int) -> RunComparison:
-    """Tie length of the padded profiles plus the dominance flag (odd L only)."""
-    p = run_profile(word, length)
-    m = max(len(p.ones), len(p.zeros))
-    pu = p.ones + (0,) * (m - len(p.ones))
-    pz = p.zeros + (0,) * (m - len(p.zeros))
-    tie = 0
-    while tie < m and pu[tie] == pz[tie]:
-        tie += 1
-    if tie == m:
-        tie = len(p.ones)  # identical profiles (even length only)
-    dominant = None if length % 2 == 0 else (pu > pz)
-    return RunComparison(tie_len=tie, ones_dominant=dominant)
-
-
-def count_long_runs(word: int, length: int, t: int) -> int:
-    """Number of maximal runs (both symbols) of length >= t."""
-    if t < 1:
-        raise ValueError(f"run length threshold t={t} must be >= 1")
-    p = run_profile(word, length)
-    return sum(1 for r in p.ones if r >= t) + sum(1 for r in p.zeros if r >= t)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +220,11 @@ def rho_distribution(
     Exact mode enumerates all 2^length words under the uniform measure
     (length <= 25); mc mode draws ``samples`` words from a counter-based
     generator keyed by ``seed`` (default 0) and reports standard errors.  Only
-    mc mode consumes a seed, so only mc reports record one.
+    mc mode consumes a seed and a sample count, so only mc reports record them.
     """
     report = Report(
         command="rho-dist",
-        parameters={"L": length, "mode": mode, "samples": samples},
+        parameters={"L": length, "mode": mode},
     )
     _check_word(0, length)
     kmax = length // 2
@@ -287,6 +252,7 @@ def rho_distribution(
     elif mode == "mc":
         if samples is None or samples < 1:
             raise ValueError("mc mode needs samples >= 1")
+        report.parameters["samples"] = samples
         report.seed = seed = 0 if seed is None else seed
         rng = np.random.Generator(np.random.Philox(key=seed))
         words = rng.integers(0, 1 << length, size=samples, dtype=np.uint64)

@@ -13,14 +13,6 @@ import numpy as np
 from .bitfam import MAX_GROUND, Family, family_from_masks, ksubset_masks
 
 
-def shift_set(mask: int, i: int, j: int) -> int:
-    """Replace j by i in the set when i is absent and j present."""
-    ibit, jbit = 1 << (i - 1), 1 << (j - 1)
-    if mask & ibit or not mask & jbit:
-        return mask
-    return (mask ^ jbit) | ibit
-
-
 def shift_family(fam: Family, i: int, j: int) -> Family:
     """The (i,j)-shift: move each member unless its image is already present.
 

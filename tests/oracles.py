@@ -78,20 +78,6 @@ def gamma_p_by_enumeration(member_masks, j, p):
     return best
 
 
-def up_closure(member_masks, j):
-    """Upward closure of a set of center masks, by repeated superset adding."""
-    out = set(member_masks)
-    frontier = list(out)
-    while frontier:
-        m = frontier.pop()
-        for b in range(j):
-            sup = m | (1 << b)
-            if sup not in out:
-                out.add(sup)
-                frontier.append(sup)
-    return out
-
-
 def run_profile_by_string(word_string):
     """Cyclic run profile of a 0/1 string (position 1 = first character)."""
     s = word_string

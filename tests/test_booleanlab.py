@@ -19,19 +19,10 @@ from oracles import (
     gamma_p_by_enumeration,
     influence_by_enumeration,
     mu_by_enumeration,
-    up_closure,
 )
 
 HALF = Fraction(1, 2)
 BIASES = (Fraction(1, 4), Fraction(2, 5), HALF)
-
-
-@st.composite
-def small_up_sets(draw):
-    j = draw(st.integers(2, 7))
-    seeds = draw(st.lists(st.integers(0, (1 << j) - 1), min_size=1, max_size=5))
-    members = sorted(up_closure(seeds, j))
-    return JuntaSpec(j, family_from_masks(j, None, members))
 
 
 @st.composite
@@ -42,44 +33,45 @@ def small_juntas(draw):
 
 
 def test_mu_majority_half():
-    assert bl.biased_measure(build_majority_defining(1), HALF).exact == HALF
+    assert bl.biased_measure(build_majority_defining(1), HALF) == HALF
 
 
 def test_mu_majority_quarter():
     got = bl.biased_measure(build_majority_defining(1), Fraction(1, 4))
-    assert got.exact == Fraction(10, 64)  # 3 * (1/16)(3/4) + 1/64
+    assert got == Fraction(10, 64)  # 3 * (1/16)(3/4) + 1/64
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_mu_run_dominance_half(r):
-    assert bl.biased_measure(build_run_dominance_defining(r), HALF).exact == HALF
+    assert bl.biased_measure(build_run_dominance_defining(r), HALF) == HALF
 
 
-def test_mu_float_bias_gives_approx_only():
-    m = bl.biased_measure(build_majority_defining(1), 0.25)
-    assert m.exact is None
-    assert m.approx == pytest.approx(10 / 64)
+def test_mu_float_bias_is_exact_at_its_binary_value():
+    assert bl.biased_measure(build_majority_defining(1), 0.25) == Fraction(10, 64)
+    p = Fraction(0.45)  # 0.45 as a double, not 9/20
+    assert p != Fraction(9, 20)
+    assert bl.biased_measure(build_majority_defining(1), 0.45) == 3 * p**2 - 2 * p**3
 
 
 def test_mu_rejects_bad_bias():
     with pytest.raises(ValueError):
         bl.biased_measure(build_majority_defining(1), Fraction(3, 2))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         bl.biased_measure(build_majority_defining(1), 1)
+    with pytest.raises(TypeError):
+        bl.biased_measure(build_majority_defining(1), None)
 
 
 def test_influence_majority3():
     spec = build_majority_defining(1)
     for i in (1, 2, 3):
-        gen = bl.coordinate_influence(spec, i, HALF, "general")
-        mon = bl.coordinate_influence(spec, i, HALF, "monotone")
-        assert gen.exact == mon.exact == HALF
+        assert bl.coordinate_influence(spec, i, HALF) == HALF
 
 
 def test_influence_monotone_identity_terms():
-    # p^-1 * 3/8 - (1-p)^-1 * 1/8 at p = 1/2
+    # the up-set formula p^-1 * 3/8 - (1-p)^-1 * 1/8 at p = 1/2
     spec = build_majority_defining(1)
-    assert bl.coordinate_influence(spec, 1, HALF, "monotone").exact == 2 * Fraction(
+    assert bl.coordinate_influence(spec, 1, HALF) == 2 * Fraction(
         3, 8
     ) - 2 * Fraction(1, 8)
 
@@ -87,40 +79,34 @@ def test_influence_monotone_identity_terms():
 def test_influence_dictator():
     spec = build_dictator_defining(5)
     for p in BIASES:
-        assert bl.coordinate_influence(spec, 1, p).exact == 1
-        assert bl.coordinate_influence(spec, 3, p).exact == 0
-
-
-def test_influence_monotone_rejects_non_up_set():
-    exactly_one = JuntaSpec(3, family_from_masks(3, None, [0b001, 0b010, 0b100]))
-    with pytest.raises(ValueError, match="upward-closed"):
-        bl.coordinate_influence(exactly_one, 1, HALF, "monotone")
+        assert bl.coordinate_influence(spec, 1, p) == 1
+        assert bl.coordinate_influence(spec, 3, p) == 0
 
 
 def test_total_influence_majority3():
     prof = bl.total_influence(build_majority_defining(1), HALF)
-    assert prof.total.exact == Fraction(3, 2)
-    assert sum(m.exact for m in prof.per_coordinate) == prof.total.exact
+    assert prof.total == Fraction(3, 2)
+    assert sum(prof.per_coordinate) == prof.total
 
 
 @pytest.mark.parametrize("r", range(1, 6))
 def test_total_influence_majority_closed_form(r):
     prof = bl.total_influence(build_majority_defining(r), HALF)
-    assert prof.total.exact == Fraction((2 * r + 1) * binom(2 * r, r), 1 << (2 * r))
+    assert prof.total == Fraction((2 * r + 1) * binom(2 * r, r), 1 << (2 * r))
 
 
 def test_run_dominance_influences_rotation_symmetric():
     prof = bl.total_influence(build_run_dominance_defining(5), HALF)
-    values = {m.exact for m in prof.per_coordinate}
+    values = set(prof.per_coordinate)
     assert len(values) == 1
 
 
 def test_gamma_p_majority3():
-    assert bl.biased_diversity(build_majority_defining(1), HALF).exact == Fraction(1, 8)
+    assert bl.biased_diversity(build_majority_defining(1), HALF) == Fraction(1, 8)
 
 
 def test_gamma_p_dictator():
-    assert bl.biased_diversity(build_dictator_defining(4), HALF).exact == 0
+    assert bl.biased_diversity(build_dictator_defining(4), HALF) == 0
 
 
 @pytest.mark.parametrize("r", (1, 2, 3))
@@ -128,16 +114,16 @@ def test_gamma_p_dictator():
 def test_symmetric_identity(r, p):
     # p * I_i + gamma_p / (1-p) == mu_p for rotation-invariant up-sets
     for spec in (build_run_dominance_defining(r), build_majority_defining(r)):
-        mu = bl.biased_measure(spec, p).exact
-        gp = bl.biased_diversity(spec, p).exact
-        i1 = bl.coordinate_influence(spec, 1, p).exact
+        mu = bl.biased_measure(spec, p)
+        gp = bl.biased_diversity(spec, p)
+        i1 = bl.coordinate_influence(spec, 1, p)
         assert p * i1 + gp / (1 - p) == mu
 
 
 @given(small_juntas(), st.fractions(Fraction(1, 10), Fraction(9, 10)))
 @settings(max_examples=60)
 def test_mu_matches_enumeration_oracle(spec, p):
-    got = bl.biased_measure(spec, p).exact
+    got = bl.biased_measure(spec, p)
     want = mu_by_enumeration(list(spec.defining), spec.center_size, p)
     assert got == want
 
@@ -147,7 +133,7 @@ def test_mu_matches_enumeration_oracle(spec, p):
 def test_influence_matches_enumeration_oracle(spec, i, p):
     if i > spec.center_size:
         i = 1
-    got = bl.coordinate_influence(spec, i, p, "general").exact
+    got = bl.coordinate_influence(spec, i, p)
     want = influence_by_enumeration(list(spec.defining), spec.center_size, i, p)
     assert got == want
 
@@ -156,34 +142,25 @@ def test_influence_matches_enumeration_oracle(spec, i, p):
 @settings(max_examples=40)
 def test_gamma_p_matches_enumeration_oracle(spec, p):
     if spec.center_size < 1 or len(spec.defining) == 0:
-        assert bl.biased_diversity(spec, p).exact == 0
+        assert bl.biased_diversity(spec, p) == 0
         return
-    got = bl.biased_diversity(spec, p).exact
+    got = bl.biased_diversity(spec, p)
     assert got == gamma_p_by_enumeration(list(spec.defining), spec.center_size, p)
-
-
-@given(small_up_sets(), st.integers(1, 7), st.fractions(Fraction(1, 10), Fraction(9, 10)))
-@settings(max_examples=60)
-def test_modes_agree_on_up_sets(spec, i, p):
-    if i > spec.center_size:
-        i = 1
-    gen = bl.coordinate_influence(spec, i, p, "general").exact
-    mon = bl.coordinate_influence(spec, i, p, "monotone").exact
-    assert gen == mon
 
 
 @given(st.integers(1, 5), st.fractions(Fraction(1, 10), Fraction(9, 10)))
 @settings(max_examples=40)
 def test_complement_measure_sums_to_one(r, p):
     spec = build_run_dominance_defining(r)
-    assert bl.biased_measure(spec, p).exact + bl.biased_measure(spec, 1 - p).exact == 1
+    assert bl.biased_measure(spec, p) + bl.biased_measure(spec, 1 - p) == 1
 
 
 def test_exact_and_approx_agree():
+    # a float bias is exact at its binary value, which is within 1 ulp of p
     spec = build_run_dominance_defining(4)
     for p in BIASES:
-        m = bl.biased_measure(spec, p)
-        assert abs(m.approx - float(m.exact)) <= 1e-12 * max(1.0, abs(m.approx))
+        exact, at_float = bl.biased_measure(spec, p), bl.biased_measure(spec, float(p))
+        assert abs(float(at_float) - float(exact)) <= 1e-12 * float(exact)
 
 
 def test_up_closed_and_intersecting_tables():
@@ -198,9 +175,11 @@ def test_up_closed_and_intersecting_tables():
 
 
 def test_russo_dictator():
+    # mu_p = p, so the exact centered difference is 1 with no gap
     rep = bl.russo_check(build_dictator_defining(5), 0.45, 1e-4)
     row = rep.tables["rows"][0]
-    assert row["rel_gap"] <= 1e-9
+    assert row["finite_difference"] == row["total_influence"] == 1.0
+    assert row["rel_gap"] == 0.0
 
 
 def test_russo_majority3_against_analytic_oracle():

@@ -14,7 +14,7 @@ def test_parse_bias():
     from fractions import Fraction
 
     assert parse_bias("2/5") == Fraction(2, 5)
-    assert isinstance(parse_bias("0.45"), float)
+    assert parse_bias("0.45") == Fraction(9, 20)
 
 
 def test_parse_r_range():
@@ -108,7 +108,7 @@ def test_boolean_commands():
     assert run(["boolean", "mu", "--family", "run-dominance", "--r", "4", "--p", "1/2"]) == 0
     assert run(["boolean", "gammap", "--family", "window-majority", "--r", "2", "--p", "2/5"]) == 0
     assert run(["boolean", "influence", "--family", "window-majority", "--r", "1",
-                "--p", "1/2", "--i", "1", "--mode", "monotone"]) == 0
+                "--p", "1/2", "--i", "1"]) == 0
     assert run(["boolean", "russo", "--family", "window-majority", "--r", "2",
                 "--p0", "0.45", "--h", "0.0001"]) == 0
 
@@ -205,8 +205,57 @@ def test_deterministic_tables_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_rho_profile_cli():
-    assert run(["rho", "profile", "--word", "1011011", "--t", "2"]) == 0
+def test_rho_profile_cli(tmp_path):
+    json_path = tmp_path / "profile.json"
+    assert run(["rho", "profile", "--word", "1100100", "--t", "2",
+                "--json", str(json_path)]) == 0
+    row = json.loads(json_path.read_text())["results"]["rows"][0]
+    assert (row["ones_runs"], row["zeros_runs"]) == ("2,1", "2,2")
+    assert row["tie_len"] == 1 and row["ones_dominant"] is False
+    assert row["runs_ge_2"] == 3
+    assert run(["rho", "profile", "--word", "1100", "--json", str(json_path)]) == 0
+    row = json.loads(json_path.read_text())["results"]["rows"][0]
+    assert row["ones_dominant"] is None and row["tie_len"] == 1
+    assert run(["rho", "profile", "--word", "1100100", "--t", "0"]) == 2
+
+
+def _parameters(argv, tmp_path):
+    json_path = tmp_path / "report.json"
+    assert run(argv + ["--json", str(json_path)]) == 0
+    return json.loads(json_path.read_text())["parameters"]
+
+
+def test_lemma_sweep_records_only_its_mode_parameters(tmp_path):
+    assert _parameters(["lemma-sweep", "--m-max", "9", "--a-max", "2", "--b-max", "2",
+                        "--cprime-list", "3"], tmp_path) == {
+        "m_max": 9, "a_max": 2, "b_max": 2, "cprime_list": [3],
+    }
+    assert _parameters(["lemma-sweep", "--m", "10", "--a", "2", "--b", "3"], tmp_path) == {
+        "m": 10, "a": 2, "b": 3, "cprime": 2,
+    }
+
+
+def test_boolean_russo_records_its_family(tmp_path):
+    params = _parameters(["boolean", "russo", "--family", "window-majority", "--r", "2"],
+                         tmp_path)
+    assert params["family"] == "window-majority" and str(params["r"]) == "2"
+    assert params["center_size"] == 5
+
+
+def test_extremal_records_only_its_mode_parameters(tmp_path):
+    params = _parameters(["extremal", "--n", "5", "--k", "2", "--enumerate", "--cap", "5"],
+                         tmp_path)
+    assert params == {"n": 5, "k": 2, "enumerate": True, "cap": 5}
+    params = _parameters(["extremal", "--n", "7", "--k", "3", "--budget", "30"], tmp_path)
+    assert params == {"n": 7, "k": 3, "enumerate": False, "budget": 30.0}
+
+
+def test_rho_dist_records_samples_only_when_consumed(tmp_path):
+    params = _parameters(["rho", "dist", "--L", "11", "--samples", "100"], tmp_path)
+    assert params == {"L": 11, "mode": "exact"}
+    params = _parameters(["rho", "dist", "--L", "11", "--mode", "mc", "--samples", "100"],
+                         tmp_path)
+    assert params == {"L": 11, "mode": "mc", "samples": 100}
 
 
 def test_rho_seed_recorded_only_when_consumed(tmp_path):

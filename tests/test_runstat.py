@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from divlab import booleanlab as bl
 from divlab.errors import ResourceCapError
 from divlab.runstat import (
-    RunComparison,
     _exact_scan,
-    compare_run_profiles,
-    count_long_runs,
     in_t_table,
     rho_distribution,
     run_profile,
@@ -29,6 +26,18 @@ from oracles import (
 def word(bits: str) -> int:
     """Binary literal with the leftmost character at position 1."""
     return int(bits[::-1], 2)
+
+
+def scan_one(mask: int, length: int) -> tuple[int, bool]:
+    """Tie length and dominance flag of one word, from the vectorised scan."""
+    tie, dom, _, _ = scan_words([mask], length)
+    return int(tie[0]), bool(dom[0])
+
+
+def long_runs_by_string(mask: int, length: int, t: int) -> int:
+    """Number of maximal runs (both symbols) of length >= t, from the oracle."""
+    ones, zeros = run_profile_by_string(word_to_string(mask, length))
+    return sum(run >= t for run in ones + zeros)
 
 
 def test_run_profile_wrap_merge():
@@ -66,26 +75,25 @@ def test_run_profile_matches_string_oracle(length, raw):
     assert sum(p.ones) == p.weight and sum(p.zeros) == length - p.weight
 
 
-def test_compare_run_profiles_examples():
-    assert compare_run_profiles(word("1100100"), 7) == RunComparison(1, False)
-    assert compare_run_profiles(word("11110001000"), 11) == RunComparison(0, True)
-    assert compare_run_profiles((1 << 7) - 1, 7) == RunComparison(0, True)
+def test_scan_words_examples():
+    assert scan_one(word("1100100"), 7) == (1, False)
+    assert scan_one(word("11110001000"), 11) == (0, True)
+    assert scan_one((1 << 7) - 1, 7) == (0, True)
 
 
 def test_compare_even_length_has_no_dominance():
-    rc = compare_run_profiles(word("1100"), 4)
-    assert rc.ones_dominant is None
-    assert rc.tie_len == 1  # profiles (2,) vs (2,): full tie of one run each
+    p = run_profile(word("1100"), 4)
+    assert p.ones == p.zeros == (2,)  # the profiles tie outright
+    assert scan_one(word("1100"), 4)[0] == 1  # full tie of one run each
 
 
-def test_count_long_runs_examples():
-    assert count_long_runs(word("1011011"), 7, 2) == 2
-    assert count_long_runs((1 << 6) - 1, 6, 6) == 1
-    w = word("1011011")
-    p = run_profile(w, 7)
-    assert count_long_runs(w, 7, 1) == len(p.ones) + len(p.zeros)
-    with pytest.raises(ValueError):
-        count_long_runs(w, 7, 0)
+def test_long_run_counts_examples():
+    # for a single word, the run-count sum at t is N(t), the runs >= t
+    _, _, sums, _ = scan_words([word("1011011")], 7)
+    assert sums[2] == 2
+    assert sums[1] == 4  # every run: ones (3, 2), zeros (1, 1)
+    _, _, sums, _ = scan_words([(1 << 6) - 1], 6)
+    assert sums[6] == 1
 
 
 @given(st.integers(1, 14), st.integers(0, (1 << 14) - 1))
@@ -95,12 +103,10 @@ def test_complement_swaps_profiles(length, raw):
     comp = mask ^ ((1 << length) - 1)
     p, q = run_profile(mask, length), run_profile(comp, length)
     assert (p.ones, p.zeros) == (q.zeros, q.ones)
-    assert compare_run_profiles(mask, length).tie_len == compare_run_profiles(comp, length).tie_len
+    (tie, dom), (comp_tie, comp_dom) = scan_one(mask, length), scan_one(comp, length)
+    assert tie == comp_tie
     if length % 2 == 1:
-        assert (
-            compare_run_profiles(mask, length).ones_dominant
-            != compare_run_profiles(comp, length).ones_dominant
-        )
+        assert dom != comp_dom
 
 
 @given(st.integers(2, 14), st.integers(0, (1 << 14) - 1), st.integers(1, 13))
@@ -110,18 +116,18 @@ def test_rotation_invariance(length, raw, shift):
     s = shift % length
     rotated = ((mask >> s) | (mask << (length - s))) & ((1 << length) - 1)
     assert run_profile(mask, length).ones == run_profile(rotated, length).ones
-    assert compare_run_profiles(mask, length) == compare_run_profiles(rotated, length)
+    assert scan_one(mask, length) == scan_one(rotated, length)
 
 
 @given(st.integers(1, 13), st.integers(0, (1 << 13) - 1))
 @settings(max_examples=150)
 def test_tie_len_matches_padding_oracle(length, raw):
     mask = raw & ((1 << length) - 1)
-    p = run_profile(mask, length)
-    assert compare_run_profiles(mask, length).tie_len == tie_len_by_padding(p.ones, p.zeros)
-    cmp = padded_compare(p.ones, p.zeros)
+    ones, zeros = run_profile_by_string(word_to_string(mask, length))
+    tie, dom = scan_one(mask, length)
+    assert tie == tie_len_by_padding(ones, zeros)
     if length % 2 == 1:
-        assert compare_run_profiles(mask, length).ones_dominant == (cmp > 0)
+        assert dom == (padded_compare(ones, zeros) > 0)
 
 
 @pytest.mark.parametrize("length", [3, 5, 7, 9, 11])
@@ -152,10 +158,10 @@ def test_scan_words_matches_scalar_on_samples():
         words = rng.integers(0, 1 << length, size=64, dtype=np.uint64)
         tie, dom, sums, _ = scan_words(words, length)
         for w, t, d in zip(words.tolist(), tie.tolist(), dom.tolist()):
-            rc = compare_run_profiles(int(w), length)
-            assert rc.tie_len == t
+            ones, zeros = run_profile_by_string(word_to_string(int(w), length))
+            assert tie_len_by_padding(ones, zeros) == t
             if length % 2 == 1:
-                assert rc.ones_dominant == bool(d)
+                assert (padded_compare(ones, zeros) > 0) == bool(d)
 
 
 def test_rho_distribution_exact_l11():
@@ -173,7 +179,7 @@ def test_rho_distribution_expected_runs_match_direct_enumeration():
     rep = rho_distribution(length, "exact")
     # independent oracle: average count over all words, one t at a time
     for t in (1, 2, 5, 11):
-        total = sum(count_long_runs(w, length, t) for w in range(1 << length))
+        total = sum(long_runs_by_string(w, length, t) for w in range(1 << length))
         row = next(r for r in rep.tables["expected_runs"] if r["t"] == t)
         assert row["expected_runs"] == Fraction(total, 1 << length)
 
@@ -253,12 +259,12 @@ def test_scan_words_matches_scalar_per_word_and_in_sums(length):
     )
     tie, dom, sums, sumsq = scan_words(words, length)
     for w, t, d in zip(words.tolist(), tie.tolist(), dom.tolist()):
-        rc = compare_run_profiles(w, length)
-        assert rc.tie_len == t
+        ones, zeros = run_profile_by_string(word_to_string(w, length))
+        assert tie_len_by_padding(ones, zeros) == t
         if length % 2 == 1:
-            assert rc.ones_dominant == d
+            assert (padded_compare(ones, zeros) > 0) == d
     for t in range(1, length + 1):
-        counts = [count_long_runs(w, length, t) for w in words.tolist()]
+        counts = [long_runs_by_string(w, length, t) for w in words.tolist()]
         assert sums[t] == sum(counts)
         assert sumsq[t] == sum(c * c for c in counts)
 

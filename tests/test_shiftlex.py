@@ -14,7 +14,6 @@ from divlab.shiftlex import (
     lex_segment,
     shift_closure,
     shift_family,
-    shift_set,
 )
 
 from conftest import small_intersecting_families
@@ -22,9 +21,10 @@ from oracles import family_as_sets, lex_sorted_ksets, shift_closure_by_restart
 
 
 def test_shift_set_cases():
-    assert shift_set(0b110, 1, 2) == 0b101  # {2,3} -> {1,3}
-    assert shift_set(0b101, 1, 2) == 0b101  # j absent: fixed
-    assert shift_set(0b011, 1, 2) == 0b011  # i present: fixed
+    one = lambda s: make_family(3, 2, [s])
+    assert shift_family(one({2, 3}), 1, 2) == one({1, 3})
+    assert shift_family(one({1, 3}), 1, 2) == one({1, 3})  # j absent: fixed
+    assert shift_family(one({1, 2}), 1, 2) == one({1, 2})  # i present: fixed
 
 
 def test_shift_family_moves_free_image():
