@@ -45,10 +45,12 @@ def _popcounts(j: int) -> np.ndarray:
 
 
 def _measure_from_weight_counts(counts: Sequence[int], j: int, p) -> Fraction:
-    """Sum of counts[w] * p^w * (1-p)^(j-w), exactly."""
+    """Sum of counts[w] * p^w * (1-p)^(j-w), exactly: with p = a/b, one
+    integer numerator over b^j."""
     p = _check_bias(p)
-    q = 1 - p
-    return sum((int(c) * p**w * q ** (j - w) for w, c in enumerate(counts) if c), Fraction(0))
+    a, b = p.numerator, p.denominator
+    num = sum(int(c) * a**w * (b - a) ** (j - w) for w, c in enumerate(counts) if c)
+    return Fraction(num, b**j)
 
 
 def _weight_counts_of_masks(masks: np.ndarray, j: int) -> np.ndarray:
@@ -57,28 +59,50 @@ def _weight_counts_of_masks(masks: np.ndarray, j: int) -> np.ndarray:
     )
 
 
+# bit i of _LOW[b] is set iff bit b of i is clear, for in-word indices i < 64
+_LOW = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(6))
+
+
+def _packed(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """The 2^j-point table as little-endian words, point m at bit m % 64 of
+    word m // 64 (a table under 64 points is one zero-padded word), and j."""
+    j = int(table.size).bit_length() - 1
+    packed = np.packbits(table, bitorder="little")
+    return np.pad(packed, (0, -packed.size % 8)).view("<u8"), j
+
+
+def _up_closure(words: np.ndarray, j: int) -> np.ndarray:
+    """Packed superset closure: bit m is set iff some member is contained in m."""
+    up = words.copy()
+    for b in range(min(j, 6)):
+        up |= (up & _LOW[b]) << np.uint64(1 << b)
+    for b in range(6, j):
+        v = up.reshape(-1, 2, 1 << (b - 6))
+        v[:, 1, :] |= v[:, 0, :]
+    return up
+
+
 def is_up_closed_table(table: np.ndarray) -> bool:
     """True iff the dense family table is closed under adding elements."""
-    j = int(table.size).bit_length() - 1
-    for b in range(j):
-        v = table.reshape(-1, 2, 1 << b)
-        if bool(np.any(v[:, 0, :] & ~v[:, 1, :])):
-            return False
-    return True
+    words, j = _packed(table)
+    return np.array_equal(_up_closure(words, j), words)
 
 
 def is_intersecting_table(table: np.ndarray) -> bool:
     """True iff no two (not necessarily distinct) members are disjoint,
     with the single-member family {{}} vacuously intersecting."""
-    if table[0] and int(table.sum()) == 1:
+    if table[0] and np.count_nonzero(table) == 1:
         return True
-    j = int(table.size).bit_length() - 1
-    has_subset = table.copy()
-    for b in range(j):
-        v = has_subset.reshape(-1, 2, 1 << b)
-        v[:, 1, :] |= v[:, 0, :]
-    # has_subset[m]: some member is contained in m; reversing indexes complements
-    return not bool(np.any(table & has_subset[::-1]))
+    words, j = _packed(table)
+    # no member may lie in the complement 2^j-1-m of a member m.  The
+    # complement reverses the word order and the bits of each word, which
+    # leaves a table under 64 points in the top 2^j bits of its word
+    comp = _up_closure(words, j)[::-1]
+    for b in range(6):
+        s = np.uint64(1 << b)
+        comp = ((comp & _LOW[b]) << s) | ((comp >> s) & _LOW[b])
+    comp >>= np.uint64(max(0, 64 - (1 << j)))
+    return not bool(np.any(words & comp))
 
 
 def spec_is_up_closed(spec: JuntaSpec) -> bool:

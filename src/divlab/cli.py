@@ -79,6 +79,13 @@ def _cap_check(n: int, k: int) -> None:
         raise ResourceCapError(f"C({n},{k}) exceeds the enumeration cap 2^26")
 
 
+def _refuse_unread(args, names) -> None:
+    """Refuse the options among ``names`` (unset by default) that the action does not read."""
+    passed = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is not None]
+    if passed:
+        raise ValueError(f"{' '.join(passed)} not read by this {args.command} action")
+
+
 def _junta_for(args) -> object:
     kind = args.family
     if kind == "run-dominance":
@@ -230,21 +237,22 @@ def cmd_shift(args) -> Report:
 
 def cmd_boolean(args) -> Report:
     if args.action == "counterexample-table":
+        _refuse_unread(args, ("family", "p", "i"))
         return bl.counterexample_table(parse_r_range(args.r))
-    spec_params = {"family": args.family, "r": args.r}
     r_values = parse_r_range(args.r)
     if len(r_values) != 1:
         raise ValueError(f"{args.action} takes a single r, got {args.r!r}")
     args.r = r_values[0]
+    args.family = args.family or "run-dominance"
+    spec_params = {"family": args.family, "r": args.r}
     spec = _junta_for(args)
+    p = parse_bias("1/2" if args.p is None else args.p)
     if args.action == "mu":
-        p = parse_bias(args.p)
         m = bl.biased_measure(spec, p)
         report = Report(command="boolean-mu", parameters={**spec_params, "p": p})
         report.add_table("rows", [{"mu_exact": m, "mu": float(m)}])
         return report.finish()
     if args.action == "influence":
-        p = parse_bias(args.p)
         report = Report(
             command="boolean-influence",
             parameters={**spec_params, "p": p},
@@ -262,7 +270,6 @@ def cmd_boolean(args) -> Report:
             report.add_table("rows", rows)
         return report.finish()
     if args.action == "gammap":
-        p = parse_bias(args.p)
         m = bl.biased_diversity(spec, p)
         report = Report(command="boolean-gammap", parameters={**spec_params, "p": p})
         report.add_table("rows", [{"gamma_p_exact": m, "gamma_p": float(m)}])
@@ -301,6 +308,7 @@ def cmd_rho(args) -> Report:
 
 
 def cmd_extremal(args) -> Report:
+    _refuse_unread(args, ("emit_witness",) if args.enumerate else ("cap",))
     mode_param = {"cap": args.cap} if args.enumerate else {"budget": args.budget}
     params = {"n": args.n, "k": args.k, "enumerate": args.enumerate, **mode_param}
     report = Report(command="extremal", parameters=params)
@@ -404,10 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bool = sub.add_parser("boolean", parents=[common], help="biased measures and influences on junta centers")
     p_bool.add_argument("action", choices=["mu", "influence", "gammap", "russo", "counterexample-table"])
-    p_bool.add_argument("--family", default="run-dominance",
-                        choices=["run-dominance", "window-majority", "dictator"])
+    p_bool.add_argument("--family", choices=["run-dominance", "window-majority", "dictator"],
+                        help="junta family (default run-dominance)")
     p_bool.add_argument("--r", default="2", help="window parameter, or a range like 2..10 for the table")
-    p_bool.add_argument("--p", default="1/2", help="bias, exact: a fraction '2/5' or a decimal '0.4'")
+    p_bool.add_argument("--p", help="bias, exact: a fraction '2/5' or a decimal '0.4' (default 1/2)")
     p_bool.add_argument("--i", type=int, default=None, help="coordinate for influence")
     p_bool.add_argument("--p0", type=float, default=0.45)
     p_bool.add_argument("--h", type=float, default=1e-4)

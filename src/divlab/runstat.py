@@ -23,7 +23,7 @@ from .report import Report
 
 EXACT_CAP_L = 25
 MAX_L = 63
-_BLOCK = 1 << 21
+_BLOCK = 1 << 16  # words per scan block: its state arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,11 @@ def scan_words(words: np.ndarray, length: int):
     words = np.asarray(words)
     if words.ndim != 1 or words.size and (words.min() < 0 or int(words.max()) >> length):
         raise ValueError(f"words must be a 1-D array of integers in [0, 2^{length})")
-    dtype = np.uint32 if length <= 30 else np.uint64
-    return _scan_block(words.astype(dtype), length)
+    words = words.astype(np.uint32 if length <= 30 else np.uint64)
+    # one block even for no words, so the sums keep their shape
+    blocks = range(0, words.size or 1, _BLOCK)
+    ties, doms, sums, sumsqs = zip(*(_scan_block(words[i : i + _BLOCK], length) for i in blocks))
+    return np.concatenate(ties), np.concatenate(doms), sum(sums), sum(sumsqs)
 
 
 @lru_cache(maxsize=2)

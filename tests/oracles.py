@@ -5,7 +5,7 @@ numpy, so agreement with the package is meaningful.
 """
 
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, combinations_with_replacement, groupby
 
 
 def all_ksets(n, k):
@@ -32,6 +32,20 @@ def pairwise_t_intersecting(sets, t):
 
 def cross_intersecting(aa, bb):
     return all(a & b for a in aa for b in bb)
+
+
+def up_closed_by_scan(sets, n):
+    """No member has a one-element extension outside the family."""
+    members = set(sets)
+    return not any(s | {e} not in members for s in members for e in range(1, n + 1))
+
+
+def intersecting_by_pairs(sets):
+    """Every two members, a member with itself included, meet; the family
+    {{}} alone counts as intersecting."""
+    if list(sets) == [frozenset()]:
+        return True
+    return all(a & b for a, b in combinations_with_replacement(sets, 2))
 
 
 def pascal_binom(n, k):

@@ -18,7 +18,9 @@ from divlab.constructions import (
 from oracles import (
     gamma_p_by_enumeration,
     influence_by_enumeration,
+    intersecting_by_pairs,
     mu_by_enumeration,
+    up_closed_by_scan,
 )
 
 HALF = Fraction(1, 2)
@@ -172,6 +174,73 @@ def test_up_closed_and_intersecting_tables():
     assert not bl.spec_is_intersecting(exactly_one)
     only_empty = JuntaSpec(3, family_from_masks(3, None, [0]))
     assert bl.spec_is_intersecting(only_empty)  # vacuous single member
+
+
+def table_sets(table):
+    """The members of a dense table on [j] as sets of elements 1..j."""
+    j = int(table.size).bit_length() - 1
+    return [frozenset(e + 1 for e in range(j) if m >> e & 1) for m in np.flatnonzero(table)]
+
+
+def up_closure(j, generators):
+    points = np.arange(1 << j)
+    table = np.zeros(1 << j, dtype=bool)
+    for g in generators:
+        table |= (points & g) == g
+    return table
+
+
+def dense_table(j, kind, rng):
+    """A random table, the up-closure of random sets, or such an up-closure
+    with one point flipped."""
+    if kind == "random":
+        return rng.random(1 << j) < rng.choice([0.05, 0.5, 0.95])
+    table = up_closure(j, rng.integers(0, 1 << j, size=rng.integers(1, 5)))
+    if kind == "flipped":
+        table[rng.integers(0, 1 << j)] ^= True
+    return table
+
+
+def assert_dense_checks_match_oracles(table):
+    j = int(table.size).bit_length() - 1
+    sets = table_sets(table)
+    assert bl.is_up_closed_table(table) == up_closed_by_scan(sets, j)
+    assert bl.is_intersecting_table(table) == intersecting_by_pairs(sets)
+
+
+@given(
+    st.integers(0, 12),
+    st.sampled_from(["random", "up", "flipped"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_dense_checks_match_oracles(j, kind, seed):
+    assert_dense_checks_match_oracles(dense_table(j, kind, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("j", [5, 6, 7])
+def test_dense_checks_match_oracles_around_one_word(j):
+    # 2^5 points fill half a 64-bit word, 2^6 one word, 2^7 two
+    rng = np.random.default_rng(j)
+    verdicts = set()
+    for kind in ("random", "up", "flipped") * 40:
+        table = dense_table(j, kind, rng)
+        assert_dense_checks_match_oracles(table)
+        verdicts.add((bl.is_up_closed_table(table), bl.is_intersecting_table(table)))
+    assert len(verdicts) == 4  # every combination of the two verdicts was met
+
+
+@pytest.mark.parametrize("j", range(0, 9))
+def test_dense_checks_on_empty_and_only_empty_set(j):
+    empty = np.zeros(1 << j, dtype=bool)
+    assert bl.is_up_closed_table(empty) and bl.is_intersecting_table(empty)
+    only_empty = empty.copy()
+    only_empty[0] = True
+    assert bl.is_intersecting_table(only_empty)  # vacuous single member
+    assert bl.is_up_closed_table(only_empty) == (j == 0)
+    full = ~empty
+    assert bl.is_up_closed_table(full)
+    assert bl.is_intersecting_table(full) == (j == 0)
 
 
 def test_russo_dictator():

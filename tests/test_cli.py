@@ -242,6 +242,27 @@ def test_boolean_russo_records_its_family(tmp_path):
     assert params["center_size"] == 5
 
 
+def test_boolean_records_r_as_the_integer_it_used(tmp_path):
+    params = _parameters(["boolean", "mu", "--r", "2"], tmp_path)
+    assert params == {"family": "run-dominance", "r": 2, "p": "1/2"}
+
+
+@pytest.mark.parametrize("option", [["--p", "1/3"], ["--family", "dictator"], ["--i", "1"]])
+def test_counterexample_table_refuses_options_it_does_not_read(option, capsys):
+    assert run(["boolean", "counterexample-table", "--r", "2", *option]) == 2
+    assert option[0] in capsys.readouterr().err
+
+
+def test_extremal_refuses_options_its_mode_does_not_read(tmp_path, capsys):
+    wit = tmp_path / "w.txt"
+    assert run(["extremal", "--n", "5", "--k", "2", "--enumerate",
+                "--emit-witness", str(wit)]) == 2
+    assert "--emit-witness" in capsys.readouterr().err
+    assert not wit.exists()
+    assert run(["extremal", "--n", "5", "--k", "2", "--cap", "5"]) == 2
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_extremal_records_only_its_mode_parameters(tmp_path):
     params = _parameters(["extremal", "--n", "5", "--k", "2", "--enumerate", "--cap", "5"],
                          tmp_path)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from divlab import booleanlab as bl
 from divlab.errors import ResourceCapError
 from divlab.runstat import (
+    _BLOCK,
     _exact_scan,
+    _scan_block,
     in_t_table,
     rho_distribution,
     run_profile,
@@ -267,6 +269,46 @@ def test_scan_words_matches_scalar_per_word_and_in_sums(length):
         counts = [long_runs_by_string(w, length, t) for w in words.tolist()]
         assert sums[t] == sum(counts)
         assert sumsq[t] == sum(c * c for c in counts)
+
+
+def test_scan_words_across_block_boundaries_matches_scalar():
+    # every word of length 7, the constant ones included, tiled over three
+    # blocks and a partial fourth; constant words never empty their
+    # accumulators, so they stay in the scan to its last step
+    length = 7
+    words = np.resize(np.arange(1 << length), 3 * _BLOCK + 5)
+    tie, dom, sums, sumsq = scan_words(words, length)
+    per_word = []
+    for w in range(1 << length):
+        ones, zeros = run_profile_by_string(word_to_string(w, length))
+        per_word.append((tie_len_by_padding(ones, zeros), padded_compare(ones, zeros) > 0))
+    want_tie, want_dom = (np.array(col) for col in zip(*per_word))
+    assert np.array_equal(tie, want_tie[words])
+    assert np.array_equal(dom, want_dom[words])
+    copies = np.bincount(words, minlength=1 << length)
+    for t in range(1, length + 1):
+        counts = np.array([long_runs_by_string(w, length, t) for w in range(1 << length)])
+        assert sums[t] == int(copies @ counts)
+        assert sumsq[t] == int(copies @ counts**2)
+
+
+def test_scan_words_on_no_words():
+    tie, dom, sums, sumsq = scan_words(np.array([], dtype=np.int64), 9)
+    assert tie.size == 0 and dom.size == 0
+    assert np.array_equal(sums, np.zeros(10)) and np.array_equal(sumsq, np.zeros(10))
+
+
+@pytest.mark.parametrize("length", [17, 19])
+def test_exact_scan_matches_one_block_over_every_word(length):
+    # the blocked, mirrored exact scan against one unblocked block
+    dom, hist, sums, sumsq = _exact_scan(length)
+    tie, full_dom, full_sums, full_sumsq = _scan_block(
+        np.arange(1 << length, dtype=np.uint32), length
+    )
+    assert np.array_equal(dom, full_dom)
+    assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
+    assert np.array_equal(sums, full_sums)
+    assert np.array_equal(sumsq, full_sumsq)
 
 
 def test_scan_words_rejects_words_outside_the_length():
