@@ -4,13 +4,18 @@ All quantities are computed from the defining family on the center cube
 (at most 2^25 points).  Every value is one exact rational: a float bias is
 taken at its exact binary value, so ``float()`` of a result is correctly
 rounded.
+
+Measures, influences and the biased diversity are all read off one packed
+weight histogram (``_packed_weight_counts``): the table packed 64 points to
+a little-endian word, point m at bit m % 64 of word m // 64, so that the
+weight of a point is popcount(word index) + popcount(bit index).  The dense
+up-closure and intersection checks run on the same packed words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,13 +42,6 @@ def _check_bias(p) -> Fraction:
     return Fraction(p)
 
 
-@lru_cache(maxsize=4)
-def _popcounts(j: int) -> np.ndarray:
-    w = np.bitwise_count(np.arange(1 << j, dtype=np.uint32)).astype(np.uint8)
-    w.setflags(write=False)
-    return w
-
-
 def _measure_from_weight_counts(counts: Sequence[int], j: int, p) -> Fraction:
     """Sum of counts[w] * p^w * (1-p)^(j-w), exactly: with p = a/b, one
     integer numerator over b^j."""
@@ -53,14 +51,10 @@ def _measure_from_weight_counts(counts: Sequence[int], j: int, p) -> Fraction:
     return Fraction(num, b**j)
 
 
-def _weight_counts_of_masks(masks: np.ndarray, j: int) -> np.ndarray:
-    return np.bincount(
-        np.bitwise_count(masks.astype(np.uint64)).astype(np.int64), minlength=j + 1
-    )
-
-
 # bit i of _LOW[b] is set iff bit b of i is clear, for in-word indices i < 64
 _LOW = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(6))
+# bit i of _WEIGHT[c] is set iff the in-word index i has c bits set
+_WEIGHT = tuple(np.uint64(sum(1 << i for i in range(64) if i.bit_count() == c)) for c in range(7))
 
 
 def _packed(table: np.ndarray) -> tuple[np.ndarray, int]:
@@ -69,6 +63,27 @@ def _packed(table: np.ndarray) -> tuple[np.ndarray, int]:
     j = int(table.size).bit_length() - 1
     packed = np.packbits(table, bitorder="little")
     return np.pad(packed, (0, -packed.size % 8)).view("<u8"), j
+
+
+def _packed_weight_counts(words: np.ndarray, j: int) -> np.ndarray:
+    """Weight histogram over 0..j of the points set in the packed table:
+    the points of in-word weight c in word q have weight c + popcount(q)."""
+    word_weight = np.bitwise_count(np.arange(words.size, dtype=np.uint32))
+    counts = np.zeros(j + 7, dtype=np.int64)
+    for c, mask in enumerate(_WEIGHT):
+        # exact: float64 holds every count up to 2^53
+        by_word = np.bincount(word_weight, np.bitwise_count(words & mask))
+        counts[c : c + by_word.size] += by_word.astype(np.int64)
+    return counts[: j + 1]
+
+
+def _flip(words: np.ndarray, b: int) -> np.ndarray:
+    """The packed table reindexed with coordinate b flipped: bit m of the
+    result is bit m ^ 2^b of the input."""
+    if b < 6:
+        s = np.uint64(1 << b)
+        return ((words & _LOW[b]) << s) | ((words >> s) & _LOW[b])
+    return words.reshape(-1, 2, 1 << (b - 6))[:, ::-1, :].reshape(-1)
 
 
 def _up_closure(words: np.ndarray, j: int) -> np.ndarray:
@@ -99,8 +114,7 @@ def is_intersecting_table(table: np.ndarray) -> bool:
     # leaves a table under 64 points in the top 2^j bits of its word
     comp = _up_closure(words, j)[::-1]
     for b in range(6):
-        s = np.uint64(1 << b)
-        comp = ((comp & _LOW[b]) << s) | ((comp >> s) & _LOW[b])
+        comp = _flip(comp, b)
     comp >>= np.uint64(max(0, 64 - (1 << j)))
     return not bool(np.any(words & comp))
 
@@ -113,19 +127,20 @@ def spec_is_intersecting(spec: JuntaSpec) -> bool:
     return is_intersecting_table(spec.membership_table())
 
 
+def _member_weight_counts(spec: JuntaSpec) -> np.ndarray:
+    words, j = _packed(spec.membership_table())
+    return _packed_weight_counts(words, j)
+
+
 def biased_measure(spec: JuntaSpec, p) -> Fraction:
     """Total bias-p measure of the defining family on its center cube."""
-    j = spec.center_size
-    counts = _weight_counts_of_masks(spec.defining.members, j)
-    return _measure_from_weight_counts(counts, j, p)
+    return _measure_from_weight_counts(_member_weight_counts(spec), spec.center_size, p)
 
 
-def _pivotal_counts(table: np.ndarray, j: int, b: int) -> np.ndarray:
+def _pivotal_counts(words: np.ndarray, j: int, b: int) -> np.ndarray:
     """Weight histogram of the points whose membership flips with coordinate
-    b, read against the table reindexed with bit b flipped.  Independent of
-    the bias."""
-    flipped = table.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(-1)
-    return np.bincount(_popcounts(j)[table != flipped].astype(np.int64), minlength=j + 1)
+    b, in the packed table.  Independent of the bias."""
+    return _packed_weight_counts(words ^ _flip(words, b), j)
 
 
 def coordinate_influence(spec: JuntaSpec, i: int, p) -> Fraction:
@@ -134,28 +149,33 @@ def coordinate_influence(spec: JuntaSpec, i: int, p) -> Fraction:
     j = spec.center_size
     if not 1 <= i <= j:
         raise ValueError(f"coordinate {i} outside center [1, {j}]")
-    counts = _pivotal_counts(spec.membership_table(), j, i - 1)
-    return _measure_from_weight_counts(counts, j, p)
+    words, _ = _packed(spec.membership_table())
+    return _measure_from_weight_counts(_pivotal_counts(words, j, i - 1), j, p)
 
 
 def total_influence(spec: JuntaSpec, p) -> InfluenceProfile:
     """All coordinate influences and their sum."""
-    j = spec.center_size
-    table = spec.membership_table()
-    per = [_measure_from_weight_counts(_pivotal_counts(table, j, b), j, p) for b in range(j)]
+    words, j = _packed(spec.membership_table())
+    per = [_measure_from_weight_counts(_pivotal_counts(words, j, b), j, p) for b in range(j)]
     return InfluenceProfile(per_coordinate=tuple(per), total=sum(per, Fraction(0)))
+
+
+def _without(words: np.ndarray, b: int) -> np.ndarray:
+    """The packed table with every point containing coordinate b cleared."""
+    if b < 6:
+        return words & _LOW[b]
+    out = words.copy()
+    out.reshape(-1, 2, 1 << (b - 6))[:, 1, :] = 0
+    return out
 
 
 def biased_diversity(spec: JuntaSpec, p) -> Fraction:
     """Minimum over coordinates of the measure of members avoiding the coordinate."""
-    j = spec.center_size
-    members = spec.defining.members
-    candidates = []
-    for i in range(j):
-        bit = np.int64(1 << i)
-        counts = _weight_counts_of_masks(members[(members & bit) == 0], j)
-        candidates.append(_measure_from_weight_counts(counts, j, p))
-    return min(candidates)
+    words, j = _packed(spec.membership_table())
+    return min(
+        _measure_from_weight_counts(_packed_weight_counts(_without(words, b), j), j, p)
+        for b in range(j)
+    )
 
 
 def russo_check(spec: JuntaSpec, p0: float, h: float) -> Report:
@@ -171,7 +191,7 @@ def russo_check(spec: JuntaSpec, p0: float, h: float) -> Report:
     if not spec_is_up_closed(spec):
         raise ValueError("derivative identity needs an upward-closed family")
     j = spec.center_size
-    counts = _weight_counts_of_masks(spec.defining.members, j)
+    counts = _member_weight_counts(spec)
     pf, hf = Fraction(p0), Fraction(h)
     mu_plus = _measure_from_weight_counts(counts, j, pf + hf)
     mu_minus = _measure_from_weight_counts(counts, j, pf - hf)

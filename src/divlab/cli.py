@@ -239,6 +239,8 @@ def cmd_boolean(args) -> Report:
     if args.action == "counterexample-table":
         _refuse_unread(args, ("family", "p", "i"))
         return bl.counterexample_table(parse_r_range(args.r))
+    # --i is read by influence only, --p by every action but russo
+    _refuse_unread(args, {"influence": (), "russo": ("p", "i")}.get(args.action, ("i",)))
     r_values = parse_r_range(args.r)
     if len(r_values) != 1:
         raise ValueError(f"{args.action} takes a single r, got {args.r!r}")
@@ -283,8 +285,10 @@ def cmd_boolean(args) -> Report:
 
 def cmd_rho(args) -> Report:
     if args.action == "dist":
+        _refuse_unread(args, ("word", "t") + (("samples", "seed") if args.mode == "exact" else ()))
         return runstat.rho_distribution(args.L, args.mode, args.samples, args.seed)
     if args.action == "profile":
+        _refuse_unread(args, ("samples", "seed"))
         mask, length = word_from_string(args.word)
         if args.t is not None and args.t < 1:
             raise ValueError(f"run length threshold t={args.t} must be >= 1")
@@ -308,8 +312,9 @@ def cmd_rho(args) -> Report:
 
 
 def cmd_extremal(args) -> Report:
-    _refuse_unread(args, ("emit_witness",) if args.enumerate else ("cap",))
-    mode_param = {"cap": args.cap} if args.enumerate else {"budget": args.budget}
+    _refuse_unread(args, ("emit_witness", "budget") if args.enumerate else ("cap",))
+    budget = 60.0 if args.budget is None else args.budget
+    mode_param = {"cap": args.cap} if args.enumerate else {"budget": budget}
     params = {"n": args.n, "k": args.k, "enumerate": args.enumerate, **mode_param}
     report = Report(command="extremal", parameters=params)
     if args.enumerate:
@@ -328,7 +333,7 @@ def cmd_extremal(args) -> Report:
         if not enum.complete:
             report.note("enumeration stopped at the cap; results are partial")
         return report.finish()
-    res = extremal.max_diversity_search(args.n, args.k, budget_seconds=args.budget)
+    res = extremal.max_diversity_search(args.n, args.k, budget_seconds=budget)
     report.add_table(
         "rows",
         [
@@ -435,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--enumerate", action="store_true", help="enumerate maximal families instead of searching")
     p_ext.add_argument("--cap", type=int, default=None)
     p_ext.add_argument("--emit-witness", default=None)
-    p_ext.add_argument("--budget", type=float, default=60.0, help="time budget in seconds")
+    p_ext.add_argument("--budget", type=float, help="search time budget in seconds (default 60)")
 
     p_verify = sub.add_parser("verify-all", parents=[common], help="run the acceptance criteria")
     p_verify.add_argument("--quick", action="store_true", help="shrunken parameter ranges")

@@ -8,6 +8,7 @@ JuntaSpec: the center size plus an explicit defining family over the center.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .bitfam import (
 CENTER_CAP = 25
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class JuntaSpec:
     """A family whose membership depends only on the trace inside a center.
 
@@ -43,11 +44,17 @@ class JuntaSpec:
         if self.defining.k is not None:
             raise ValueError("defining family must be non-uniform")
 
-    def membership_table(self) -> np.ndarray:
-        """Dense bool table over 2^center_size; entry m is True iff m is a trace."""
+    @cached_property
+    def _table(self) -> np.ndarray:
         table = np.zeros(1 << self.center_size, dtype=bool)
         table[self.defining.members] = True
+        table.setflags(write=False)
         return table
+
+    def membership_table(self) -> np.ndarray:
+        """Read-only dense bool table over 2^center_size, built on first use
+        and shared by every later call; entry m is True iff m is a trace."""
+        return self._table
 
     def __repr__(self) -> str:
         return f"JuntaSpec(center_size={self.center_size}, defining_size={len(self.defining)})"
@@ -92,7 +99,7 @@ def build_run_dominance_defining(r: int) -> JuntaSpec:
         raise ValueError(f"need 1 <= r <= 12, got r={r}")
     length = 2 * r + 1
     table = runstat.in_t_table(length)
-    members = np.flatnonzero(table).astype(np.int64)
+    members = np.flatnonzero(table).astype(np.int64, copy=False)
     defining = family_from_masks(length, None, members, presorted=True)
     return JuntaSpec(center_size=length, defining=defining)
 

@@ -73,11 +73,12 @@ def run_profile(word: int, length: int) -> RunProfile:
 # ---------------------------------------------------------------------------
 
 
-def _scan_block(words: np.ndarray, length: int):
+def _scan_block(words: np.ndarray, length: int, weights: Optional[np.ndarray] = None):
     """Per-word tie length, dominance and run-count sums for a word block.
 
     Returns (tie, dominant, nrun_sums, nrun_sumsq) where nrun_sums[t] is the
-    sum over words of N(t) = number of maximal runs of length >= t.
+    sum over words of N(t) = number of maximal runs of length >= t, each
+    word's N(t) and N(t)^2 counted ``weights[i]`` times if weights are given.
 
     After step t, bit p of acc1 (acc0) is set iff positions p..p+t all hold
     a 1 (a 0).  A run of length r >= t holds r - t + 1 windows of length t
@@ -112,9 +113,14 @@ def _scan_block(words: np.ndarray, length: int):
         nu += cnt1 == length
         nz += cnt0 == length
         both = nu + nz
-        nrun_sums[t] = both.sum(dtype=np.int64)
-        both = both.astype(np.uint16)  # both <= 64, so both^2 fits
-        nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
+        if weights is None:
+            nrun_sums[t] = both.sum(dtype=np.int64)
+            both = both.astype(np.uint16)  # both <= 64, so both^2 fits
+            nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
+        else:
+            nrun_sums[t] = both @ weights
+            both = both.astype(np.uint16)
+            nrun_sumsq[t] = (both * both) @ weights
         if t == 1:
             tie = nu.copy()
         # where nu != nz: tie = min(nu, nz), dominant = nu > nz; arithmetic
@@ -129,6 +135,8 @@ def _scan_block(words: np.ndarray, length: int):
             keep = np.flatnonzero(live)
             state = (pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant)
             pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant = (a[keep] for a in state)
+            if weights is not None:
+                weights = weights[keep]
     return tie_out, dom_out, nrun_sums, nrun_sumsq
 
 
@@ -147,7 +155,7 @@ def scan_words(words: np.ndarray, length: int):
 
 @lru_cache(maxsize=2)
 def _exact_scan(length: int):
-    """One scan of all 2^length words, in blocks.
+    """One scan of all 2^length words, reading only the odd ones, in blocks.
 
     Returns read-only (dominant, tie_hist, nrun_sums, nrun_sumsq): the
     per-word dominance flags, the tie-length histogram over 0..length//2 + 1,
@@ -157,24 +165,50 @@ def _exact_scan(length: int):
     every N(t), and flips dominance unless the profiles tie outright, which
     odd length rules out.  ~w maps [2^(L-1), 2^L) onto [0, 2^(L-1)) reversed,
     so odd length scans the lower half only and mirrors it.
+
+    Below ``scanned`` = 2^S (S = L, or L - 1 for odd L), an even word 2v is
+    v rotated left by one place, since its top bit is clear: it has the tie,
+    dominance and every N(t) of v.  So only word 0 and the odd words are
+    scanned.  Odd a of bit length b stands for a << s for s = 0..S - b, all
+    below 2^S, so it carries weight S - b + 1 in the histogram and the sums;
+    word 0 carries weight 1.  A block of odd words after the first spans
+    [lo, lo + 2 * _BLOCK) with lo >= 2 * _BLOCK, where every word has the bit
+    length of lo, so only the first block needs per-word weights.  The even
+    words' flags are then filled level by level: dominant[2v] = dominant[v].
     """
     if length > EXACT_CAP_L:
         raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
     total = 1 << length
     scanned = total >> (length % 2)
+    top = scanned.bit_length()  # S + 1
     bins = length // 2 + 2
     dominant = np.empty(total, dtype=bool)
     hist = np.zeros(bins, dtype=np.int64)
     nrun_sums = np.zeros(length + 1, dtype=np.int64)
     nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
-    for lo in range(0, scanned, _BLOCK):
-        hi = min(lo + _BLOCK, scanned)
+    for lo in range(0, scanned, 2 * _BLOCK):
+        hi = min(lo + 2 * _BLOCK, scanned)
         # EXACT_CAP_L <= 30, so uint32 holds every word
-        tie, dom, s, s2 = _scan_block(np.arange(lo, hi, dtype=np.uint32), length)
-        dominant[lo:hi] = dom
-        hist += np.bincount(tie, minlength=bins)[:bins]
+        words = np.arange(lo + 1, hi, 2, dtype=np.uint32)
+        if lo == 0:
+            words = np.concatenate([np.zeros(1, dtype=np.uint32), words])
+            # frexp gives the bit length of each word; word 0 stands for itself
+            weights = (top - np.frexp(words)[1]).astype(np.int64)
+            weights[0] = 1
+            tie, dom, s, s2 = _scan_block(words, length, weights)
+            dominant[0] = dom[0]
+            dom = dom[1:]
+            hist += np.bincount(tie, weights, bins)[:bins].astype(np.int64)
+        else:
+            weight = top - lo.bit_length()
+            tie, dom, s, s2 = _scan_block(words, length)
+            hist += weight * np.bincount(tie, minlength=bins)[:bins]
+            s, s2 = weight * s, weight * s2
+        dominant[lo + 1 : hi : 2] = dom
         nrun_sums += s
         nrun_sumsq += s2
+    for b in range(1, top - 1):
+        dominant[1 << b : 2 << b : 2] = dominant[1 << (b - 1) : 1 << b]
     if scanned < total:
         dominant[scanned:] = ~dominant[:scanned][::-1]
         hist, nrun_sums, nrun_sumsq = 2 * hist, 2 * nrun_sums, 2 * nrun_sumsq

@@ -1,11 +1,15 @@
 """Deliberately naive reference implementations used as independent oracles.
 
-Everything here works on element sets / strings with no bit tricks and no
-numpy, so agreement with the package is meaningful.
+Everything here but the last section works on element sets / strings with
+no bit tricks and no numpy, so agreement with the package is meaningful.
+The last section keeps the unpacked numpy weight counts (one entry per
+point of the center cube) that the package's packed-word kernels replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
+
+import numpy as np
 
 
 def all_ksets(n, k):
@@ -150,3 +154,26 @@ def shift_closure_by_restart(sets, n):
                 current, changed = nxt, True
                 break
     return current
+
+
+# ---------------------------------------------------------------------------
+# unpacked weight counts over a 2^j-point table
+# ---------------------------------------------------------------------------
+
+
+def weight_counts_of_masks(masks, j):
+    """Histogram over 0..j of the weights of the given points."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    return np.bincount(np.bitwise_count(masks).astype(np.int64), minlength=j + 1)
+
+
+def pivotal_counts_unpacked(table, j, b):
+    """Weight histogram of the points whose membership flips with coordinate b."""
+    flipped = table.reshape(-1, 2, 1 << b)[:, ::-1, :].reshape(-1)
+    return weight_counts_of_masks(np.flatnonzero(table != flipped), j)
+
+
+def avoiding_counts_unpacked(table, j, b):
+    """Weight histogram of the members that do not contain coordinate b."""
+    members = np.flatnonzero(table)
+    return weight_counts_of_masks(members[(members >> b & 1) == 0], j)

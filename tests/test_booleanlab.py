@@ -16,11 +16,14 @@ from divlab.constructions import (
 )
 
 from oracles import (
+    avoiding_counts_unpacked,
     gamma_p_by_enumeration,
     influence_by_enumeration,
     intersecting_by_pairs,
     mu_by_enumeration,
+    pivotal_counts_unpacked,
     up_closed_by_scan,
+    weight_counts_of_masks,
 )
 
 HALF = Fraction(1, 2)
@@ -241,6 +244,43 @@ def test_dense_checks_on_empty_and_only_empty_set(j):
     full = ~empty
     assert bl.is_up_closed_table(full)
     assert bl.is_intersecting_table(full) == (j == 0)
+
+
+def assert_packed_counts_match_unpacked(table):
+    """Weight counts of the members, of the pivotal points of every
+    coordinate and of the members avoiding it, and the biased diversity."""
+    words, j = bl._packed(table)
+    members = np.flatnonzero(table)
+    assert np.array_equal(bl._packed_weight_counts(words, j), weight_counts_of_masks(members, j))
+    for b in range(j):
+        assert np.array_equal(bl._pivotal_counts(words, j, b), pivotal_counts_unpacked(table, j, b))
+        assert np.array_equal(
+            bl._packed_weight_counts(bl._without(words, b), j),
+            avoiding_counts_unpacked(table, j, b),
+        )
+    if j:
+        spec = JuntaSpec(j, family_from_masks(j, None, members, presorted=True))
+        p = Fraction(2, 5)
+        want = min(
+            bl._measure_from_weight_counts(avoiding_counts_unpacked(table, j, b), j, p)
+            for b in range(j)
+        )
+        assert bl.biased_diversity(spec, p) == want
+
+
+@pytest.mark.parametrize("j", range(0, 13))
+def test_packed_weight_counts_match_unpacked_oracles(j):
+    # j < 6 fits in part of one word, j = 6 is one word, b >= 6 flips and
+    # clears whole words
+    rng = np.random.default_rng(j)
+    for density in (0.05, 0.5, 0.95):
+        assert_packed_counts_match_unpacked(rng.random(1 << j) < density)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_packed_weight_counts_match_unpacked_oracles_on_juntas(r):
+    for spec in (build_run_dominance_defining(r), build_majority_defining(r)):
+        assert_packed_counts_match_unpacked(spec.membership_table())
 
 
 def test_russo_dictator():

@@ -263,6 +263,33 @@ def test_extremal_refuses_options_its_mode_does_not_read(tmp_path, capsys):
     assert "--cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boolean", "mu", "--i", "1"],
+        ["boolean", "gammap", "--i", "1"],
+        ["boolean", "russo", "--i", "1"],
+        ["boolean", "russo", "--p", "1/3"],
+        ["extremal", "--n", "5", "--k", "2", "--enumerate", "--budget", "5"],
+        ["rho", "dist", "--mode", "exact", "--samples", "100"],
+        ["rho", "dist", "--mode", "exact", "--seed", "5"],
+        ["rho", "dist", "--mode", "mc", "--samples", "100", "--word", "101"],
+        ["rho", "dist", "--t", "2"],
+        ["rho", "profile", "--word", "1101", "--samples", "5"],
+        ["rho", "profile", "--word", "1101", "--seed", "5"],
+    ],
+)
+def test_cli_refuses_options_the_action_does_not_read(argv, capsys):
+    assert run(argv) == 2
+    option = next(a for a in argv[::-1] if a.startswith("--"))
+    assert f"{option} not read" in capsys.readouterr().err
+
+
+def test_extremal_search_records_its_default_budget(tmp_path):
+    params = _parameters(["extremal", "--n", "5", "--k", "2"], tmp_path)
+    assert params == {"n": 5, "k": 2, "enumerate": False, "budget": 60.0}
+
+
 def test_extremal_records_only_its_mode_parameters(tmp_path):
     params = _parameters(["extremal", "--n", "5", "--k", "2", "--enumerate", "--cap", "5"],
                          tmp_path)
@@ -272,7 +299,8 @@ def test_extremal_records_only_its_mode_parameters(tmp_path):
 
 
 def test_rho_dist_records_samples_only_when_consumed(tmp_path):
-    params = _parameters(["rho", "dist", "--L", "11", "--samples", "100"], tmp_path)
+    # exact mode refuses --samples (test_cli_refuses_options_the_action_does_not_read)
+    params = _parameters(["rho", "dist", "--L", "11"], tmp_path)
     assert params == {"L": 11, "mode": "exact"}
     params = _parameters(["rho", "dist", "--L", "11", "--mode", "mc", "--samples", "100"],
                          tmp_path)
@@ -281,7 +309,8 @@ def test_rho_dist_records_samples_only_when_consumed(tmp_path):
 
 def test_rho_seed_recorded_only_when_consumed(tmp_path):
     exact_path, mc_path = tmp_path / "exact.json", tmp_path / "mc.json"
-    assert run(["rho", "dist", "--L", "11", "--mode", "exact", "--seed", "5",
+    # exact mode refuses --seed (test_cli_refuses_options_the_action_does_not_read)
+    assert run(["rho", "dist", "--L", "11", "--mode", "exact",
                 "--json", str(exact_path)]) == 0
     assert run(["rho", "dist", "--L", "11", "--mode", "mc", "--samples", "1000",
                 "--seed", "5", "--json", str(mc_path)]) == 0

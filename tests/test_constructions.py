@@ -117,6 +117,19 @@ def test_run_dominance_complement_exclusive(r):
     assert bool(np.all(table ^ flipped))  # exactly one of each complement pair
 
 
+def test_membership_table_is_read_only_and_built_once():
+    spec = build_run_dominance_defining(3)
+    table = spec.membership_table()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = True
+    assert spec.membership_table() is table
+    bl.spec_is_up_closed(spec)
+    bl.total_influence(spec, 0.5)
+    assert spec.membership_table() is table
+    assert np.array_equal(np.flatnonzero(table), spec.defining.members)
+
+
 def test_run_dominance_majority_boundary():
     # coincides with majority up to window parameter 4, differs at 5
     for r in (1, 2, 3, 4):

@@ -311,6 +311,23 @@ def test_exact_scan_matches_one_block_over_every_word(length):
     assert np.array_equal(sumsq, full_sumsq)
 
 
+@pytest.mark.parametrize("length", [18, 20])
+def test_odd_word_scan_matches_one_block_over_every_word_at_even_length(length):
+    # even length mirrors nothing, so every word's flags come from the
+    # odd-word scan: the weighted first block, later blocks of one bit
+    # length each (a block spans 2 * _BLOCK words), and the level-by-level
+    # fill of the even words
+    assert (1 << length) > 2 * _BLOCK
+    dom, hist, sums, sumsq = _exact_scan(length)
+    tie, full_dom, full_sums, full_sumsq = _scan_block(
+        np.arange(1 << length, dtype=np.uint32), length
+    )
+    assert np.array_equal(dom, full_dom)
+    assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
+    assert np.array_equal(sums, full_sums)
+    assert np.array_equal(sumsq, full_sumsq)
+
+
 def test_scan_words_rejects_words_outside_the_length():
     with pytest.raises(ValueError):
         scan_words(np.array([-1]), 5)
