@@ -1,9 +1,9 @@
 """Exact biased-measure analysis over a junta center.
 
-All quantities are computed from the defining family on the center cube
-(at most 2^25 points).  Every value is one exact rational: a float bias is
-taken at its exact binary value, so ``float()`` of a result is correctly
-rounded.
+A junta spec is its membership table on the center cube (at most 2^25
+points), and every quantity is read from that table.  Every value is one
+exact rational: a float bias is taken at its exact binary value, so
+``float()`` of a result is correctly rounded.
 
 Measures, influences and the biased diversity are all read off one packed
 weight histogram (``_packed_weight_counts``): the table packed 64 points to
@@ -137,6 +137,21 @@ def biased_measure(spec: JuntaSpec, p) -> Fraction:
     return _measure_from_weight_counts(_member_weight_counts(spec), spec.center_size, p)
 
 
+def measure_derivative(spec: JuntaSpec, p) -> Fraction:
+    """Exact derivative in p of the bias-p measure, q = 1-p.
+
+    d/dp p^w q^(j-w) = w p^(w-1) q^(j-w) - (j-w) p^w q^(j-w-1), so the
+    derivative of sum c[w] p^w q^(j-w) is the measure-shaped polynomial
+    sum d[v] p^v q^(j-1-v) with d[v] = (v+1) c[v+1] - (j-v) c[v]: with
+    p = a/b, one integer numerator over b^(j-1).  By Russo's lemma it equals
+    the total influence when the family is closed upward.
+    """
+    c = _member_weight_counts(spec)
+    j = spec.center_size
+    d = [(v + 1) * c[v + 1] - (j - v) * c[v] for v in range(j)]
+    return _measure_from_weight_counts(d, j - 1, p)
+
+
 def _pivotal_counts(words: np.ndarray, j: int, b: int) -> np.ndarray:
     """Weight histogram of the points whose membership flips with coordinate
     b, in the packed table.  Independent of the bias."""
@@ -176,44 +191,6 @@ def biased_diversity(spec: JuntaSpec, p) -> Fraction:
         _measure_from_weight_counts(_packed_weight_counts(_without(words, b), j), j, p)
         for b in range(j)
     )
-
-
-def russo_check(spec: JuntaSpec, p0: float, h: float) -> Report:
-    """Compare the centered finite difference of p -> mu_p against the total
-    influence at p0; the two agree for upward-closed families.  Both are
-    exact at the binary values of p0 and h, and rounded once for the row."""
-    if not 0.0 < p0 - h < p0 + h < 1.0:
-        raise ValueError(f"need 0 < p0-h < p0+h < 1, got p0={p0}, h={h}")
-    report = Report(
-        command="russo-check",
-        parameters={"center_size": spec.center_size, "p0": p0, "h": h},
-    )
-    if not spec_is_up_closed(spec):
-        raise ValueError("derivative identity needs an upward-closed family")
-    j = spec.center_size
-    counts = _member_weight_counts(spec)
-    pf, hf = Fraction(p0), Fraction(h)
-    mu_plus = _measure_from_weight_counts(counts, j, pf + hf)
-    mu_minus = _measure_from_weight_counts(counts, j, pf - hf)
-    derivative = (mu_plus - mu_minus) / (2 * hf)
-    influence = total_influence(spec, pf).total
-    abs_gap = abs(derivative - influence)
-    # zero total influence means a constant family, whose difference is 0 too
-    rel_gap = abs_gap / influence if influence else abs_gap
-    report.add_table(
-        "rows",
-        [
-            {
-                "p0": p0,
-                "h": h,
-                "finite_difference": float(derivative),
-                "total_influence": float(influence),
-                "abs_gap": float(abs_gap),
-                "rel_gap": float(rel_gap),
-            }
-        ],
-    )
-    return report.finish()
 
 
 def default_bias_rule(r: int) -> Fraction:

@@ -29,6 +29,7 @@ from .bitfam import (
     stats,
 )
 from .constructions import (
+    JuntaSpec,
     build_dictator_defining,
     build_hub_block_family,
     build_majority_defining,
@@ -86,7 +87,7 @@ def _refuse_unread(args, names) -> None:
         raise ValueError(f"{' '.join(passed)} not read by this {args.command} action")
 
 
-def _junta_for(args) -> object:
+def _junta_for(args) -> JuntaSpec:
     kind = args.family
     if kind == "run-dominance":
         return build_run_dominance_defining(args.r)
@@ -239,8 +240,7 @@ def cmd_boolean(args) -> Report:
     if args.action == "counterexample-table":
         _refuse_unread(args, ("family", "p", "i"))
         return bl.counterexample_table(parse_r_range(args.r))
-    # --i is read by influence only, --p by every action but russo
-    _refuse_unread(args, {"influence": (), "russo": ("p", "i")}.get(args.action, ("i",)))
+    _refuse_unread(args, () if args.action == "influence" else ("i",))
     r_values = parse_r_range(args.r)
     if len(r_values) != 1:
         raise ValueError(f"{args.action} takes a single r, got {args.r!r}")
@@ -276,19 +276,17 @@ def cmd_boolean(args) -> Report:
         report = Report(command="boolean-gammap", parameters={**spec_params, "p": p})
         report.add_table("rows", [{"gamma_p_exact": m, "gamma_p": float(m)}])
         return report.finish()
-    if args.action == "russo":
-        report = bl.russo_check(spec, args.p0, args.h)
-        report.parameters = {**spec_params, **report.parameters}
-        return report
     raise ValueError(f"unknown boolean action {args.action!r}")
 
 
 def cmd_rho(args) -> Report:
     if args.action == "dist":
-        _refuse_unread(args, ("word", "t") + (("samples", "seed") if args.mode == "exact" else ()))
-        return runstat.rho_distribution(args.L, args.mode, args.samples, args.seed)
+        length = 11 if args.L is None else args.L
+        mode = args.mode or "exact"
+        _refuse_unread(args, ("word", "t") + (("samples", "seed") if mode == "exact" else ()))
+        return runstat.rho_distribution(length, mode, args.samples, args.seed)
     if args.action == "profile":
-        _refuse_unread(args, ("samples", "seed"))
+        _refuse_unread(args, ("samples", "seed", "L", "mode"))
         mask, length = word_from_string(args.word)
         if args.t is not None and args.t < 1:
             raise ValueError(f"run length threshold t={args.t} must be >= 1")
@@ -416,19 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_shift.add_argument("--out", default=None)
 
     p_bool = sub.add_parser("boolean", parents=[common], help="biased measures and influences on junta centers")
-    p_bool.add_argument("action", choices=["mu", "influence", "gammap", "russo", "counterexample-table"])
+    p_bool.add_argument("action", choices=["mu", "influence", "gammap", "counterexample-table"])
     p_bool.add_argument("--family", choices=["run-dominance", "window-majority", "dictator"],
                         help="junta family (default run-dominance)")
     p_bool.add_argument("--r", default="2", help="window parameter, or a range like 2..10 for the table")
     p_bool.add_argument("--p", help="bias, exact: a fraction '2/5' or a decimal '0.4' (default 1/2)")
     p_bool.add_argument("--i", type=int, default=None, help="coordinate for influence")
-    p_bool.add_argument("--p0", type=float, default=0.45)
-    p_bool.add_argument("--h", type=float, default=1e-4)
 
     p_rho = sub.add_parser("rho", parents=[common], help="run-profile tie statistics")
     p_rho.add_argument("action", choices=["dist", "profile"])
-    p_rho.add_argument("--L", type=int, default=11)
-    p_rho.add_argument("--mode", choices=["exact", "mc"], default="exact")
+    p_rho.add_argument("--L", type=int, help="word length (default 11)")
+    p_rho.add_argument("--mode", choices=["exact", "mc"], help="default exact")
     p_rho.add_argument("--samples", type=int, default=None)
     p_rho.add_argument("--word", default=None, help="binary literal, leftmost char = position 1")
     p_rho.add_argument("--t", type=int, default=None)

@@ -2,13 +2,12 @@
 
 All builders return canonical Families.  Junta-style families (membership
 determined by the intersection with a small center) are represented by a
-JuntaSpec: the center size plus an explicit defining family over the center.
+JuntaSpec, which is its membership table over the center cube.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,35 +28,46 @@ CENTER_CAP = 25
 class JuntaSpec:
     """A family whose membership depends only on the trace inside a center.
 
-    ``defining`` is the non-uniform family over [center_size] listing the
-    admissible traces.
+    The spec is its membership table: a read-only flat bool array over the
+    2^center_size traces, entry m True iff m is admissible.  A writable
+    table is copied; a read-only one is shared as it is.
     """
 
-    center_size: int
-    defining: Family
+    table: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.center_size <= CENTER_CAP:
-            raise ValueError(f"center size {self.center_size} outside [1, {CENTER_CAP}]")
-        if self.defining.n != self.center_size:
-            raise ValueError("defining family must live on the center ground set")
-        if self.defining.k is not None:
-            raise ValueError("defining family must be non-uniform")
+        table = self.table
+        if not isinstance(table, np.ndarray) or table.dtype != bool or table.ndim != 1:
+            raise ValueError("membership table must be a flat bool array")
+        j = table.size.bit_length() - 1
+        if not 1 <= j <= CENTER_CAP or table.size != 1 << j:
+            raise ValueError(f"table of {table.size} entries is not 2^j, 1 <= j <= {CENTER_CAP}")
+        if table.flags.writeable:
+            table = table.copy()
+            table.setflags(write=False)
+            object.__setattr__(self, "table", table)
 
-    @cached_property
-    def _table(self) -> np.ndarray:
-        table = np.zeros(1 << self.center_size, dtype=bool)
-        table[self.defining.members] = True
-        table.setflags(write=False)
-        return table
+    @property
+    def center_size(self) -> int:
+        return self.table.size.bit_length() - 1
 
     def membership_table(self) -> np.ndarray:
-        """Read-only dense bool table over 2^center_size, built on first use
-        and shared by every later call; entry m is True iff m is a trace."""
-        return self._table
+        """The read-only table itself; entry m is True iff m is a trace."""
+        return self.table
+
+    @property
+    def defining(self) -> Family:
+        """The admissible traces as a non-uniform Family over [center_size],
+        built from the table on each access and not kept."""
+        return family_from_masks(
+            self.center_size, None, np.flatnonzero(self.table), presorted=True
+        )
 
     def __repr__(self) -> str:
-        return f"JuntaSpec(center_size={self.center_size}, defining_size={len(self.defining)})"
+        return (
+            f"JuntaSpec(center_size={self.center_size}, "
+            f"defining_size={np.count_nonzero(self.table)})"
+        )
 
 
 def build_hub_block_family(n: int, k: int, u: int) -> Family:
@@ -89,37 +99,31 @@ def build_window_majority(n: int, k: int, r: int) -> Family:
 
 
 def build_run_dominance_defining(r: int) -> JuntaSpec:
-    """Defining family of the cyclic run-dominance junta on a (2r+1)-circle.
+    """Cyclic run-dominance junta on a (2r+1)-circle.
 
     A subset of the circle belongs iff its descending ones-run profile
-    lexicographically beats its zeros-run profile.  The defining family has
-    exactly 2^(2r) members, is intersecting and is closed upward.
+    lexicographically beats its zeros-run profile.  The junta has exactly
+    2^(2r) members, is intersecting and is closed upward.  Its table is the
+    run-profile scan's cached array, shared without a copy.
     """
     if not 1 <= r <= 12:
         raise ValueError(f"need 1 <= r <= 12, got r={r}")
-    length = 2 * r + 1
-    table = runstat.in_t_table(length)
-    members = np.flatnonzero(table).astype(np.int64, copy=False)
-    defining = family_from_masks(length, None, members, presorted=True)
-    return JuntaSpec(center_size=length, defining=defining)
+    return JuntaSpec(runstat.in_t_table(2 * r + 1))
 
 
 def build_majority_defining(r: int) -> JuntaSpec:
-    """Defining family of the window-majority junta: traces of size >= r+1."""
+    """Window-majority junta: traces of size >= r+1."""
     if not 1 <= r <= 12:
         raise ValueError(f"need 1 <= r <= 12, got r={r}")
-    length = 2 * r + 1
-    masks = np.arange(1 << length, dtype=np.int64)
-    members = masks[np.bitwise_count(masks.astype(np.uint64)) >= r + 1]
-    defining = family_from_masks(length, None, members, presorted=True)
-    return JuntaSpec(center_size=length, defining=defining)
+    points = np.arange(1 << (2 * r + 1), dtype=np.uint32)
+    return JuntaSpec(np.bitwise_count(points) >= r + 1)
 
 
 def build_dictator_defining(center_size: int) -> JuntaSpec:
-    """Defining family of the dictator junta: traces containing element 1."""
-    masks = np.arange(1 << center_size, dtype=np.int64)
-    defining = family_from_masks(center_size, None, masks[(masks & 1) != 0], presorted=True)
-    return JuntaSpec(center_size=center_size, defining=defining)
+    """Dictator junta: traces containing element 1."""
+    if not 1 <= center_size <= CENTER_CAP:
+        raise ValueError(f"center size {center_size} outside [1, {CENTER_CAP}]")
+    return JuntaSpec(np.tile(np.array([False, True]), 1 << (center_size - 1)))
 
 
 def lift_junta(spec: JuntaSpec, n: int, k: int) -> Family:

@@ -89,13 +89,14 @@ def criterion_03_run_dominance_counts(quick: bool = False) -> Report:
     count_bad = structure_bad = 0
     for r in range(1, r_max + 1):
         spec = build_run_dominance_defining(r)
-        count_ok = len(spec.defining) == 1 << (2 * r)
+        members = int(np.count_nonzero(spec.membership_table()))
+        count_ok = members == 1 << (2 * r)
         inter = bl.spec_is_intersecting(spec)
         up = bl.spec_is_up_closed(spec)
         rows.append(
             {
                 "r": r,
-                "members": len(spec.defining),
+                "members": members,
                 "expected": 1 << (2 * r),
                 "count_ok": count_ok,
                 "intersecting": inter,
@@ -247,25 +248,32 @@ def criterion_07_majority_influence(quick: bool = False) -> Report:
 
 
 def criterion_08_russo(quick: bool = False) -> Report:
-    """Finite-difference check of d mu_p / dp = total influence for up-sets."""
+    """Russo's lemma, exactly: d mu_p / dp equals the total influence, as
+    Fractions, for the dictator on 5 points, window majority for r <= 6
+    (r <= 3 quick) and run dominance for r = 5..8 (r = 5 quick; below 5 it
+    is majority), at every bias of BIASES and at 9/20."""
     report = Report(command="criterion-08-russo", parameters={"quick": quick})
-    h = 1e-4
-    p0 = 0.45
     cases = [("dictator_j5", build_dictator_defining(5))]
-    r_max = 3 if quick else 6
-    for r in range(1, r_max + 1):
+    for r in range(1, (3 if quick else 6) + 1):
         cases.append((f"window_majority_r{r}", build_majority_defining(r)))
+    for r in range(5, (5 if quick else 8) + 1):
+        cases.append((f"run_dominance_r{r}", build_run_dominance_defining(r)))
     rows = []
-    worst = 0.0
     for name, spec in cases:
-        rep = bl.russo_check(spec, p0, h)
-        row = dict(rep.tables["rows"][0])
-        row["case"] = name
-        rows.append(row)
-        worst = max(worst, row["rel_gap"])
+        for p in BIASES + (Fraction(9, 20),):
+            derivative = bl.measure_derivative(spec, p)
+            influence = bl.total_influence(spec, p).total
+            rows.append(
+                {
+                    "case": name,
+                    "p": p,
+                    "derivative": derivative,
+                    "total_influence": influence,
+                    "equal": derivative == influence,
+                }
+            )
     report.add_table("rows", rows)
-    report.check("max_rel_gap_le_1e-6", True, worst <= 1e-6)
-    report.parameters["max_rel_gap"] = worst
+    report.check("exact_mismatches", 0, sum(not row["equal"] for row in rows))
     return report.finish()
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab import booleanlab as bl
-from divlab.bitfam import family_from_masks
 from divlab.bounds import binom
 from divlab.constructions import (
     JuntaSpec,
@@ -34,7 +33,9 @@ BIASES = (Fraction(1, 4), Fraction(2, 5), HALF)
 def small_juntas(draw):
     j = draw(st.integers(2, 7))
     members = draw(st.lists(st.integers(0, (1 << j) - 1), min_size=0, max_size=24))
-    return JuntaSpec(j, family_from_masks(j, None, sorted(set(members))))
+    table = np.zeros(1 << j, dtype=bool)
+    table[members] = True
+    return JuntaSpec(table)
 
 
 def test_mu_majority_half():
@@ -172,10 +173,10 @@ def test_up_closed_and_intersecting_tables():
     maj = build_majority_defining(2)
     assert bl.spec_is_up_closed(maj)
     assert bl.spec_is_intersecting(maj)
-    exactly_one = JuntaSpec(3, family_from_masks(3, None, [0b001, 0b010, 0b100]))
+    exactly_one = JuntaSpec(np.isin(np.arange(8), [0b001, 0b010, 0b100]))
     assert not bl.spec_is_up_closed(exactly_one)
     assert not bl.spec_is_intersecting(exactly_one)
-    only_empty = JuntaSpec(3, family_from_masks(3, None, [0]))
+    only_empty = JuntaSpec(np.arange(8) == 0)
     assert bl.spec_is_intersecting(only_empty)  # vacuous single member
 
 
@@ -259,7 +260,7 @@ def assert_packed_counts_match_unpacked(table):
             avoiding_counts_unpacked(table, j, b),
         )
     if j:
-        spec = JuntaSpec(j, family_from_masks(j, None, members, presorted=True))
+        spec = JuntaSpec(table)
         p = Fraction(2, 5)
         want = min(
             bl._measure_from_weight_counts(avoiding_counts_unpacked(table, j, b), j, p)
@@ -284,41 +285,31 @@ def test_packed_weight_counts_match_unpacked_oracles_on_juntas(r):
 
 
 def test_russo_dictator():
-    # mu_p = p, so the exact centered difference is 1 with no gap
-    rep = bl.russo_check(build_dictator_defining(5), 0.45, 1e-4)
-    row = rep.tables["rows"][0]
-    assert row["finite_difference"] == row["total_influence"] == 1.0
-    assert row["rel_gap"] == 0.0
+    # mu_p = p
+    spec = build_dictator_defining(5)
+    for p in BIASES:
+        assert bl.measure_derivative(spec, p) == 1 == bl.total_influence(spec, p).total
 
 
 def test_russo_majority3_against_analytic_oracle():
-    # mu_p = 3p^2 - 2p^3 and total influence 6p(1-p), exactly
-    p0, h = 0.4, 1e-4
-    rep = bl.russo_check(build_majority_defining(1), p0, h)
-    row = rep.tables["rows"][0]
-    assert row["total_influence"] == pytest.approx(6 * p0 * (1 - p0), abs=1e-12)
-    analytic_derivative = 6 * p0 - 6 * p0**2
-    assert row["finite_difference"] == pytest.approx(analytic_derivative, rel=1e-7)
-    assert row["rel_gap"] <= 1e-6
+    # mu_p = 3p^2 - 2p^3 and total influence 6p(1-p)
+    spec = build_majority_defining(1)
+    for p in BIASES:
+        assert bl.measure_derivative(spec, p) == 6 * p - 6 * p**2
+        assert bl.total_influence(spec, p).total == 6 * p * (1 - p)
 
 
 def test_russo_window_majority_r4():
-    rep = bl.russo_check(build_majority_defining(4), 0.45, 1e-4)
-    assert rep.tables["rows"][0]["rel_gap"] <= 1e-6
+    spec = build_majority_defining(4)
+    for p in BIASES + (0.45,):
+        assert bl.measure_derivative(spec, p) == bl.total_influence(spec, p).total
 
 
-def test_russo_gap_quadratic_in_h():
-    spec = build_majority_defining(2)
-    gap = lambda h: bl.russo_check(spec, 0.37, h).tables["rows"][0]["abs_gap"]
-    g1, g2 = gap(0.02), gap(0.005)
-    assert g2 <= g1 / 4 * 1.1  # quartering h at least quarters the gap (within 10%)
-
-
-def test_russo_rejects_bad_window():
-    with pytest.raises(ValueError):
-        bl.russo_check(build_majority_defining(1), 0.00005, 1e-4)
-    with pytest.raises(ValueError, match="upward-closed"):
-        bl.russo_check(JuntaSpec(3, family_from_masks(3, None, [0b001])), 0.4, 1e-4)
+@given(small_juntas(), st.fractions(Fraction(1, 10), Fraction(9, 10)))
+@settings(max_examples=60)
+def test_measure_derivative_is_total_influence_on_up_sets(spec, p):
+    up = JuntaSpec(up_closure(spec.center_size, np.flatnonzero(spec.membership_table())))
+    assert bl.measure_derivative(up, p) == bl.total_influence(up, p).total
 
 
 def test_counterexample_table_r2_columns_equal():

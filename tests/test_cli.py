@@ -109,8 +109,6 @@ def test_boolean_commands():
     assert run(["boolean", "gammap", "--family", "window-majority", "--r", "2", "--p", "2/5"]) == 0
     assert run(["boolean", "influence", "--family", "window-majority", "--r", "1",
                 "--p", "1/2", "--i", "1"]) == 0
-    assert run(["boolean", "russo", "--family", "window-majority", "--r", "2",
-                "--p0", "0.45", "--h", "0.0001"]) == 0
 
 
 def test_bias_with_zero_denominator_is_usage_error(capsys):
@@ -235,13 +233,6 @@ def test_lemma_sweep_records_only_its_mode_parameters(tmp_path):
     }
 
 
-def test_boolean_russo_records_its_family(tmp_path):
-    params = _parameters(["boolean", "russo", "--family", "window-majority", "--r", "2"],
-                         tmp_path)
-    assert params["family"] == "window-majority" and str(params["r"]) == "2"
-    assert params["center_size"] == 5
-
-
 def test_boolean_records_r_as_the_integer_it_used(tmp_path):
     params = _parameters(["boolean", "mu", "--r", "2"], tmp_path)
     assert params == {"family": "run-dominance", "r": 2, "p": "1/2"}
@@ -268,8 +259,6 @@ def test_extremal_refuses_options_its_mode_does_not_read(tmp_path, capsys):
     [
         ["boolean", "mu", "--i", "1"],
         ["boolean", "gammap", "--i", "1"],
-        ["boolean", "russo", "--i", "1"],
-        ["boolean", "russo", "--p", "1/3"],
         ["extremal", "--n", "5", "--k", "2", "--enumerate", "--budget", "5"],
         ["rho", "dist", "--mode", "exact", "--samples", "100"],
         ["rho", "dist", "--mode", "exact", "--seed", "5"],
@@ -277,6 +266,8 @@ def test_extremal_refuses_options_its_mode_does_not_read(tmp_path, capsys):
         ["rho", "dist", "--t", "2"],
         ["rho", "profile", "--word", "1101", "--samples", "5"],
         ["rho", "profile", "--word", "1101", "--seed", "5"],
+        ["rho", "profile", "--word", "1101", "--L", "30"],
+        ["rho", "profile", "--word", "1101", "--mode", "mc"],
     ],
 )
 def test_cli_refuses_options_the_action_does_not_read(argv, capsys):
@@ -302,6 +293,7 @@ def test_rho_dist_records_samples_only_when_consumed(tmp_path):
     # exact mode refuses --samples (test_cli_refuses_options_the_action_does_not_read)
     params = _parameters(["rho", "dist", "--L", "11"], tmp_path)
     assert params == {"L": 11, "mode": "exact"}
+    assert _parameters(["rho", "dist"], tmp_path) == params  # the defaults it applied
     params = _parameters(["rho", "dist", "--L", "11", "--mode", "mc", "--samples", "100"],
                          tmp_path)
     assert params == {"L": 11, "mode": "mc", "samples": 100}
@@ -326,6 +318,7 @@ def test_options_only_on_subcommands_that_use_them():
         ["lex", "--op", "segment", "--seed", "1"],
         ["verify-all", "--budget", "5"],
         ["extremal", "--n", "7", "--k", "3", "--dry-run"],
+        ["boolean", "russo"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab import booleanlab as bl
-from divlab.bitfam import family_from_masks, is_t_intersecting, make_family, stats
+from divlab import runstat
+from divlab.bitfam import is_t_intersecting, make_family, stats
 from divlab.constructions import (
     JuntaSpec,
     build_dictator_defining,
@@ -130,6 +131,20 @@ def test_membership_table_is_read_only_and_built_once():
     assert np.array_equal(np.flatnonzero(table), spec.defining.members)
 
 
+@pytest.mark.parametrize("r", [1, 5])
+def test_run_dominance_spec_shares_the_scan_table(r):
+    assert build_run_dominance_defining(r).membership_table() is runstat.in_t_table(2 * r + 1)
+
+
+def test_junta_spec_copies_a_writable_table():
+    table = np.zeros(8, dtype=bool)
+    spec = JuntaSpec(table)
+    table[7] = True
+    assert spec.center_size == 3
+    assert not spec.membership_table().any()
+    assert not spec.membership_table().flags.writeable
+
+
 def test_run_dominance_majority_boundary():
     # coincides with majority up to window parameter 4, differs at 5
     for r in (1, 2, 3, 4):
@@ -149,10 +164,14 @@ def test_run_dominance_rejects_out_of_range():
 
 
 def test_junta_spec_validation():
-    with pytest.raises(ValueError, match="non-uniform"):
-        JuntaSpec(3, family_from_masks(3, 2, [0b011]))
-    with pytest.raises(ValueError, match="center"):
-        JuntaSpec(4, family_from_masks(3, None, [0b011]))
+    with pytest.raises(ValueError, match="bool"):
+        JuntaSpec(np.zeros(8, dtype=np.int64))
+    with pytest.raises(ValueError, match="bool"):
+        JuntaSpec(np.zeros((2, 4), dtype=bool))
+    with pytest.raises(ValueError, match="2\\^j"):
+        JuntaSpec(np.zeros(6, dtype=bool))
+    with pytest.raises(ValueError, match="2\\^j"):
+        JuntaSpec(np.zeros(1, dtype=bool))  # j = 0
 
 
 def test_lift_majority_equals_window_majority():
@@ -161,9 +180,9 @@ def test_lift_majority_equals_window_majority():
 
 
 def test_lift_empty_and_full():
-    empty = JuntaSpec(3, family_from_masks(3, None, []))
+    empty = JuntaSpec(np.zeros(8, dtype=bool))
     assert len(lift_junta(empty, 6, 3)) == 0
-    all_traces = JuntaSpec(1, family_from_masks(1, None, [0, 1]))
+    all_traces = JuntaSpec(np.ones(2, dtype=bool))
     assert lift_junta(all_traces, 5, 2) == full_uniform_family(5, 2)
 
 
