@@ -22,6 +22,15 @@ MAX_GROUND = 63
 # up-set machinery in booleanlab instead.
 PAIRWISE_CHECK_CAP = 1 << 16
 
+# Entries of one row block of a pairwise check (2^14 and 2^18 measured
+# slower on a 12,597-member family).
+PAIR_BLOCK = 1 << 16
+
+# Row v holds the bits of the byte value v, lowest first.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int64)
+
 # Largest C(n, k) that ksubset_masks materialises.
 KSUBSET_CAP = 1 << 26
 
@@ -178,12 +187,31 @@ def make_family(n: int, k: Optional[int], sets: Iterable[Iterable[int]]) -> Fami
     return family_from_masks(n, k, masks)
 
 
+def _pairs_meet(rows: np.ndarray, cols: np.ndarray, t: int, triangle: bool) -> bool:
+    """True iff every row mask shares at least t elements with every column
+    mask; with ``triangle`` (rows is cols) row i is compared with cols[i:]
+    only.  Rows go in blocks of about PAIR_BLOCK entries, so the AND of a
+    block and its popcounts stay in cache; t = 1 needs no popcount."""
+    s = 0
+    while s < rows.size:
+        c = cols[s:] if triangle else cols
+        e = s + max(1, PAIR_BLOCK // c.size)
+        block = rows[s:e, None] & c
+        if not (block.all() if t == 1 else int(np.bitwise_count(block).min()) >= t):
+            return False
+        s = e
+    return True
+
+
 def is_t_intersecting(fam: Family, t: int = 1) -> bool:
     """True iff every pair of distinct members shares at least t elements.
 
-    Empty and singleton families are vacuously t-intersecting.  Refuses
-    families above PAIRWISE_CHECK_CAP members; the dense up-set check in
-    booleanlab covers those.
+    Each block of rows is compared with the suffix of members from its first
+    row on, so the diagonal |F & F| = |F| is included: it is at least
+    |F & G| for every other member G, so once there are two members it
+    never lowers the minimum.  Empty and singleton families are vacuously
+    t-intersecting.  Refuses families above PAIRWISE_CHECK_CAP members; the
+    dense up-set check in booleanlab covers those.
     """
     if t < 1:
         raise ValueError(f"threshold t={t} must be >= 1")
@@ -195,12 +223,7 @@ def is_t_intersecting(fam: Family, t: int = 1) -> bool:
         )
     if m < 2:
         return True
-    members = fam.members
-    for i in range(m - 1):
-        common = np.bitwise_count((members[i] & members[i + 1 :]).astype(np.uint64))
-        if int(common.min()) < t:
-            return False
-    return True
+    return _pairs_meet(fam.members, fam.members, t, triangle=True)
 
 
 def are_cross_intersecting(a: Family, b: Family) -> bool:
@@ -212,15 +235,18 @@ def are_cross_intersecting(a: Family, b: Family) -> bool:
         raise ValueError(f"mismatched ground sets: {a.n} != {b.n}")
     if len(a) == 0 or len(b) == 0:
         return True
-    small, large = (a.members, b.members) if len(a) <= len(b) else (b.members, a.members)
-    for m in small:
-        if bool(np.any((large & m) == 0)):
-            return False
-    return True
+    large, small = (a.members, b.members) if len(a) >= len(b) else (b.members, a.members)
+    return _pairs_meet(large, small, 1, triangle=False)
 
 
 def stats(fam: Family) -> FamilyStats:
-    """Degrees, max degree (smallest element on ties) and diversity."""
+    """Degrees, max degree (smallest element on ties) and diversity.
+
+    Every degree comes from one histogram per byte of the masks, read
+    little-endian whatever the host's byte order: bit b of byte B is
+    element 8B + b + 1, so that element's degree is the histogram's count
+    over the byte values with bit b set (a product with _BYTE_BITS).
+    """
     size = len(fam)
     if size == 0:
         return FamilyStats(
@@ -230,9 +256,11 @@ def stats(fam: Family) -> FamilyStats:
             max_degree_element=None,
             diversity=0,
         )
-    degrees = tuple(
-        int(np.count_nonzero(fam.members & (1 << i))) for i in range(fam.n)
-    )
+    octets = np.ascontiguousarray(fam.members, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    counts: list[int] = []
+    for byte in range((fam.n + 7) // 8):
+        counts += (np.bincount(octets[:, byte], minlength=256) @ _BYTE_BITS).tolist()
+    degrees = tuple(counts[: fam.n])
     max_degree = max(degrees)
     max_elt = degrees.index(max_degree) + 1
     return FamilyStats(

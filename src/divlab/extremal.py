@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitfam import Family, family_from_masks, ksubset_masks
+from .bitfam import MAX_GROUND, Family, family_from_masks, ksubset_masks
 
 
 @dataclass
@@ -83,9 +83,10 @@ def enumerate_maximal_intersecting(
     ``cap`` limits the output count; hitting it returns a partial list with
     complete=False.
     """
+    if not 1 <= n <= MAX_GROUND or not 0 <= k <= n:
+        raise ValueError(f"need 1 <= n <= {MAX_GROUND} and 0 <= k <= n, got n={n}, k={k}")
     masks = ksubset_masks(n, k)
     adj = _intersection_graph(masks)
-    masks = masks.tolist()
     nv = len(masks)
     out: list[list[int]] = []
     complete = True
@@ -113,9 +114,8 @@ def enumerate_maximal_intersecting(
         return True
 
     expand([], (1 << nv) - 1 if nv else 0, 0)
-    families = [
-        family_from_masks(n, k, [masks[v] for v in clique]) for clique in out
-    ]
+    # the masks are distinct k-subsets of [n] by construction: sort, no checks
+    families = [Family(n=n, k=k, members=np.sort(masks[clique])) for clique in out]
     return MaximalEnumeration(families=families, complete=complete)
 
 

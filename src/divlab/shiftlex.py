@@ -13,6 +13,32 @@ import numpy as np
 from .bitfam import MAX_GROUND, Family, family_from_masks, ksubset_masks
 
 
+def _shift(members: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The (i,j)-shift of an ascending mask array: each member holding j but
+    not i becomes its image with i in place of j, unless the image is
+    present.  Returns ``members`` itself when no member moves."""
+    ibit, jbit = np.int64(1 << (i - 1)), np.int64(1 << (j - 1))
+    movable = (members & (ibit | jbit)) == jbit
+    images = members ^ (ibit | jbit)
+    pos = np.searchsorted(members, images).clip(max=len(members) - 1)
+    move = movable & (members[pos] != images)
+    if not move.any():
+        return members
+    out = np.where(move, images, members)
+    out.sort()
+    return out
+
+
+def _refamily(fam: Family, members: np.ndarray) -> Family:
+    """``fam`` if ``members`` is its own array, else the Family of the
+    shifted members, which must be as many as fam's."""
+    if members is fam.members:
+        return fam
+    out = family_from_masks(fam.n, fam.k, members)
+    assert len(out) == len(fam), "shift must preserve family size"
+    return out
+
+
 def shift_family(fam: Family, i: int, j: int) -> Family:
     """The (i,j)-shift: move each member unless its image is already present.
 
@@ -20,31 +46,35 @@ def shift_family(fam: Family, i: int, j: int) -> Family:
     """
     if not 1 <= i < j <= fam.n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={fam.n}")
-    members = fam.members
-    if len(members) == 0:
-        return fam
-    ibit, jbit = np.int64(1 << (i - 1)), np.int64(1 << (j - 1))
-    movable = ((members & jbit) != 0) & ((members & ibit) == 0)
-    images = (members ^ jbit) | ibit
-    pos = np.searchsorted(members, images).clip(max=len(members) - 1)
-    image_in_fam = members[pos] == images
-    moved = np.where(movable & ~image_in_fam, images, members)
-    out = family_from_masks(fam.n, fam.k, moved)
-    assert len(out) == len(fam), "shift must preserve family size"
-    return out
+    return _refamily(fam, _shift(fam.members, i, j))
 
 
 def is_shifted(fam: Family) -> bool:
-    """True iff every (i,j)-shift fixes the family."""
-    for j in range(2, fam.n + 1):
-        for i in range(1, j):
-            if shift_family(fam, i, j) != fam:
-                return False
-    return True
+    """True iff every (i,j)-shift fixes the family.
+
+    It suffices to check the adjacent shifts (a, a+1), all n - 1 of them in
+    one pass: a member with a+1 but not a must find its image (a+1 replaced
+    by a) in the family.  Proof that adjacent stability gives (i,j)-stability
+    for every i < j, any family, by induction on j - i: take a member G with
+    j in G, i not in G.  If j - 1 is not in G, the (j-1, j)-shift gives
+    G' = G - j + (j-1) in the family, and induction on (i, j-1) moves G' to
+    G - j + i.  If j - 1 is in G (so i < j - 1), induction on (i, j-1) gives
+    G'' = G - (j-1) + i, which holds j but not j - 1, and the (j-1, j)-shift
+    moves it to G - j + i.  So each step walks an element of G in (i, j]
+    down one free place.
+    """
+    members = fam.members
+    low = np.left_shift(np.int64(1), np.arange(fam.n - 1, dtype=np.int64))
+    pair = low | (low << 1)
+    hits = members[:, None] & pair
+    images = (members[:, None] ^ pair)[hits == (low << 1)]
+    pos = np.searchsorted(members, images).clip(max=len(members) - 1)
+    return bool(np.all(members[pos] == images))
 
 
 def shift_closure(fam: Family) -> Family:
-    """One sweep of (i,j)-shifts, pairs in lex order (i, then j, ascending).
+    """One sweep of (i,j)-shifts, pairs in lex order (i, then j, ascending),
+    on the raw mask array; the Family is built once, at the end.
 
     The result is shifted, and it is the fixed point of the loop that
     restarts the lex sweep at (1,2) after every effective shift, by this
@@ -56,10 +86,11 @@ def shift_closure(fam: Family) -> Family:
     So effective shifts only ever come in strictly increasing pair order,
     and after the last pair every pair fixes the family.
     """
+    members = fam.members
     for i in range(1, fam.n):
         for j in range(i + 1, fam.n + 1):
-            fam = shift_family(fam, i, j)
-    return fam
+            members = _shift(members, i, j)
+    return _refamily(fam, members)
 
 
 def _lex_prefix(m: int, k: int, n: int) -> np.ndarray:

@@ -141,6 +141,12 @@ def shift_sets(sets, i, j):
     return out
 
 
+def is_shifted_by_pairs(sets, n):
+    """Every (i,j)-shift, i < j <= n, fixes the family."""
+    sets = set(sets)
+    return all(shift_sets(sets, i, j) == sets for i, j in combinations(range(1, n + 1), 2))
+
+
 def shift_closure_by_restart(sets, n):
     """Shift to a fixed point, restarting the lex pair sweep at (1,2) after
     every shift that changes the family."""

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab.bitfam import (
+    PAIR_BLOCK,
     Family,
     are_cross_intersecting,
     elements_of_mask,
@@ -24,6 +25,7 @@ from divlab.errors import ResourceCapError
 from conftest import small_families
 from oracles import (
     all_ksets,
+    cross_intersecting,
     degrees_by_scan,
     diversity_by_scan,
     family_as_sets,
@@ -92,6 +94,70 @@ def test_pairwise_cap_refused():
     fam = family_from_masks(17, None, np.arange(1, (1 << 16) + 2, dtype=np.int64))
     with pytest.raises(ResourceCapError, match="booleanlab"):
         is_t_intersecting(fam, 1)
+
+
+def _fat_family():
+    """The 7- to 11-subsets of [11] on the ground set [13]: 562 members,
+    pairwise meeting in at least 3 elements, so a pairwise check needs more
+    than one row block."""
+    masks = [m for m in range(1 << 11) if m.bit_count() >= 7]
+    assert len(masks) > 257 and PAIR_BLOCK // len(masks) < len(masks)
+    return masks
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_is_t_intersecting_across_row_blocks(t):
+    fat = _fat_family()
+    # A = {1..5, 12} and B = {6..10, 13} each meet every fat set, but not
+    # each other; they are the two largest masks, so at t = 1 only the last
+    # row block fails
+    a = mask_from_elements([1, 2, 3, 4, 5, 12], 13)
+    b = mask_from_elements([6, 7, 8, 9, 10, 13], 13)
+    cases = [
+        fat,
+        fat + [a],
+        fat + [a, b],
+        fat + [0],  # the empty set meets nothing
+        fat + [(1 << 13) - 1],
+    ]
+    for masks in cases:
+        fam = family_from_masks(13, None, masks)
+        want = pairwise_t_intersecting(family_as_sets(fam), t)
+        assert is_t_intersecting(fam, t) == want
+    assert is_t_intersecting(family_from_masks(13, None, fat), t) == (t <= 3)
+    assert not is_t_intersecting(family_from_masks(13, None, fat + [a, b]), t)
+
+
+@given(small_families(), st.integers(0, (1 << 10) - 1), st.lists(st.integers(0, (1 << 10) - 1), max_size=24))
+@settings(max_examples=150)
+def test_cross_intersecting_matches_oracle(fam, salt, raw):
+    other = family_from_masks(fam.n, None, [(m ^ salt) & ((1 << fam.n) - 1) for m in raw])
+    want = cross_intersecting(family_as_sets(fam), family_as_sets(other))
+    assert are_cross_intersecting(fam, other) == want
+    assert are_cross_intersecting(other, fam) == want
+
+
+def test_cross_intersecting_across_row_blocks():
+    fat = _fat_family()
+    # 300 sets with at least 5 elements of [11] meet every fat set; the set
+    # {12} is the largest mask, so it fails only in the last row block
+    partner = [m for m in range(1 << 13) if (m & 0x7FF).bit_count() >= 5][:300]
+    late = 1 << 11
+    for rows, cols, want in ((fat, partner, True), (fat + [late], partner, False)):
+        a, b = family_from_masks(13, None, rows), family_from_masks(13, None, cols)
+        assert cross_intersecting(family_as_sets(a), family_as_sets(b)) == want
+        assert are_cross_intersecting(a, b) == are_cross_intersecting(b, a) == want
+
+
+def test_stats_degrees_at_n63_with_top_bit():
+    rng = np.random.default_rng(63)
+    masks = rng.integers(0, 1 << 62, size=300, dtype=np.int64) | np.int64(1 << 62)
+    masks[::3] &= (1 << 62) - 1  # a third without element 63
+    fam = family_from_masks(63, None, masks)
+    deg = degrees_by_scan(family_as_sets(fam), 63)
+    st_ = stats(fam)
+    assert list(st_.degrees) == [deg[e] for e in range(1, 64)]
+    assert 0 < st_.degrees[62] < len(fam)
 
 
 def test_cross_intersecting_examples():

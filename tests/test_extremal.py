@@ -1,8 +1,9 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
-from divlab.bitfam import is_t_intersecting, stats
+from divlab.bitfam import family_from_masks, is_t_intersecting, stats
 from divlab.constructions import build_hub_block_family, build_window_majority
 from divlab.extremal import enumerate_maximal_intersecting, max_diversity_search
 
@@ -73,6 +74,36 @@ def test_enumeration_7_3_soundness_and_count():
     # regression pins, from this enumeration (witness verified by hand scan)
     assert len(enum.families) == 6127
     assert max(stats(f).diversity for f in enum.families) == 5
+
+
+@pytest.mark.parametrize(
+    "n,k,digest",
+    [
+        (5, 2, "813a57c56de7b8fddfb79a420ad19d6f6316d666dfd117f38334ceffa63dc0cd"),
+        (6, 2, "0341dbf6c833d5f6c2584b11a1776a8335e31c3f04dc321bdfa35bfc268fe53b"),
+        (6, 3, "207e22e6a53c88b2b3d52cc369295f7863f7370bab7f4b35877fe4b5503a7bbc"),
+        (7, 3, "d905c9dd64db4b38f6dd25b176146659d83ecea01e9760685811b3fb70b8858e"),
+        (8, 2, "36b86d64ec365f286f3fdd5d6af45fc7f0026da2d498a3a2645dcc78c45bbb3b"),
+    ],
+)
+def test_enumeration_output_identity(n, k, digest):
+    # sha256 of n, k, dtype and members of every family in output order,
+    # recorded when each family was built by the validating
+    # family_from_masks; the unvalidated construction must match it
+    families = enumerate_maximal_intersecting(n, k).families
+    h = hashlib.sha256()
+    for f in families:
+        h.update(f"{f.n} {f.k} {f.members.dtype.str} {f.members.tolist()}\n".encode())
+    assert h.hexdigest() == digest
+    for f in families[:: max(1, len(families) // 50)]:
+        assert f == family_from_masks(n, k, f.members)
+        assert not f.members.flags.writeable
+
+
+@pytest.mark.parametrize("n,k", [(0, 0), (3, 4), (64, 2), (4, -1)])
+def test_enumeration_refuses_bad_parameters(n, k):
+    with pytest.raises(ValueError):
+        enumerate_maximal_intersecting(n, k)
 
 
 def test_enumeration_cap_flags_partial():

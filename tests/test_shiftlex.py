@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -16,8 +17,13 @@ from divlab.shiftlex import (
     shift_family,
 )
 
-from conftest import small_intersecting_families
-from oracles import family_as_sets, lex_sorted_ksets, shift_closure_by_restart
+from conftest import small_families, small_intersecting_families
+from oracles import (
+    family_as_sets,
+    is_shifted_by_pairs,
+    lex_sorted_ksets,
+    shift_closure_by_restart,
+)
 
 
 def test_shift_set_cases():
@@ -98,6 +104,38 @@ def test_shift_closure_equals_restart_loop_on_seeded_batch():
     for fam in families:
         want = shift_closure_by_restart(family_as_sets(fam), fam.n)
         assert set(family_as_sets(shift_closure(fam))) == want
+
+
+@given(small_families(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_is_shifted_matches_all_pairs_oracle(fam, close):
+    # uniform and non-uniform families on n <= 10; half of them are first
+    # replaced by their shift closure, so both answers are drawn often
+    if close:
+        closed = shift_closure_by_restart(family_as_sets(fam), fam.n)
+        fam = make_family(fam.n, fam.k, closed)
+    assert is_shifted(fam) == is_shifted_by_pairs(family_as_sets(fam), fam.n)
+
+
+def _digest(families):
+    h = hashlib.sha256()
+    for f in families:
+        h.update(f"{f.n} {f.k} {f.members.dtype.str} {f.members.tolist()}\n".encode())
+    return h.hexdigest()
+
+
+def test_shift_closure_output_identity_on_criterion_12_batch():
+    # the 200 random (10, 4) families of criterion 12 (seed 1202); the digest
+    # of n, k, dtype and members was recorded from the closure that built a
+    # validated Family after every shift, so the array-level sweep must
+    # reproduce it bit for bit
+    rng = random.Random(1202)
+    families = [random_intersecting_family(10, 4, rng) for _ in range(200)]
+    closures = [shift_closure(f) for f in families]
+    assert _digest(closures) == "393ffac64e7975d68f3dad63ca17521e50ea49dbd66ae6b6951b80e8d573bac3"
+    for fam, closed in zip(families, closures):
+        assert closed == family_from_masks(fam.n, fam.k, closed.members)
+        assert not closed.members.flags.writeable
 
 
 @given(small_intersecting_families(), st.integers(1, 8), st.integers(2, 9))
