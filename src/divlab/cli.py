@@ -352,7 +352,7 @@ def cmd_extremal(args) -> Report:
 
 
 def cmd_verify_all(args) -> list[Report]:
-    return verify.run_all(quick=args.quick, seed=args.seed)
+    return verify.run_all(quick=args.quick)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-all", parents=[common], help="run the acceptance criteria")
     p_verify.add_argument("--quick", action="store_true", help="shrunken parameter ranges")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed of criteria 05, 09, 11 and 12 (default: each its own)")
 
     return parser
 

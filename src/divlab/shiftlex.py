@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .bitfam import MAX_GROUND, Family, family_from_masks, ksubset_masks
+from .bitfam import MAX_GROUND, PAIR_BLOCK, Family, family_from_masks, ksubset_masks
 
 
 def _shift(members: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -62,14 +62,21 @@ def is_shifted(fam: Family) -> bool:
     G'' = G - (j-1) + i, which holds j but not j - 1, and the (j-1, j)-shift
     moves it to G - j + i.  So each step walks an element of G in (i, j]
     down one free place.
+
+    Members go in blocks of about PAIR_BLOCK (member, a) entries, so the
+    temporaries stay small whatever the family's size.
     """
     members = fam.members
     low = np.left_shift(np.int64(1), np.arange(fam.n - 1, dtype=np.int64))
-    pair = low | (low << 1)
-    hits = members[:, None] & pair
-    images = (members[:, None] ^ pair)[hits == (low << 1)]
-    pos = np.searchsorted(members, images).clip(max=len(members) - 1)
-    return bool(np.all(members[pos] == images))
+    high, pair = low << 1, low | (low << 1)
+    step = max(1, PAIR_BLOCK // max(1, low.size))
+    for s in range(0, members.size, step):
+        block = members[s:s + step, None]
+        images = (block ^ pair)[(block & pair) == high]
+        pos = np.searchsorted(members, images).clip(max=members.size - 1)
+        if not np.all(members[pos] == images):
+            return False
+    return True
 
 
 def shift_closure(fam: Family) -> Family:

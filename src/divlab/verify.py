@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -431,19 +431,5 @@ CRITERIA: list[tuple[str, Callable[[bool], Report]]] = [
 ]
 
 
-# The criteria that draw random inputs, each with its own default seed.
-SEEDED = (
-    criterion_05_lex_cross_pairs,
-    criterion_09_rho_stats,
-    criterion_11_triangle_chain,
-    criterion_12_shifting,
-)
-
-
-def run_all(quick: bool = False, seed: Optional[int] = None) -> list[Report]:
-    """Every criterion in order; ``seed``, when given, replaces the default
-    seed of each criterion in SEEDED."""
-    return [
-        fn(quick, seed=seed) if seed is not None and fn in SEEDED else fn(quick)
-        for _, fn in CRITERIA
-    ]
+def run_all(quick: bool = False) -> list[Report]:
+    return [fn(quick) for _, fn in CRITERIA]

@@ -2,11 +2,12 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divlab.bitfam import family_from_masks, is_t_intersecting, make_family, stats
+from divlab.bitfam import PAIR_BLOCK, family_from_masks, is_t_intersecting, make_family, stats
 from divlab.constructions import fano_plane, star
 from divlab.randfam import random_intersecting_family
 from divlab.shiftlex import (
@@ -115,6 +116,18 @@ def test_is_shifted_matches_all_pairs_oracle(fam, close):
         closed = shift_closure_by_restart(family_as_sets(fam), fam.n)
         fam = make_family(fam.n, fam.k, closed)
     assert is_shifted(fam) == is_shifted_by_pairs(family_as_sets(fam), fam.n)
+
+
+def test_is_shifted_across_member_blocks():
+    # the power set of [13] minus X = {10, 11, 12}: the one member that the
+    # (12, 13)-shift sends to X is {10, 11, 13}, beyond the first block
+    n, x, y = 13, 0b0111 << 9, 0b1011 << 9
+    whole = family_from_masks(n, None, range(1 << n))
+    holed = family_from_masks(n, None, [m for m in range(1 << n) if m != x])
+    assert int(np.searchsorted(holed.members, y)) >= PAIR_BLOCK // (n - 1)
+    for fam, want in ((whole, True), (holed, False)):
+        assert is_shifted_by_pairs(family_as_sets(fam), n) is want
+        assert is_shifted(fam) is want
 
 
 def _digest(families):
