@@ -70,7 +70,8 @@ class Family:
     members: np.ndarray
 
     def __post_init__(self) -> None:
-        self.members = np.asarray(self.members, dtype=np.int64)
+        # freeze a view, so that the caller's own array stays writeable
+        self.members = np.asarray(self.members, dtype=np.int64).view()
         self.members.setflags(write=False)
 
     def __len__(self) -> int:

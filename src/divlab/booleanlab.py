@@ -158,18 +158,10 @@ def _pivotal_counts(words: np.ndarray, j: int, b: int) -> np.ndarray:
     return _packed_weight_counts(words ^ _flip(words, b), j)
 
 
-def coordinate_influence(spec: JuntaSpec, i: int, p) -> Fraction:
-    """Influence of coordinate i at bias p: the measure of the points whose
-    membership flips with the coordinate."""
-    j = spec.center_size
-    if not 1 <= i <= j:
-        raise ValueError(f"coordinate {i} outside center [1, {j}]")
-    words, _ = _packed(spec.membership_table())
-    return _measure_from_weight_counts(_pivotal_counts(words, j, i - 1), j, p)
-
-
 def total_influence(spec: JuntaSpec, p) -> InfluenceProfile:
-    """All coordinate influences and their sum."""
+    """All coordinate influences and their sum; ``per_coordinate[i - 1]`` is
+    the influence of coordinate i at bias p, the measure of the points whose
+    membership flips with the coordinate."""
     words, j = _packed(spec.membership_table())
     per = [_measure_from_weight_counts(_pivotal_counts(words, j, b), j, p) for b in range(j)]
     return InfluenceProfile(per_coordinate=tuple(per), total=sum(per, Fraction(0)))

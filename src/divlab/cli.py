@@ -1,4 +1,20 @@
-"""Command-line front end and experiment orchestration.
+"""Command-line front end: ``divlab <command> <action> [options]``.
+
+    family       build | stats | check
+    decompose    (no action)
+    lemma-sweep  grid | check
+    lex          segment | partner-max
+    shift        closure | apply | is-shifted
+    boolean      mu | influence | gammap | counterexample-table
+    rho          exact | mc | profile
+    extremal     search | enumerate
+    verify-all   (no action)
+
+Each action has its own sub-parser, which declares exactly the options the
+action reads, with their defaults; argparse refuses every other option with
+exit code 2 and names it (``divlab <command> <action> --help`` lists them).
+``family build --kind`` is the one option whose value decides what else is
+read: a kind records only the options it uses.
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage error,
 3 resource-cap refusal.  Reports are written as JSON (--json), with every
@@ -80,26 +96,14 @@ def _cap_check(n: int, k: int) -> None:
         raise ResourceCapError(f"C({n},{k}) exceeds the enumeration cap 2^26")
 
 
-def _refuse_unread(args, names) -> None:
-    """Refuse the options among ``names`` (unset by default) that the action does not read."""
-    passed = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is not None]
-    if passed:
-        raise ValueError(f"{' '.join(passed)} not read by this {args.command} action")
-
-
-def _junta_for(args) -> JuntaSpec:
-    kind = args.family
-    if kind == "run-dominance":
-        return build_run_dominance_defining(args.r)
-    if kind == "window-majority":
-        return build_majority_defining(args.r)
-    if kind == "dictator":
-        return build_dictator_defining(2 * args.r + 1)
-    raise ValueError(f"unknown junta family {kind!r}")
+def _write_family(report: Report, fam: Family, path: Optional[str], what: str = "family") -> None:
+    if path:
+        save_family(fam, path)
+        report.note(f"{what} written to {path}")
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each returns a Report or a list of Reports)
+# action handlers (each returns a Report, verify-all a list of Reports)
 # ---------------------------------------------------------------------------
 
 
@@ -117,6 +121,13 @@ _FAMILY_KINDS = {
     ),
 }
 
+# junta family -> its defining spec on a (2r+1)-point centre
+_JUNTAS = {
+    "run-dominance": build_run_dominance_defining,
+    "window-majority": build_majority_defining,
+    "dictator": lambda r: build_dictator_defining(2 * r + 1),
+}
+
 
 def _stats_row(fam: Family, st: FamilyStats) -> dict:
     """The row that ``family build`` and ``family stats`` report."""
@@ -130,224 +141,199 @@ def _stats_row(fam: Family, st: FamilyStats) -> dict:
     }
 
 
-def cmd_family(args) -> Report:
-    if args.action == "build":
-        used, build = _FAMILY_KINDS[args.kind]
-        if "k" in used:
-            _cap_check(args.n, args.k)
-        fam = build(args)
-        params = {"kind": args.kind, **{name: getattr(args, name) for name in used}}
-        report = Report(command="family-build", parameters=params)
-        row = {**_stats_row(fam, stats(fam)), "intersecting": is_t_intersecting(fam, 1)}
-        report.add_table("rows", [row])
-        if args.out:
-            save_family(fam, args.out)
-            report.note(f"family written to {args.out}")
-        return report.finish()
-    if args.action == "stats":
-        params = {"in": args.infile}
-        fam = load_family(args.infile)
-        st = stats(fam)
-        report = Report(command="family-stats", parameters=params)
-        report.add_table("rows", [_stats_row(fam, st)])
-        report.add_table(
-            "degrees", [{"element": i + 1, "degree": d} for i, d in enumerate(st.degrees)]
-        )
-        return report.finish()
-    if args.action == "check":
-        params = {"in": args.infile, "t": args.t, "cross": args.cross}
-        fam = load_family(args.infile)
-        report = Report(command="family-check", parameters=params)
-        if args.cross:
-            other = load_family(args.cross)
-            report.check("cross_intersecting", True, are_cross_intersecting(fam, other))
-        else:
-            report.check(f"{args.t}_intersecting", True, is_t_intersecting(fam, args.t))
-        return report.finish()
-    raise ValueError(f"unknown family action {args.action!r}")
+def cmd_family_build(args) -> Report:
+    used, build = _FAMILY_KINDS[args.kind]
+    if "k" in used:
+        _cap_check(args.n, args.k)
+    fam = build(args)
+    params = {"kind": args.kind, **{name: getattr(args, name) for name in used}}
+    report = Report(command="family-build", parameters=params)
+    row = {**_stats_row(fam, stats(fam)), "intersecting": is_t_intersecting(fam, 1)}
+    report.add_table("rows", [row])
+    _write_family(report, fam, args.out)
+    return report.finish()
+
+
+def cmd_family_stats(args) -> Report:
+    fam = load_family(args.infile)
+    st = stats(fam)
+    report = Report(command="family-stats", parameters={"in": args.infile})
+    report.add_table("rows", [_stats_row(fam, st)])
+    report.add_table("degrees", [{"element": i + 1, "degree": d} for i, d in enumerate(st.degrees)])
+    return report.finish()
+
+
+def cmd_family_check(args) -> Report:
+    fam = load_family(args.infile)
+    params = {"in": args.infile, "t": args.t, "cross": args.cross}
+    report = Report(command="family-check", parameters=params)
+    if args.cross:
+        other = load_family(args.cross)
+        report.check("cross_intersecting", True, are_cross_intersecting(fam, other))
+    else:
+        report.check(f"{args.t}_intersecting", True, is_t_intersecting(fam, args.t))
+    return report.finish()
 
 
 def cmd_decompose(args) -> Report:
-    fam = load_family(args.infile)
-    return bounds.verify_triangle_chain(fam)
+    return bounds.verify_triangle_chain(load_family(args.infile))
 
 
-def cmd_lemma_sweep(args) -> Report:
-    single = args.m is not None
-    used = ("m", "a", "b", "cprime") if single else ("m_max", "a_max", "b_max", "cprime_list")
-    params = {name: getattr(args, name) for name in used}
+def cmd_lemma_check(args) -> Report:
+    params = {"m": args.m, "a": args.a, "b": args.b, "cprime": args.cprime}
     report = Report(command="lemma-sweep", parameters=params)
-    if single:
-        if args.a is None or args.b is None:
-            raise ValueError("lemma-sweep --m needs --a and --b")
-        rep = bounds.verify_cross_weighted_bound(args.m, args.a, args.b, args.cprime)
-        report.add_table("rows", rep.rows)
-        report.check("violations", 0, len(rep.violations))
-        report.check("worst_slack_nonnegative", True, rep.worst_slack >= 0)
-    else:
-        rows = bounds.cross_bound_sweep(
-            args.m_max, args.a_max, args.b_max, tuple(args.cprime_list)
-        )
-        report.add_table("rows", rows)
-        report.check("violations", 0, sum(row["violations"] for row in rows))
+    rep = bounds.verify_cross_weighted_bound(args.m, args.a, args.b, args.cprime)
+    report.add_table("rows", rep.rows)
+    report.check("violations", 0, len(rep.violations))
+    report.check("worst_slack_nonnegative", True, rep.worst_slack >= 0)
     return report.finish()
 
 
-def cmd_lex(args) -> Report:
-    params = {"op": args.op}
-    if args.op == "segment":
-        params.update({"m": args.m, "k": args.k, "n": args.n})
-        seg = shiftlex.lex_segment(args.m, args.k, args.n)
-        report = Report(command="lex-segment", parameters=params)
-        report.add_table(
-            "rows", [{"set": ",".join(map(str, s))} for s in seg.member_sets()]
-        )
-        return report.finish()
-    if args.op == "partner-max":
-        params.update({"b_size": args.b_size, "a": args.a, "b": args.b, "m": args.m})
-        value = shiftlex.lex_partner_max(args.b_size, args.a, args.b, args.m)
-        report = Report(command="lex-partner-max", parameters=params)
-        report.add_table("rows", [{"a_max": value}])
-        return report.finish()
-    raise ValueError(f"unknown lex op {args.op!r}")
+def cmd_lemma_grid(args) -> Report:
+    params = {"m_max": args.m_max, "a_max": args.a_max, "b_max": args.b_max,
+              "cprime_list": args.cprime_list}
+    report = Report(command="lemma-sweep", parameters=params)
+    rows = bounds.cross_bound_sweep(args.m_max, args.a_max, args.b_max, tuple(args.cprime_list))
+    report.add_table("rows", rows)
+    report.check("violations", 0, sum(row["violations"] for row in rows))
+    return report.finish()
 
 
-def cmd_shift(args) -> Report:
-    params = {"in": args.infile, "op": args.op, "i": args.i, "j": args.j}
+def cmd_lex_segment(args) -> Report:
+    params = {"op": "segment", "m": args.m, "k": args.k, "n": args.n}
+    seg = shiftlex.lex_segment(args.m, args.k, args.n)
+    report = Report(command="lex-segment", parameters=params)
+    report.add_table("rows", [{"set": ",".join(map(str, s))} for s in seg.member_sets()])
+    return report.finish()
+
+
+def cmd_lex_partner_max(args) -> Report:
+    params = {"op": "partner-max", "b_size": args.b_size, "a": args.a, "b": args.b, "m": args.m}
+    value = int(shiftlex.lex_partner_maxima(args.b_size, args.a, args.b, args.m)[-1])
+    report = Report(command="lex-partner-max", parameters=params)
+    report.add_table("rows", [{"a_max": value}])
+    return report.finish()
+
+
+def cmd_shift_closure(args) -> Report:
     fam = load_family(args.infile)
-    report = Report(command=f"shift-{args.op}", parameters=params)
-    if args.op == "closure":
-        out = shiftlex.shift_closure(fam)
-        report.check("closure_is_shifted", True, shiftlex.is_shifted(out))
-        report.check("size_preserved", len(fam), len(out))
-    elif args.op == "apply":
-        if args.i is None or args.j is None:
-            raise ValueError("shift apply needs --i and --j")
-        out = shiftlex.shift_family(fam, args.i, args.j)
-        report.check("size_preserved", len(fam), len(out))
-    elif args.op == "is-shifted":
-        report.add_table("rows", [{"is_shifted": shiftlex.is_shifted(fam)}])
-        out = None
-    else:
-        raise ValueError(f"unknown shift op {args.op!r}")
-    if args.out and out is not None:
-        save_family(out, args.out)
-        report.note(f"family written to {args.out}")
+    report = Report(command="shift-closure", parameters={"in": args.infile, "op": "closure"})
+    out = shiftlex.shift_closure(fam)
+    report.check("closure_is_shifted", True, shiftlex.is_shifted(out))
+    report.check("size_preserved", len(fam), len(out))
+    _write_family(report, out, args.out)
     return report.finish()
 
 
-def cmd_boolean(args) -> Report:
-    if args.action == "counterexample-table":
-        _refuse_unread(args, ("family", "p", "i"))
-        return bl.counterexample_table(parse_r_range(args.r))
-    _refuse_unread(args, () if args.action == "influence" else ("i",))
-    r_values = parse_r_range(args.r)
-    if len(r_values) != 1:
-        raise ValueError(f"{args.action} takes a single r, got {args.r!r}")
-    args.r = r_values[0]
-    args.family = args.family or "run-dominance"
-    spec_params = {"family": args.family, "r": args.r}
-    spec = _junta_for(args)
-    p = parse_bias("1/2" if args.p is None else args.p)
-    if args.action == "mu":
-        m = bl.biased_measure(spec, p)
-        report = Report(command="boolean-mu", parameters={**spec_params, "p": p})
-        report.add_table("rows", [{"mu_exact": m, "mu": float(m)}])
-        return report.finish()
-    if args.action == "influence":
-        report = Report(
-            command="boolean-influence",
-            parameters={**spec_params, "p": p},
-        )
-        if args.i is not None:
-            m = bl.coordinate_influence(spec, args.i, p)
-            report.add_table("rows", [{"i": args.i, "influence_exact": m, "influence": float(m)}])
-        else:
-            prof = bl.total_influence(spec, p)
-            rows = [
-                {"i": i + 1, "influence_exact": m, "influence": float(m)}
-                for i, m in enumerate(prof.per_coordinate)
-            ]
-            rows.append({"i": "total", "influence_exact": prof.total, "influence": float(prof.total)})
-            report.add_table("rows", rows)
-        return report.finish()
-    if args.action == "gammap":
-        m = bl.biased_diversity(spec, p)
-        report = Report(command="boolean-gammap", parameters={**spec_params, "p": p})
-        report.add_table("rows", [{"gamma_p_exact": m, "gamma_p": float(m)}])
-        return report.finish()
-    raise ValueError(f"unknown boolean action {args.action!r}")
+def cmd_shift_apply(args) -> Report:
+    fam = load_family(args.infile)
+    params = {"in": args.infile, "op": "apply", "i": args.i, "j": args.j}
+    report = Report(command="shift-apply", parameters=params)
+    out = shiftlex.shift_family(fam, args.i, args.j)
+    report.check("size_preserved", len(fam), len(out))
+    _write_family(report, out, args.out)
+    return report.finish()
 
 
-def cmd_rho(args) -> Report:
-    if args.action == "dist":
-        length = 11 if args.L is None else args.L
-        mode = args.mode or "exact"
-        _refuse_unread(args, ("word", "t") + (("samples", "seed") if mode == "exact" else ()))
-        return runstat.rho_distribution(length, mode, args.samples, args.seed)
-    if args.action == "profile":
-        _refuse_unread(args, ("samples", "seed", "L", "mode"))
-        mask, length = word_from_string(args.word)
-        if args.t is not None and args.t < 1:
-            raise ValueError(f"run length threshold t={args.t} must be >= 1")
-        params = {"word": args.word, "t": args.t}
-        profile = runstat.run_profile(mask, length)
-        tie, dominant, _, _ = runstat.scan_words([mask], length)
-        report = Report(command="rho-profile", parameters=params)
-        row = {
-            "ones_runs": ",".join(map(str, profile.ones)),
-            "zeros_runs": ",".join(map(str, profile.zeros)),
-            "weight": profile.weight,
-            "tie_len": int(tie[0]),
-            # even length lets the profiles tie outright: no dominance there
-            "ones_dominant": None if length % 2 == 0 else bool(dominant[0]),
-        }
-        if args.t is not None:
-            row[f"runs_ge_{args.t}"] = sum(run >= args.t for run in profile.ones + profile.zeros)
-        report.add_table("rows", [row])
-        return report.finish()
-    raise ValueError(f"unknown rho action {args.action!r}")
+def cmd_shift_is_shifted(args) -> Report:
+    fam = load_family(args.infile)
+    report = Report(command="shift-is-shifted", parameters={"in": args.infile, "op": "is-shifted"})
+    report.add_table("rows", [{"is_shifted": shiftlex.is_shifted(fam)}])
+    return report.finish()
 
 
-def cmd_extremal(args) -> Report:
-    _refuse_unread(args, ("emit_witness", "budget") if args.enumerate else ("cap",))
-    budget = 60.0 if args.budget is None else args.budget
-    mode_param = {"cap": args.cap} if args.enumerate else {"budget": budget}
-    params = {"n": args.n, "k": args.k, "enumerate": args.enumerate, **mode_param}
-    report = Report(command="extremal", parameters=params)
-    if args.enumerate:
-        enum = extremal.enumerate_maximal_intersecting(args.n, args.k, cap=args.cap)
-        best = max((stats(f).diversity for f in enum.families), default=0)
-        report.add_table(
-            "rows",
-            [
-                {
-                    "maximal_families": len(enum.families),
-                    "max_diversity": best,
-                    "complete": enum.complete,
-                }
-            ],
-        )
-        if not enum.complete:
-            report.note("enumeration stopped at the cap; results are partial")
-        return report.finish()
-    res = extremal.max_diversity_search(args.n, args.k, budget_seconds=budget)
-    report.add_table(
-        "rows",
-        [
-            {
-                "best_diversity": res.best_diversity,
-                "complete": res.complete,
-                "node_count": res.node_count,
-                "elapsed_s": res.elapsed_s,
-                "witness_size": len(res.witness),
-            }
-        ],
-    )
+def _junta_report(args) -> tuple[JuntaSpec, Fraction, Report]:
+    """The junta spec, the bias and the report that ``boolean`` records them in."""
+    p = parse_bias(args.p)
+    spec = _JUNTAS[args.family](args.r)
+    params = {"family": args.family, "r": args.r, "p": p}
+    return spec, p, Report(command=f"boolean-{args.action}", parameters=params)
+
+
+# boolean action -> (its exact quantity, the column it reports)
+_BIASED_VALUES = {"mu": (bl.biased_measure, "mu"), "gammap": (bl.biased_diversity, "gamma_p")}
+
+
+def cmd_boolean_value(args) -> Report:
+    spec, p, report = _junta_report(args)
+    quantity, column = _BIASED_VALUES[args.action]
+    m = quantity(spec, p)
+    report.add_table("rows", [{f"{column}_exact": m, column: float(m)}])
+    return report.finish()
+
+
+def cmd_boolean_influence(args) -> Report:
+    spec, p, report = _junta_report(args)
+    prof = bl.total_influence(spec, p)
+    rows = [
+        {"i": i, "influence_exact": m, "influence": float(m)}
+        for i, m in enumerate(prof.per_coordinate, start=1)
+    ]
+    if args.i is None:
+        rows.append({"i": "total", "influence_exact": prof.total, "influence": float(prof.total)})
+    elif 1 <= args.i <= len(rows):
+        rows = [rows[args.i - 1]]
+    else:
+        raise ValueError(f"coordinate --i {args.i} outside the centre [1, {len(rows)}]")
+    report.add_table("rows", rows)
+    return report.finish()
+
+
+def cmd_counterexample_table(args) -> Report:
+    return bl.counterexample_table(parse_r_range(args.r))
+
+
+def cmd_rho_exact(args) -> Report:
+    return runstat.rho_distribution(args.L, "exact")
+
+
+def cmd_rho_mc(args) -> Report:
+    return runstat.rho_distribution(args.L, "mc", args.samples, args.seed)
+
+
+def cmd_rho_profile(args) -> Report:
+    mask, length = word_from_string(args.word)
+    if args.t is not None and args.t < 1:
+        raise ValueError(f"run length threshold t={args.t} must be >= 1")
+    profile = runstat.run_profile(mask, length)
+    tie, dominant, _, _ = runstat.scan_words([mask], length)
+    report = Report(command="rho-profile", parameters={"word": args.word, "t": args.t})
+    row = {
+        "ones_runs": ",".join(map(str, profile.ones)),
+        "zeros_runs": ",".join(map(str, profile.zeros)),
+        "weight": profile.weight,
+        "tie_len": int(tie[0]),
+        # even length lets the profiles tie outright: no dominance there
+        "ones_dominant": None if length % 2 == 0 else bool(dominant[0]),
+    }
+    if args.t is not None:
+        row[f"runs_ge_{args.t}"] = sum(run >= args.t for run in profile.ones + profile.zeros)
+    report.add_table("rows", [row])
+    return report.finish()
+
+
+def cmd_extremal_search(args) -> Report:
+    params = {"n": args.n, "k": args.k, "budget": args.budget}
+    report = Report(command="extremal-search", parameters=params)
+    res = extremal.max_diversity_search(args.n, args.k, budget_seconds=args.budget)
+    row = {"best_diversity": res.best_diversity, "complete": res.complete,
+           "node_count": res.node_count, "elapsed_s": res.elapsed_s,
+           "witness_size": len(res.witness)}
+    report.add_table("rows", [row])
     report.check("witness_diversity_consistent", res.best_diversity, stats(res.witness).diversity)
-    if args.emit_witness:
-        save_family(res.witness, args.emit_witness)
-        report.note(f"witness written to {args.emit_witness}")
+    _write_family(report, res.witness, args.emit_witness, "witness")
+    return report.finish()
+
+
+def cmd_extremal_enumerate(args) -> Report:
+    params = {"n": args.n, "k": args.k, "cap": args.cap}
+    report = Report(command="extremal-enumerate", parameters=params)
+    enum = extremal.enumerate_maximal_intersecting(args.n, args.k, cap=args.cap)
+    best = max((stats(f).diversity for f in enum.families), default=0)
+    row = {"maximal_families": len(enum.families), "max_diversity": best, "complete": enum.complete}
+    report.add_table("rows", [row])
+    if not enum.complete:
+        report.note("enumeration stopped at the cap; results are partial")
     return report.finish()
 
 
@@ -361,107 +347,119 @@ def cmd_verify_all(args) -> list[Report]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per action, declaring exactly the options it reads."""
+    report_io = argparse.ArgumentParser(add_help=False)
+    report_io.add_argument("--json", dest="json_path", help="write the report as JSON")
+    report_io.add_argument("--csv", dest="csv_path", help="write result tables as CSV")
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--in", dest="infile", required=True, help="family file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the resulting family to this file")
+    junta = argparse.ArgumentParser(add_help=False)
+    junta.add_argument("--family", choices=list(_JUNTAS), default="run-dominance")
+    junta.add_argument("--r", type=int, default=2, help="window parameter: a (2r+1)-point centre")
+    junta.add_argument("--p", default="1/2", help="bias, exact: a fraction '2/5' or a decimal '0.4'")
+    word_length = argparse.ArgumentParser(add_help=False)
+    word_length.add_argument("--L", type=int, default=11, help="word length")
+    nk = argparse.ArgumentParser(add_help=False)
+    nk.add_argument("--n", type=int, required=True)
+    nk.add_argument("--k", type=int, required=True)
+
     parser = argparse.ArgumentParser(
         prog="divlab",
         description="Exact verification workbench for diversity of intersecting families",
+        allow_abbrev=False,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", dest="json_path", default=None, help="write the report as JSON")
-    common.add_argument("--csv", dest="csv_path", default=None, help="write result tables as CSV")
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    def action(actions, name: str, run, *parents, help=None) -> argparse.ArgumentParser:
+        p = actions.add_parser(name, help=help, parents=[report_io, *parents], allow_abbrev=False)
+        p.set_defaults(run=run)
+        return p
 
-    p_family = sub.add_parser("family", parents=[common], help="build, inspect or check families")
-    p_family.add_argument("action", choices=["build", "stats", "check"])
-    p_family.add_argument("--kind", default="hub-block",
-                          choices=list(_FAMILY_KINDS))
-    p_family.add_argument("--n", type=int, default=7)
-    p_family.add_argument("--k", type=int, default=3)
-    p_family.add_argument("--u", type=int, default=2)
-    p_family.add_argument("--r", type=int, default=1)
-    p_family.add_argument("--t", type=int, default=1)
-    p_family.add_argument("--in", dest="infile", default=None)
-    p_family.add_argument("--cross", default=None, help="second family file for a cross check")
-    p_family.add_argument("--out", default=None)
+    def command(name: str, help: str):
+        """A command with actions; they are added to what this returns."""
+        p = commands.add_parser(name, help=help, allow_abbrev=False)
+        return p.add_subparsers(dest="action", required=True)
 
-    p_dec = sub.add_parser("decompose", parents=[common], help="triangle-center decomposition report")
-    p_dec.add_argument("--in", dest="infile", required=False, default=None)
+    family = command("family", "build, inspect or check families")
+    p = action(family, "build", cmd_family_build, out)
+    p.add_argument("--kind", default="hub-block", choices=list(_FAMILY_KINDS))
+    p.add_argument("--n", type=int, default=7)
+    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--u", type=int, default=2)
+    p.add_argument("--r", type=int, default=1)
+    action(family, "stats", cmd_family_stats, infile)
+    p = action(family, "check", cmd_family_check, infile)
+    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--cross", help="second family file for a cross check")
 
-    p_lemma = sub.add_parser("lemma-sweep", parents=[common], help="cross-intersecting weighted size bound sweep")
-    p_lemma.add_argument("--m", type=int, default=None)
-    p_lemma.add_argument("--a", type=int, default=None)
-    p_lemma.add_argument("--b", type=int, default=None)
-    p_lemma.add_argument("--cprime", type=int, default=2)
-    p_lemma.add_argument("--m-max", type=int, default=14)
-    p_lemma.add_argument("--a-max", type=int, default=4)
-    p_lemma.add_argument("--b-max", type=int, default=4)
-    p_lemma.add_argument("--cprime-list", type=int, nargs="+", default=[2, 3])
+    action(commands, "decompose", cmd_decompose, infile, help="triangle-center decomposition report")
 
-    p_lex = sub.add_parser("lex", parents=[common], help="lexicographic segments and partner scans")
-    p_lex.add_argument("--op", choices=["segment", "partner-max"], required=True)
-    p_lex.add_argument("--m", type=int, default=0)
-    p_lex.add_argument("--k", type=int, default=2)
-    p_lex.add_argument("--n", type=int, default=5)
-    p_lex.add_argument("--a", type=int, default=2)
-    p_lex.add_argument("--b", type=int, default=2)
-    p_lex.add_argument("--b-size", type=int, default=0)
+    lemma = command("lemma-sweep", "cross-intersecting weighted size bound")
+    p = action(lemma, "grid", cmd_lemma_grid)
+    p.add_argument("--m-max", type=int, default=14)
+    p.add_argument("--a-max", type=int, default=4)
+    p.add_argument("--b-max", type=int, default=4)
+    p.add_argument("--cprime-list", type=int, nargs="+", default=[2, 3])
+    p = action(lemma, "check", cmd_lemma_check)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--cprime", type=int, default=2)
 
-    p_shift = sub.add_parser("shift", parents=[common], help="(i,j)-shifts and shift closure")
-    p_shift.add_argument("--in", dest="infile", required=False, default=None)
-    p_shift.add_argument("--op", choices=["closure", "apply", "is-shifted"], default="closure")
-    p_shift.add_argument("--i", type=int, default=None)
-    p_shift.add_argument("--j", type=int, default=None)
-    p_shift.add_argument("--out", default=None)
+    lex = command("lex", "lexicographic segments and partner scans")
+    p = action(lex, "segment", cmd_lex_segment)
+    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--n", type=int, default=5)
+    p = action(lex, "partner-max", cmd_lex_partner_max)
+    p.add_argument("--b-size", type=int, default=0)
+    p.add_argument("--a", type=int, default=2)
+    p.add_argument("--b", type=int, default=2)
+    p.add_argument("--m", type=int, required=True)
 
-    p_bool = sub.add_parser("boolean", parents=[common], help="biased measures and influences on junta centers")
-    p_bool.add_argument("action", choices=["mu", "influence", "gammap", "counterexample-table"])
-    p_bool.add_argument("--family", choices=["run-dominance", "window-majority", "dictator"],
-                        help="junta family (default run-dominance)")
-    p_bool.add_argument("--r", default="2", help="window parameter, or a range like 2..10 for the table")
-    p_bool.add_argument("--p", help="bias, exact: a fraction '2/5' or a decimal '0.4' (default 1/2)")
-    p_bool.add_argument("--i", type=int, default=None, help="coordinate for influence")
+    shift = command("shift", "(i,j)-shifts and shift closure")
+    action(shift, "closure", cmd_shift_closure, infile, out)
+    p = action(shift, "apply", cmd_shift_apply, infile, out)
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    action(shift, "is-shifted", cmd_shift_is_shifted, infile)
 
-    p_rho = sub.add_parser("rho", parents=[common], help="run-profile tie statistics")
-    p_rho.add_argument("action", choices=["dist", "profile"])
-    p_rho.add_argument("--L", type=int, help="word length (default 11)")
-    p_rho.add_argument("--mode", choices=["exact", "mc"], help="default exact")
-    p_rho.add_argument("--samples", type=int, default=None)
-    p_rho.add_argument("--word", default=None, help="binary literal, leftmost char = position 1")
-    p_rho.add_argument("--t", type=int, default=None)
-    p_rho.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (mc mode)")
+    boolean = command("boolean", "biased measures and influences on junta centers")
+    action(boolean, "mu", cmd_boolean_value, junta)
+    p = action(boolean, "influence", cmd_boolean_influence, junta)
+    p.add_argument("--i", type=int, help="one coordinate (default: all, and their total)")
+    action(boolean, "gammap", cmd_boolean_value, junta)
+    p = action(boolean, "counterexample-table", cmd_counterexample_table)
+    p.add_argument("--r", default="2", help="r values: '5', a range '2..10' or a list '2,5,7'")
 
-    p_ext = sub.add_parser("extremal", parents=[common], help="maximum-diversity search")
-    p_ext.add_argument("--n", type=int, required=True)
-    p_ext.add_argument("--k", type=int, required=True)
-    p_ext.add_argument("--enumerate", action="store_true", help="enumerate maximal families instead of searching")
-    p_ext.add_argument("--cap", type=int, default=None)
-    p_ext.add_argument("--emit-witness", default=None)
-    p_ext.add_argument("--budget", type=float, help="search time budget in seconds (default 60)")
+    rho = command("rho", "run-profile tie statistics")
+    action(rho, "exact", cmd_rho_exact, word_length)
+    p = action(rho, "mc", cmd_rho_mc, word_length)
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    p = action(rho, "profile", cmd_rho_profile)
+    p.add_argument("--word", required=True, help="binary literal, leftmost char = position 1")
+    p.add_argument("--t", type=int, help="also count the runs of length at least t")
 
-    p_verify = sub.add_parser("verify-all", parents=[common], help="run the acceptance criteria")
-    p_verify.add_argument("--quick", action="store_true", help="shrunken parameter ranges")
+    ext = command("extremal", "maximum-diversity search")
+    p = action(ext, "search", cmd_extremal_search, nk)
+    p.add_argument("--budget", type=float, default=60.0, help="time budget in seconds")
+    p.add_argument("--emit-witness", help="write the best family found to this file")
+    p = action(ext, "enumerate", cmd_extremal_enumerate, nk)
+    p.add_argument("--cap", type=int, help="stop after this many maximal families")
+
+    p = action(commands, "verify-all", cmd_verify_all, help="run the acceptance criteria")
+    p.add_argument("--quick", action="store_true", help="shrunken parameter ranges")
 
     return parser
 
 
-_HANDLERS = {
-    "family": cmd_family,
-    "decompose": cmd_decompose,
-    "lemma-sweep": cmd_lemma_sweep,
-    "lex": cmd_lex,
-    "shift": cmd_shift,
-    "boolean": cmd_boolean,
-    "rho": cmd_rho,
-    "extremal": cmd_extremal,
-    "verify-all": cmd_verify_all,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        result = _HANDLERS[args.command](args)
+        result = args.run(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
@@ -473,20 +471,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     for rep in reports:
         for line in rep.summary_lines():
             print(line)
-    if args.command == "verify-all":
-        combined = Report(command="verify-all", parameters={"quick": args.quick})
-        for rep in reports:
-            combined.check(rep.command, True, rep.ok)
-        combined.add_table(
-            "criteria",
-            [
-                {"criterion": rep.command, "ok": rep.ok, "duration_s": rep.duration_s}
-                for rep in reports
-            ],
-        )
-        combined.finish()
-        reports = reports + [combined]
-        print(f"verify-all: {'PASS' if combined.ok else 'FAIL'}")
     if args.json_path:
         if len(reports) == 1:
             reports[0].write_json(args.json_path)
@@ -495,8 +479,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 json.dump({"schema": 1, "reports": [r.to_json_dict() for r in reports]}, fh, indent=2)
                 fh.write("\n")
     if args.csv_path:
-        target = reports[-1] if args.command == "verify-all" else reports[0]
-        target.write_csv(args.csv_path)
+        reports[-1].write_csv(args.csv_path)
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -139,8 +139,3 @@ def lex_partner_maxima(b_size: int, a: int, b: int, m: int) -> np.ndarray:
     ranks = order[np.searchsorted(a_masks[order], free ^ rest)]
     return np.minimum.accumulate(np.concatenate(([ca], ranks)))
 
-
-def lex_partner_max(b_size: int, a: int, b: int, m: int) -> int:
-    """Longest lex prefix of a-sets of [m] whose members all meet the first
-    b_size b-sets in lex order: the last entry of lex_partner_maxima."""
-    return int(lex_partner_maxima(b_size, a, b, m)[-1])

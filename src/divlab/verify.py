@@ -172,16 +172,14 @@ def criterion_06_boolean_identities(quick: bool = False) -> Report:
             ("run_dominance", build_run_dominance_defining(r)),
             ("window_majority", build_majority_defining(r)),
         ):
-            j = spec.center_size
             mu_half = bl.biased_measure(spec, half)
             if name == "run_dominance" and mu_half != half:
                 bad_half += 1
             for p in BIASES:
                 mu = bl.biased_measure(spec, p)
                 gp = bl.biased_diversity(spec, p)
-                for i in range(1, j + 1):
-                    if p * bl.coordinate_influence(spec, i, p) + gp / (1 - p) != mu:
-                        bad_identity += 1
+                per = bl.total_influence(spec, p).per_coordinate
+                bad_identity += sum(p * inf + gp / (1 - p) != mu for inf in per)
                 rows.append(
                     {"r": r, "family": name, "p": p, "mu": mu, "gamma_p": gp}
                 )
@@ -432,4 +430,14 @@ CRITERIA: list[tuple[str, Callable[[bool], Report]]] = [
 
 
 def run_all(quick: bool = False) -> list[Report]:
-    return [fn(quick) for _, fn in CRITERIA]
+    """The criterion reports, then the combined ``verify-all`` report: one
+    check per criterion and the ``criteria`` table."""
+    combined = Report(command="verify-all", parameters={"quick": quick})
+    reports = [fn(quick) for _, fn in CRITERIA]
+    for rep in reports:
+        combined.check(rep.command, True, rep.ok)
+    combined.add_table(
+        "criteria",
+        [{"criterion": rep.command, "ok": rep.ok, "duration_s": rep.duration_s} for rep in reports],
+    )
+    return reports + [combined.finish()]

@@ -295,3 +295,13 @@ def test_family_from_masks_sorts_and_dedups_like_unique():
         fam = family_from_masks(10, None, masks)
         assert fam.members.dtype == np.int64
         assert fam.members.tolist() == np.unique(masks).tolist()
+
+
+def test_presorted_family_freezes_its_own_view_not_the_callers_array():
+    a = np.array([1, 2, 4], dtype=np.int64)
+    fam = family_from_masks(3, None, a, presorted=True)
+    assert a.flags.writeable
+    assert not fam.members.flags.writeable
+    with pytest.raises(ValueError):
+        fam.members[0] = 7
+    assert np.shares_memory(fam.members, a)  # a view, not a copy

@@ -69,24 +69,22 @@ def test_mu_rejects_bad_bias():
 
 
 def test_influence_majority3():
-    spec = build_majority_defining(1)
-    for i in (1, 2, 3):
-        assert bl.coordinate_influence(spec, i, HALF) == HALF
+    per = bl.total_influence(build_majority_defining(1), HALF).per_coordinate
+    assert per == (HALF, HALF, HALF)
 
 
 def test_influence_monotone_identity_terms():
     # the up-set formula p^-1 * 3/8 - (1-p)^-1 * 1/8 at p = 1/2
-    spec = build_majority_defining(1)
-    assert bl.coordinate_influence(spec, 1, HALF) == 2 * Fraction(
-        3, 8
-    ) - 2 * Fraction(1, 8)
+    per = bl.total_influence(build_majority_defining(1), HALF).per_coordinate
+    assert per[0] == 2 * Fraction(3, 8) - 2 * Fraction(1, 8)
 
 
 def test_influence_dictator():
     spec = build_dictator_defining(5)
     for p in BIASES:
-        assert bl.coordinate_influence(spec, 1, p) == 1
-        assert bl.coordinate_influence(spec, 3, p) == 0
+        per = bl.total_influence(spec, p).per_coordinate
+        assert per[0] == 1
+        assert per[2] == 0
 
 
 def test_total_influence_majority3():
@@ -122,7 +120,7 @@ def test_symmetric_identity(r, p):
     for spec in (build_run_dominance_defining(r), build_majority_defining(r)):
         mu = bl.biased_measure(spec, p)
         gp = bl.biased_diversity(spec, p)
-        i1 = bl.coordinate_influence(spec, 1, p)
+        i1 = bl.total_influence(spec, p).per_coordinate[0]
         assert p * i1 + gp / (1 - p) == mu
 
 
@@ -134,14 +132,13 @@ def test_mu_matches_enumeration_oracle(spec, p):
     assert got == want
 
 
-@given(small_juntas(), st.integers(1, 7), st.fractions(Fraction(1, 10), Fraction(9, 10)))
+@given(small_juntas(), st.fractions(Fraction(1, 10), Fraction(9, 10)))
 @settings(max_examples=60)
-def test_influence_matches_enumeration_oracle(spec, i, p):
-    if i > spec.center_size:
-        i = 1
-    got = bl.coordinate_influence(spec, i, p)
-    want = influence_by_enumeration(list(spec.defining), spec.center_size, i, p)
-    assert got == want
+def test_influence_matches_enumeration_oracle(spec, p):
+    j = spec.center_size
+    got = bl.total_influence(spec, p).per_coordinate
+    want = [influence_by_enumeration(list(spec.defining), j, i, p) for i in range(1, j + 1)]
+    assert list(got) == want
 
 
 @given(small_juntas(), st.fractions(Fraction(1, 10), Fraction(9, 10)))

@@ -1,8 +1,10 @@
+import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
-from divlab.cli import main, parse_bias, parse_r_range, word_from_string
+from divlab.cli import build_parser, main, parse_bias, parse_r_range, word_from_string
 from divlab.verify import criterion_04_cross_weighted_sweep
 
 
@@ -10,9 +12,16 @@ def run(argv):
     return main(argv)
 
 
-def test_parse_bias():
-    from fractions import Fraction
+def assert_usage_error(argv, named, capsys):
+    """argparse refuses argv with exit code 2, naming ``named`` on stderr."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
 
+
+def test_parse_bias():
     assert parse_bias("2/5") == Fraction(2, 5)
     assert parse_bias("0.45") == Fraction(9, 20)
 
@@ -59,14 +68,14 @@ def test_usage_error_exit_code(tmp_path):
 
 
 def test_resource_cap_exit_code():
-    assert run(["rho", "dist", "--L", "30", "--mode", "exact"]) == 3
+    assert run(["rho", "exact", "--L", "30"]) == 3
     assert run(["family", "build", "--n", "60", "--k", "30"]) == 3
-    assert run(["extremal", "--n", "40", "--k", "20"]) == 3
+    assert run(["extremal", "search", "--n", "40", "--k", "20"]) == 3
 
 
 def test_rho_dist_csv_shape(tmp_path):
     csv_path = tmp_path / "out.csv"
-    assert run(["rho", "dist", "--L", "15", "--mode", "exact", "--csv", str(csv_path)]) == 0
+    assert run(["rho", "exact", "--L", "15", "--csv", str(csv_path)]) == 0
     text = csv_path.read_text()
     assert "# rho_tail" in text and "# expected_runs" in text
     tail_lines = [
@@ -130,22 +139,22 @@ def test_json_report_schema(tmp_path):
 
 def test_lemma_sweep_single_and_json(tmp_path):
     json_path = tmp_path / "lemma.json"
-    assert run(["lemma-sweep", "--m", "10", "--a", "2", "--b", "3", "--cprime", "2",
+    assert run(["lemma-sweep", "check", "--m", "10", "--a", "2", "--b", "3", "--cprime", "2",
                 "--json", str(json_path)]) == 0
     payload = json.loads(json_path.read_text())
     assert payload["assertions"][0]["pass"] is True
 
 
 def test_lemma_sweep_usage_errors(capsys):
-    assert run(["lemma-sweep", "--m", "10", "--a", "2", "--b", "3", "--cprime", "-1"]) == 2
+    assert run(["lemma-sweep", "check", "--m", "10", "--a", "2", "--b", "3",
+                "--cprime", "-1"]) == 2
     assert "weight must be >= 1" in capsys.readouterr().err
-    assert run(["lemma-sweep", "--m", "10"]) == 2
-    assert "needs --a and --b" in capsys.readouterr().err
+    assert_usage_error(["lemma-sweep", "check", "--m", "10"], "--a, --b", capsys)
 
 
 def test_lemma_sweep_rows_equal_criterion_04(tmp_path):
     json_path = tmp_path / "sweep.json"
-    assert run(["lemma-sweep", "--m-max", "10", "--json", str(json_path)]) == 0
+    assert run(["lemma-sweep", "grid", "--m-max", "10", "--json", str(json_path)]) == 0
     rows = json.loads(json_path.read_text())["results"]["rows"]
     assert rows == criterion_04_cross_weighted_sweep(quick=True).tables["rows"]
     assert rows and all(row["violations"] == 0 for row in rows)
@@ -155,13 +164,13 @@ def test_shift_closure_cli(tmp_path):
     src = tmp_path / "fam.txt"
     out = tmp_path / "closed.txt"
     src.write_text("n=4 k=2\n2,3\n3,4\n")
-    assert run(["shift", "--in", str(src), "--op", "closure", "--out", str(out)]) == 0
+    assert run(["shift", "closure", "--in", str(src), "--out", str(out)]) == 0
     assert out.exists()
 
 
 def test_extremal_cli_with_witness(tmp_path):
     wit = tmp_path / "wit.txt"
-    assert run(["extremal", "--n", "7", "--k", "3", "--budget", "60",
+    assert run(["extremal", "search", "--n", "7", "--k", "3", "--budget", "60",
                 "--emit-witness", str(wit)]) == 0
     from divlab.bitfam import is_t_intersecting, load_family, stats
 
@@ -172,7 +181,7 @@ def test_extremal_cli_with_witness(tmp_path):
 
 def test_extremal_cli_row_records_nodes_and_time(tmp_path):
     json_path = tmp_path / "ext.json"
-    assert run(["extremal", "--n", "9", "--k", "3", "--json", str(json_path)]) == 0
+    assert run(["extremal", "search", "--n", "9", "--k", "3", "--json", str(json_path)]) == 0
     row = json.loads(json_path.read_text())["results"]["rows"][0]
     assert row["best_diversity"] == 6 and row["complete"] is True
     assert row["node_count"] > 0
@@ -180,12 +189,12 @@ def test_extremal_cli_row_records_nodes_and_time(tmp_path):
 
 
 def test_extremal_enumerate_cli():
-    assert run(["extremal", "--n", "5", "--k", "2", "--enumerate"]) == 0
+    assert run(["extremal", "enumerate", "--n", "5", "--k", "2"]) == 0
 
 
 def test_lex_cli():
-    assert run(["lex", "--op", "segment", "--m", "5", "--k", "2", "--n", "5"]) == 0
-    assert run(["lex", "--op", "partner-max", "--b-size", "8", "--a", "2", "--b", "3",
+    assert run(["lex", "segment", "--m", "5", "--k", "2", "--n", "5"]) == 0
+    assert run(["lex", "partner-max", "--b-size", "8", "--a", "2", "--b", "3",
                 "--m", "10"]) == 0
 
 
@@ -197,7 +206,7 @@ def test_decompose_cli(tmp_path):
 
 def test_deterministic_tables_across_runs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["rho", "dist", "--L", "13", "--mode", "mc", "--samples", "20000", "--seed", "5"]
+    argv = ["rho", "mc", "--L", "13", "--samples", "20000", "--seed", "5"]
     assert run(argv + ["--csv", str(a)]) == 0
     assert run(argv + ["--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -224,11 +233,11 @@ def _parameters(argv, tmp_path):
 
 
 def test_lemma_sweep_records_only_its_mode_parameters(tmp_path):
-    assert _parameters(["lemma-sweep", "--m-max", "9", "--a-max", "2", "--b-max", "2",
+    assert _parameters(["lemma-sweep", "grid", "--m-max", "9", "--a-max", "2", "--b-max", "2",
                         "--cprime-list", "3"], tmp_path) == {
         "m_max": 9, "a_max": 2, "b_max": 2, "cprime_list": [3],
     }
-    assert _parameters(["lemma-sweep", "--m", "10", "--a", "2", "--b", "3"], tmp_path) == {
+    assert _parameters(["lemma-sweep", "check", "--m", "10", "--a", "2", "--b", "3"], tmp_path) == {
         "m": 10, "a": 2, "b": 3, "cprime": 2,
     }
 
@@ -240,18 +249,16 @@ def test_boolean_records_r_as_the_integer_it_used(tmp_path):
 
 @pytest.mark.parametrize("option", [["--p", "1/3"], ["--family", "dictator"], ["--i", "1"]])
 def test_counterexample_table_refuses_options_it_does_not_read(option, capsys):
-    assert run(["boolean", "counterexample-table", "--r", "2", *option]) == 2
-    assert option[0] in capsys.readouterr().err
+    assert_usage_error(["boolean", "counterexample-table", "--r", "2", *option], option[0], capsys)
 
 
 def test_extremal_refuses_options_its_mode_does_not_read(tmp_path, capsys):
     wit = tmp_path / "w.txt"
-    assert run(["extremal", "--n", "5", "--k", "2", "--enumerate",
-                "--emit-witness", str(wit)]) == 2
-    assert "--emit-witness" in capsys.readouterr().err
+    assert_usage_error(["extremal", "enumerate", "--n", "5", "--k", "2",
+                        "--emit-witness", str(wit)], "--emit-witness", capsys)
     assert not wit.exists()
-    assert run(["extremal", "--n", "5", "--k", "2", "--cap", "5"]) == 2
-    assert "--cap" in capsys.readouterr().err
+    assert_usage_error(["extremal", "search", "--n", "5", "--k", "2", "--cap", "5"],
+                       "--cap", capsys)
 
 
 @pytest.mark.parametrize(
@@ -259,70 +266,162 @@ def test_extremal_refuses_options_its_mode_does_not_read(tmp_path, capsys):
     [
         ["boolean", "mu", "--i", "1"],
         ["boolean", "gammap", "--i", "1"],
-        ["extremal", "--n", "5", "--k", "2", "--enumerate", "--budget", "5"],
-        ["rho", "dist", "--mode", "exact", "--samples", "100"],
-        ["rho", "dist", "--mode", "exact", "--seed", "5"],
-        ["rho", "dist", "--mode", "mc", "--samples", "100", "--word", "101"],
-        ["rho", "dist", "--t", "2"],
+        ["extremal", "enumerate", "--n", "5", "--k", "2", "--budget", "5"],
+        ["rho", "exact", "--samples", "100"],
+        ["rho", "exact", "--seed", "5"],
+        ["rho", "mc", "--samples", "100", "--word", "101"],
+        ["rho", "exact", "--t", "2"],
         ["rho", "profile", "--word", "1101", "--samples", "5"],
         ["rho", "profile", "--word", "1101", "--seed", "5"],
         ["rho", "profile", "--word", "1101", "--L", "30"],
-        ["rho", "profile", "--word", "1101", "--mode", "mc"],
+        ["shift", "is-shifted", "--in", "f.txt", "--out", "g.txt"],
     ],
 )
 def test_cli_refuses_options_the_action_does_not_read(argv, capsys):
-    assert run(argv) == 2
     option = next(a for a in argv[::-1] if a.startswith("--"))
-    assert f"{option} not read" in capsys.readouterr().err
+    assert_usage_error(argv, option, capsys)
+
+
+def _declared(parser):
+    """Option flag -> its argparse action, for one action's parser."""
+    return {flag: act for act in parser._actions for flag in act.option_strings}
+
+
+def _subcommands(parser):
+    """Name -> parser of a parser's sub-commands (empty when it has none)."""
+    subs = [act for act in parser._actions if isinstance(act, argparse._SubParsersAction)]
+    return subs[0].choices if subs else {}
+
+
+def _minimal_argv(parser):
+    """Values for the options an action requires, so that parsing gets as far
+    as the options it does not declare."""
+    argv = []
+    for act in parser._actions:
+        if act.required and act.option_strings:
+            argv += [act.option_strings[0], "1"]
+    return argv
+
+
+# (command, action A, option) -> whether the option takes a value, for every
+# option that a sibling action of A declares and A does not
+_SIBLING_CASES = {
+    (command, a, flag): act.nargs != 0
+    for command, command_parser in _subcommands(build_parser()).items()
+    for a, a_parser in _subcommands(command_parser).items()
+    for b, b_parser in _subcommands(command_parser).items()
+    for flag, act in _declared(b_parser).items()
+    if b != a and flag not in _declared(a_parser)
+}
+
+
+# the option/action pairs that exited 0 with the option ignored before every
+# action had its own parser
+_FORMERLY_IGNORED = [
+    ("family", "build", "--t --in --cross"),
+    ("family", "stats", "--kind --n --k --u --r --t --cross --out"),
+    ("family", "check", "--kind --n --k --u --r --out"),
+    ("lemma-sweep", "check", "--m-max --a-max --b-max --cprime-list"),
+    ("lemma-sweep", "grid", "--a --b --cprime"),
+    ("lex", "segment", "--a --b --b-size"),
+    ("lex", "partner-max", "--k --n"),
+    ("shift", "closure", "--i --j"),
+    ("shift", "is-shifted", "--i --j --out"),
+]
+
+
+def test_sibling_cases_cover_the_formerly_ignored_options():
+    formerly = {(c, a, flag) for c, a, flags in _FORMERLY_IGNORED for flag in flags.split()}
+    assert len(formerly) == 34
+    assert formerly <= _SIBLING_CASES.keys()
+
+
+@pytest.mark.parametrize("case", sorted(_SIBLING_CASES), ids=" ".join)
+def test_every_action_refuses_the_options_only_its_siblings_declare(case, capsys):
+    command, action, flag = case
+    action_parser = _subcommands(_subcommands(build_parser())[command])[action]
+    value = ["1"] if _SIBLING_CASES[case] else []
+    assert_usage_error([command, action, *_minimal_argv(action_parser), flag, *value], flag, capsys)
+
+
+def test_family_stats_without_in_names_the_missing_option(capsys):
+    assert_usage_error(["family", "stats"], "required: --in", capsys)
+
+
+def test_influence_refuses_a_coordinate_outside_the_centre(capsys):
+    assert run(["boolean", "influence", "--r", "1", "--i", "3"]) == 0
+    for i in ("0", "4"):
+        assert run(["boolean", "influence", "--r", "1", "--i", i]) == 2
+        assert "outside the centre [1, 3]" in capsys.readouterr().err
+
+
+def test_influence_rows_are_the_total_influence_profile(tmp_path):
+    from divlab.booleanlab import total_influence
+    from divlab.constructions import build_majority_defining
+
+    prof = total_influence(build_majority_defining(2), Fraction(2, 5))
+    json_path = tmp_path / "inf.json"
+    argv = ["boolean", "influence", "--family", "window-majority", "--r", "2", "--p", "2/5"]
+    assert run(argv + ["--json", str(json_path)]) == 0
+    rows = json.loads(json_path.read_text())["results"]["rows"]
+    assert [row["influence_exact"] for row in rows] == [
+        f"{m.numerator}/{m.denominator}" for m in (*prof.per_coordinate, prof.total)
+    ]
+    assert run(argv + ["--i", "4", "--json", str(json_path)]) == 0
+    assert json.loads(json_path.read_text())["results"]["rows"] == [rows[3]]
 
 
 def test_extremal_search_records_its_default_budget(tmp_path):
-    params = _parameters(["extremal", "--n", "5", "--k", "2"], tmp_path)
-    assert params == {"n": 5, "k": 2, "enumerate": False, "budget": 60.0}
+    params = _parameters(["extremal", "search", "--n", "5", "--k", "2"], tmp_path)
+    assert params == {"n": 5, "k": 2, "budget": 60.0}
 
 
 def test_extremal_records_only_its_mode_parameters(tmp_path):
-    params = _parameters(["extremal", "--n", "5", "--k", "2", "--enumerate", "--cap", "5"],
+    params = _parameters(["extremal", "enumerate", "--n", "5", "--k", "2", "--cap", "5"],
                          tmp_path)
-    assert params == {"n": 5, "k": 2, "enumerate": True, "cap": 5}
-    params = _parameters(["extremal", "--n", "7", "--k", "3", "--budget", "30"], tmp_path)
-    assert params == {"n": 7, "k": 3, "enumerate": False, "budget": 30.0}
+    assert params == {"n": 5, "k": 2, "cap": 5}
+    params = _parameters(["extremal", "search", "--n", "7", "--k", "3", "--budget", "30"],
+                         tmp_path)
+    assert params == {"n": 7, "k": 3, "budget": 30.0}
 
 
 def test_rho_dist_records_samples_only_when_consumed(tmp_path):
-    # exact mode refuses --samples (test_cli_refuses_options_the_action_does_not_read)
-    params = _parameters(["rho", "dist", "--L", "11"], tmp_path)
+    # rho exact refuses --samples (test_cli_refuses_options_the_action_does_not_read)
+    params = _parameters(["rho", "exact", "--L", "11"], tmp_path)
     assert params == {"L": 11, "mode": "exact"}
-    assert _parameters(["rho", "dist"], tmp_path) == params  # the defaults it applied
-    params = _parameters(["rho", "dist", "--L", "11", "--mode", "mc", "--samples", "100"],
-                         tmp_path)
+    assert _parameters(["rho", "exact"], tmp_path) == params  # the default it applied
+    params = _parameters(["rho", "mc", "--L", "11", "--samples", "100"], tmp_path)
     assert params == {"L": 11, "mode": "mc", "samples": 100}
 
 
 def test_rho_seed_recorded_only_when_consumed(tmp_path):
     exact_path, mc_path = tmp_path / "exact.json", tmp_path / "mc.json"
-    # exact mode refuses --seed (test_cli_refuses_options_the_action_does_not_read)
-    assert run(["rho", "dist", "--L", "11", "--mode", "exact",
-                "--json", str(exact_path)]) == 0
-    assert run(["rho", "dist", "--L", "11", "--mode", "mc", "--samples", "1000",
+    # rho exact refuses --seed (test_cli_refuses_options_the_action_does_not_read)
+    assert run(["rho", "exact", "--L", "11", "--json", str(exact_path)]) == 0
+    assert run(["rho", "mc", "--L", "11", "--samples", "1000",
                 "--seed", "5", "--json", str(mc_path)]) == 0
     assert json.loads(exact_path.read_text())["seed"] is None
     assert json.loads(mc_path.read_text())["seed"] == 5
 
 
-def test_options_only_on_subcommands_that_use_them():
-    with pytest.raises(SystemExit) as exc:
-        run(["extremal", "--n", "7", "--k", "3", "--quick"])
-    assert exc.value.code == 2
-    for argv in (
-        ["lex", "--op", "segment", "--seed", "1"],
-        ["verify-all", "--budget", "5"],
-        ["extremal", "--n", "7", "--k", "3", "--dry-run"],
-        ["boolean", "russo"],
+def test_options_only_on_subcommands_that_use_them(capsys):
+    for argv, option in (
+        (["extremal", "search", "--n", "7", "--k", "3", "--quick"], "--quick"),
+        (["lex", "segment", "--seed", "1"], "--seed"),
+        (["verify-all", "--budget", "5"], "--budget"),
+        (["extremal", "search", "--n", "7", "--k", "3", "--dry-run"], "--dry-run"),
+        (["boolean", "russo"], "russo"),
+        (["rho", "dist"], "dist"),
+        (["lex", "--op", "segment"], "--op"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
+        assert_usage_error(argv, option, capsys)
+
+
+def test_options_are_not_abbreviated(capsys):
+    # an undeclared option that is a prefix of a declared one is still refused
+    assert_usage_error(["lemma-sweep", "grid", "--m", "10"], "--m", capsys)
+    assert_usage_error(["extremal", "search", "--n", "7", "--k", "3", "--emit", "w"],
+                       "--emit", capsys)
 
 
 def test_family_build_fano_ignores_n_and_k(tmp_path):

@@ -12,7 +12,7 @@ from divlab.constructions import fano_plane, star
 from divlab.randfam import random_intersecting_family
 from divlab.shiftlex import (
     is_shifted,
-    lex_partner_max,
+    lex_partner_maxima,
     lex_segment,
     shift_closure,
     shift_family,
@@ -198,16 +198,16 @@ def test_lex_segment_ones_form_prefix():
 
 
 def test_lex_partner_max_example():
-    assert lex_partner_max(8, 2, 3, 10) == 17  # pairs through 1 or 2
+    assert lex_partner_maxima(8, 2, 3, 10)[-1] == 17  # pairs through 1 or 2
 
 
 def test_lex_partner_max_vacuous():
-    assert lex_partner_max(0, 2, 3, 10) == math.comb(10, 2)
+    assert lex_partner_maxima(0, 2, 3, 10)[-1] == math.comb(10, 2)
 
 
 def test_lex_partner_max_full_partner():
     # with every b-set present and a+b <= m no a-set can meet them all
-    assert lex_partner_max(math.comb(7, 3), 2, 3, 7) == 0
+    assert lex_partner_maxima(math.comb(7, 3), 2, 3, 7)[-1] == 0
 
 
 def test_lex_partner_max_is_prefix_scan():
@@ -220,7 +220,7 @@ def test_lex_partner_max_is_prefix_scan():
             for b in range(1, m + 1):
                 cb = math.comb(m, b)
                 for b_size in sorted({0, 1, 2, 5, cb // 2, cb - 1, cb} & set(range(cb + 1))):
-                    count = lex_partner_max(b_size, a, b, m)
+                    count = lex_partner_maxima(b_size, a, b, m)[-1]
                     b_sets = lex_sorted_ksets(m, b)[:b_size]
                     assert all(s & t for s in a_sets[:count] for t in b_sets)
                     assert count == len(a_sets) or any(not (a_sets[count] & t) for t in b_sets)
@@ -228,4 +228,4 @@ def test_lex_partner_max_is_prefix_scan():
 
 def test_lex_partner_max_rejects_oversize():
     with pytest.raises(ValueError):
-        lex_partner_max(math.comb(10, 3) + 1, 2, 3, 10)
+        lex_partner_maxima(math.comb(10, 3) + 1, 2, 3, 10)
