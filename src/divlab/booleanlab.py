@@ -158,12 +158,32 @@ def _pivotal_counts(words: np.ndarray, j: int, b: int) -> np.ndarray:
     return _packed_weight_counts(words ^ _flip(words, b), j)
 
 
+def _is_cyclic(table: np.ndarray) -> bool:
+    """True iff the table is invariant under rotating the coordinates:
+    T[m] = T[rot(m)], with rot moving bit 0 of m to the top.  Row a of
+    ``reshape(-1, 2)`` holds points 2a and 2a+1, row a of the transposed
+    ``reshape(2, -1)`` points a and a + 2^(j-1), their rotations."""
+    return bool(np.array_equal(table.reshape(-1, 2), table.reshape(2, -1).T))
+
+
+def _coordinates(table: np.ndarray, j: int) -> range:
+    """The coordinates whose values need computing: coordinate 1 alone
+    stands for all of a cyclic table's."""
+    return range(1 if _is_cyclic(table) else j)
+
+
 def total_influence(spec: JuntaSpec, p) -> InfluenceProfile:
     """All coordinate influences and their sum; ``per_coordinate[i - 1]`` is
     the influence of coordinate i at bias p, the measure of the points whose
-    membership flips with the coordinate."""
-    words, j = _packed(spec.membership_table())
-    per = [_measure_from_weight_counts(_pivotal_counts(words, j, b), j, p) for b in range(j)]
+    membership flips with the coordinate.  A cyclic table's coordinates
+    share one influence, computed once."""
+    table = spec.membership_table()
+    words, j = _packed(table)
+    per = [
+        _measure_from_weight_counts(_pivotal_counts(words, j, b), j, p)
+        for b in _coordinates(table, j)
+    ]
+    per *= j // len(per)
     return InfluenceProfile(per_coordinate=tuple(per), total=sum(per, Fraction(0)))
 
 
@@ -177,11 +197,13 @@ def _without(words: np.ndarray, b: int) -> np.ndarray:
 
 
 def biased_diversity(spec: JuntaSpec, p) -> Fraction:
-    """Minimum over coordinates of the measure of members avoiding the coordinate."""
-    words, j = _packed(spec.membership_table())
+    """Minimum over coordinates of the measure of members avoiding the
+    coordinate; for a cyclic table, the measure avoiding coordinate 1."""
+    table = spec.membership_table()
+    words, j = _packed(table)
     return min(
         _measure_from_weight_counts(_packed_weight_counts(_without(words, b), j), j, p)
-        for b in range(j)
+        for b in _coordinates(table, j)
     )
 
 

@@ -11,8 +11,9 @@
     verify-all   (no action)
 
 Each action has its own sub-parser, which declares exactly the options the
-action reads, with their defaults; argparse refuses every other option with
-exit code 2 and names it (``divlab <command> <action> --help`` lists them).
+action reads, with their defaults; every other option is refused with exit
+code 2, named under the action's own usage (``divlab <command> <action>
+--help`` lists the options it reads).
 ``family build --kind`` is the one option whose value decides what else is
 read: a kind records only the options it uses.
 
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def action(actions, name: str, run, *parents, help=None) -> argparse.ArgumentParser:
         p = actions.add_parser(name, help=help, parents=[report_io, *parents], allow_abbrev=False)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         return p
 
     def command(name: str, help: str):
@@ -457,7 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        # refused with the action's own usage, which lists what it reads
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         result = args.run(args)
     except ResourceCapError as exc:

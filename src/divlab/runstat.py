@@ -78,7 +78,9 @@ def _scan_block(words: np.ndarray, length: int, weights: Optional[np.ndarray] = 
 
     Returns (tie, dominant, nrun_sums, nrun_sumsq) where nrun_sums[t] is the
     sum over words of N(t) = number of maximal runs of length >= t, each
-    word's N(t) and N(t)^2 counted ``weights[i]`` times if weights are given.
+    word's N(t) counted ``weights[i]`` times if weights are given, and
+    nrun_sumsq[t] the sum of N(t)^2, for an unweighted block only (zero
+    when weights are given).
 
     After step t, bit p of acc1 (acc0) is set iff positions p..p+t all hold
     a 1 (a 0).  A run of length r >= t holds r - t + 1 windows of length t
@@ -119,8 +121,6 @@ def _scan_block(words: np.ndarray, length: int, weights: Optional[np.ndarray] = 
             nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
         else:
             nrun_sums[t] = both @ weights
-            both = both.astype(np.uint16)
-            nrun_sumsq[t] = (both * both) @ weights
         if t == 1:
             tie = nu.copy()
         # where nu != nz: tie = min(nu, nz), dominant = nu > nz; arithmetic
@@ -155,37 +155,33 @@ def scan_words(words: np.ndarray, length: int):
 
 @lru_cache(maxsize=2)
 def _exact_scan(length: int):
-    """One scan of all 2^length words, reading only the odd ones, in blocks.
+    """One statistics scan of all 2^length words, reading only the odd ones,
+    in blocks.
 
-    Returns read-only (dominant, tie_hist, nrun_sums, nrun_sumsq): the
-    per-word dominance flags, the tie-length histogram over 0..length//2 + 1,
-    and the run-count sums of ``_scan_block`` over every word.
+    Returns read-only (tie_hist, nrun_sums): the tie-length histogram over
+    0..length//2 + 1 and the run-count sums of ``_scan_block`` over every
+    word; ``in_t_table`` gives the dominance flags.
 
-    The complement w -> ~w swaps the two profiles: it keeps the tie and
-    every N(t), and flips dominance unless the profiles tie outright, which
-    odd length rules out.  ~w maps [2^(L-1), 2^L) onto [0, 2^(L-1)) reversed,
-    so odd length scans the lower half only and mirrors it.
+    The complement w -> ~w swaps the two profiles and keeps the tie and
+    every N(t); it maps [2^(L-1), 2^L) onto [0, 2^(L-1)), so odd length
+    scans the lower half only and doubles its counts.
 
     Below ``scanned`` = 2^S (S = L, or L - 1 for odd L), an even word 2v is
-    v rotated left by one place, since its top bit is clear: it has the tie,
-    dominance and every N(t) of v.  So only word 0 and the odd words are
-    scanned.  Odd a of bit length b stands for a << s for s = 0..S - b, all
-    below 2^S, so it carries weight S - b + 1 in the histogram and the sums;
-    word 0 carries weight 1.  A block of odd words after the first spans
-    [lo, lo + 2 * _BLOCK) with lo >= 2 * _BLOCK, where every word has the bit
-    length of lo, so only the first block needs per-word weights.  The even
-    words' flags are then filled level by level: dominant[2v] = dominant[v].
+    v rotated left by one place, since its top bit is clear: it has the tie
+    and every N(t) of v.  So only word 0 and the odd words are scanned.
+    Odd a of bit length b stands for a << s for s = 0..S - b, all below 2^S,
+    so it carries weight S - b + 1; word 0 carries weight 1.  A block of odd
+    words after the first spans [lo, lo + 2 * _BLOCK) with lo >= 2 * _BLOCK,
+    where every word has the bit length of lo, so only the first block needs
+    per-word weights.
     """
     if length > EXACT_CAP_L:
         raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
-    total = 1 << length
-    scanned = total >> (length % 2)
+    scanned = 1 << (length - length % 2)
     top = scanned.bit_length()  # S + 1
     bins = length // 2 + 2
-    dominant = np.empty(total, dtype=bool)
     hist = np.zeros(bins, dtype=np.int64)
     nrun_sums = np.zeros(length + 1, dtype=np.int64)
-    nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
     for lo in range(0, scanned, 2 * _BLOCK):
         hi = min(lo + 2 * _BLOCK, scanned)
         # EXACT_CAP_L <= 30, so uint32 holds every word
@@ -195,54 +191,106 @@ def _exact_scan(length: int):
             # frexp gives the bit length of each word; word 0 stands for itself
             weights = (top - np.frexp(words)[1]).astype(np.int64)
             weights[0] = 1
-            tie, dom, s, s2 = _scan_block(words, length, weights)
-            dominant[0] = dom[0]
-            dom = dom[1:]
+            tie, _, s, _ = _scan_block(words, length, weights)
             hist += np.bincount(tie, weights, bins)[:bins].astype(np.int64)
         else:
             weight = top - lo.bit_length()
-            tie, dom, s, s2 = _scan_block(words, length)
+            tie, _, s, _ = _scan_block(words, length)
             hist += weight * np.bincount(tie, minlength=bins)[:bins]
-            s, s2 = weight * s, weight * s2
-        dominant[lo + 1 : hi : 2] = dom
+            s = weight * s
         nrun_sums += s
-        nrun_sumsq += s2
-    for b in range(1, top - 1):
-        dominant[1 << b : 2 << b : 2] = dominant[1 << (b - 1) : 1 << b]
-    if scanned < total:
-        dominant[scanned:] = ~dominant[:scanned][::-1]
-        hist, nrun_sums, nrun_sumsq = 2 * hist, 2 * nrun_sums, 2 * nrun_sumsq
-    for arr in (dominant, hist, nrun_sums, nrun_sumsq):
+    if length % 2:
+        hist, nrun_sums = 2 * hist, 2 * nrun_sums
+    for arr in (hist, nrun_sums):
         arr.setflags(write=False)
-    return dominant, hist, nrun_sums, nrun_sumsq
+    return hist, nrun_sums
 
 
+_LOW_BITS = 17  # in_t_table splits a word into its low 17 bits and the rest
+
+
+def _run_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The longest run of ones and the leading ones (the run ending at bit
+    bits - 1) of every value below 2^bits, as uint8 tables.  Built by
+    doubling: setting bit b above the values below 2^b makes their leading
+    ones one longer, and their longest run at least that long."""
+    run = lead = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        top = lead + 1
+        run = np.concatenate([run, np.maximum(run, top)])
+        lead = np.concatenate([np.zeros_like(lead), top])
+    return run, lead
+
+
+@lru_cache(maxsize=2)
 def in_t_table(length: int) -> np.ndarray:
     """Dominance membership for every word of the given odd length.
 
     Returns a read-only bool array of size 2^length: entry w is True iff the
     ones-profile of w beats the zeros-profile.
+
+    Most words are decided by their longest runs.  An odd word w below
+    2^(L-1) has bit 0 set and bit L-1 clear, so no run wraps around: M1, its
+    longest run of ones, and M0, the longest run of ones of its complement,
+    are linear runs.  The profiles agree above max(M1, M0) and differ there,
+    so if M1 != M0 the word is dominant iff M1 > M0.  Both come from the
+    tables of ``_run_tables`` over the low 17 bits (or all L): the words of
+    a block of 2^17 share their high bits, which enter as scalars (their
+    longest run, and their trailing ones joined to the leading ones of the
+    low bits), and M0 reads the tables reversed, since 2^b-1-x complements
+    a b-bit x.  Only the words with M1 == M0 (17 % at L = 23) go through
+    ``_scan_block``.
+
+    An even word 2v below 2^(L-1) is v rotated and shares its flag, filled
+    level by level; word 0 is not dominant; and the complement maps the
+    upper half onto the lower half reversed, flipping dominance, since odd
+    length rules out a full tie.
     """
     if length % 2 == 0:
         raise ValueError("run dominance needs an odd word length")
-    return _exact_scan(length)[0]
+    if length > EXACT_CAP_L:
+        raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
+    total = 1 << length
+    half = total >> 1
+    low = min(length, _LOW_BITS)
+    span = min(half, 1 << low)  # the words of one block: 2^17, or all of them
+    run, lead = _run_tables(low)
+    runs = run[1:span:2], run[::-1][1:span:2]  # of the odd low parts, and their complements
+    leads = lead[1:span:2], lead[::-1][1:span:2]
+    dominant = np.empty(total, dtype=bool)
+    dominant[0] = False
+    tied = []
+    for base in range(0, half, span):
+        longest = []
+        for high, low_run, low_lead in zip((base >> low, (total - 1 - base) >> low), runs, leads):
+            trailing = (high ^ (high + 1)).bit_length() - 1
+            longest.append(np.maximum(np.maximum(low_run, low_lead + trailing), run[high]))
+        ones, zeros = longest
+        dominant[base + 1 : base + span : 2] = ones > zeros
+        tied.append((np.flatnonzero(ones == zeros) * 2 + base + 1).astype(np.uint32))
+        # scan the tied words about _BLOCK at a time, as they gather
+        if sum(map(len, tied)) >= _BLOCK or base + span >= half:
+            words = np.concatenate(tied)
+            dominant[words] = _scan_block(words, length)[1]
+            tied = []
+    for b in range(1, length - 1):
+        dominant[1 << b : 2 << b : 2] = dominant[1 << (b - 1) : 1 << b]
+    np.logical_not(dominant[:half][::-1], out=dominant[half:])
+    dominant.setflags(write=False)
+    return dominant
 
 
-def _expected_runs_rows(length: int, sums, sumsq, total: int, exact: bool):
+def _expected_runs_rows(length: int, sums, total: int, sumsq=None):
+    """Expected run counts per t: exact Fractions, or floats with standard
+    errors when the sums of squares of a sample are given."""
     rows = []
     for t in range(1, length + 1):
-        if exact:
-            expected = Fraction(int(sums[t]), total)
-            stderr = None
+        if sumsq is None:
+            rows.append({"t": t, "expected_runs": Fraction(int(sums[t]), total)})
         else:
-            approx = sums[t] / total
-            var = max(sumsq[t] / total - approx * approx, 0.0)
-            stderr = math.sqrt(var / total)
-            expected = approx
-        row = {"t": t, "expected_runs": expected}
-        if stderr is not None:
-            row["stderr"] = stderr
-        rows.append(row)
+            mean = sums[t] / total
+            var = max(sumsq[t] / total - mean * mean, 0.0)
+            rows.append({"t": t, "expected_runs": mean, "stderr": math.sqrt(var / total)})
     return rows
 
 
@@ -266,7 +314,7 @@ def rho_distribution(
     _check_word(0, length)
     kmax = length // 2
     if mode == "exact":
-        dom, hist, nrun_sums, nrun_sumsq = _exact_scan(length)
+        hist, nrun_sums = _exact_scan(length)
         total = 1 << length
         tail = np.concatenate([np.cumsum(hist[::-1])[::-1], [0]])
         rows = [
@@ -274,7 +322,7 @@ def rho_distribution(
             for k in range(0, kmax + 1)
         ]
         report.add_table("rho_tail", rows)
-        runs = _expected_runs_rows(length, nrun_sums, nrun_sumsq, total, True)
+        runs = _expected_runs_rows(length, nrun_sums, total)
         report.add_table("expected_runs", runs)
         # E[#runs >= t] = L 2^-t [t < L] + 2^(1-L): a run starts wherever the
         # bit changes, and each constant word is one run of length L
@@ -285,7 +333,8 @@ def rho_distribution(
         )
         report.check("expected_runs_closed_form_mismatches", 0, mismatches)
         if length % 2 == 1:
-            report.check("dominant_count", 1 << (length - 1), int(dom.sum()))
+            dominant = int(np.count_nonzero(in_t_table(length)))
+            report.check("dominant_count", 1 << (length - 1), dominant)
     elif mode == "mc":
         if samples is None or samples < 1:
             raise ValueError("mc mode needs samples >= 1")
@@ -305,7 +354,7 @@ def rho_distribution(
         report.add_table("rho_tail", rows)
         report.add_table(
             "expected_runs",
-            _expected_runs_rows(length, nrun_sums, nrun_sumsq, samples, False),
+            _expected_runs_rows(length, nrun_sums, samples, nrun_sumsq),
         )
         if length % 2 == 1:
             share = int(dom.sum()) / samples

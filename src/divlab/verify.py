@@ -161,7 +161,9 @@ def criterion_06_boolean_identities(quick: bool = False) -> Report:
     Both families are cyclically symmetric, so mu(members without i) =
     gamma_p for every i, and the identity is the up-set influence formula
     I_i = mu(with i)/p - mu(without i)/(1-p) checked against the
-    pivotal-count influence."""
+    pivotal-count influence.  For such a table ``total_influence`` and
+    ``biased_diversity`` compute coordinate 1 only and give every other
+    coordinate its value; the identity is still checked per coordinate."""
     report = Report(command="criterion-06-boolean-identities", parameters={"quick": quick})
     r_max = 5 if quick else 8
     half = Fraction(1, 2)

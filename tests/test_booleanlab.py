@@ -38,6 +38,22 @@ def small_juntas(draw):
     return JuntaSpec(table)
 
 
+@st.composite
+def cyclic_juntas(draw):
+    """A random table OR-ed over its rotations: invariant under rotating
+    the coordinates."""
+    j = draw(st.integers(1, 8))
+    members = draw(st.lists(st.integers(0, (1 << j) - 1), min_size=0, max_size=12))
+    points = np.arange(1 << j)
+    table = np.zeros(1 << j, dtype=bool)
+    table[members] = True
+    rotated = table.copy()
+    for _ in range(j - 1):
+        points = (points >> 1) | ((points & 1) << (j - 1))
+        rotated |= table[points]
+    return JuntaSpec(rotated)
+
+
 def test_mu_majority_half():
     assert bl.biased_measure(build_majority_defining(1), HALF) == HALF
 
@@ -149,6 +165,34 @@ def test_gamma_p_matches_enumeration_oracle(spec, p):
         return
     got = bl.biased_diversity(spec, p)
     assert got == gamma_p_by_enumeration(list(spec.defining), spec.center_size, p)
+
+
+@given(cyclic_juntas(), st.fractions(Fraction(1, 10), Fraction(9, 10)))
+@settings(max_examples=40)
+def test_cyclic_tables_match_enumeration_oracles_on_every_coordinate(spec, p):
+    # a cyclic table computes coordinate 1 only; every coordinate, and the
+    # minimum over them, must still match the oracles
+    j, members = spec.center_size, list(spec.defining)
+    assert bl._is_cyclic(spec.membership_table())
+    prof = bl.total_influence(spec, p)
+    want = [influence_by_enumeration(members, j, i, p) for i in range(1, j + 1)]
+    assert list(prof.per_coordinate) == want
+    assert prof.total == sum(want)
+    got = bl.biased_diversity(spec, p)
+    assert got == (gamma_p_by_enumeration(members, j, p) if members else 0)
+
+
+def test_dictator_and_non_cyclic_tables_take_every_coordinate():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    table = rng.random(1 << 6) < 0.5
+    table[1] = not table[2]  # points {1} and {2} are rotations of each other
+    for spec in (build_dictator_defining(5), JuntaSpec(table)):
+        j = spec.center_size
+        assert not bl._is_cyclic(spec.membership_table())
+        assert bl._coordinates(spec.membership_table(), j) == range(j)
+    for r in (1, 3):
+        for spec in (build_run_dominance_defining(r), build_majority_defining(r)):
+            assert bl._coordinates(spec.membership_table(), 2 * r + 1) == range(1)
 
 
 @given(st.integers(1, 5), st.fractions(Fraction(1, 10), Fraction(9, 10)))

@@ -348,6 +348,19 @@ def test_family_stats_without_in_names_the_missing_option(capsys):
     assert_usage_error(["family", "stats"], "required: --in", capsys)
 
 
+def test_unread_option_is_refused_with_the_actions_usage(tmp_path, capsys):
+    fam_path, out_path = tmp_path / "fam.txt", tmp_path / "g.txt"
+    assert run(["family", "build", "--kind", "fano", "--out", str(fam_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "stats", "--in", str(fam_path), "--out", str(out_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: divlab family stats")
+    assert "unrecognized arguments: --out" in err
+    assert not out_path.exists()
+
+
 def test_influence_refuses_a_coordinate_outside_the_centre(capsys):
     assert run(["boolean", "influence", "--r", "1", "--i", "3"]) == 0
     for i in ("0", "4"):

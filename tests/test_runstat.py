@@ -201,8 +201,10 @@ def test_rho_distribution_expected_runs_closed_form():
 def test_rho_exact_tables_same_with_or_without_in_t_table_first():
     length = 13
     _exact_scan.cache_clear()
+    in_t_table.cache_clear()
     cold = rho_distribution(length, "exact").tables
     _exact_scan.cache_clear()
+    in_t_table.cache_clear()
     in_t_table(length)
     warm = rho_distribution(length, "exact").tables
     assert cold == warm
@@ -240,14 +242,33 @@ def test_rho_distribution_caps_and_validation():
 
 @pytest.mark.parametrize("length", range(1, 17))
 def test_exact_scan_matches_full_word_scan(length):
-    # the exact scan mirrors the upper half for odd length; scan_words
+    # the exact scan doubles the lower half for odd length; scan_words
     # scans every word
-    dom, hist, sums, sumsq = _exact_scan(length)
-    tie, full_dom, full_sums, full_sumsq = scan_words(np.arange(1 << length), length)
-    assert np.array_equal(dom, full_dom)
+    hist, sums = _exact_scan(length)
+    tie, _, full_sums, _ = scan_words(np.arange(1 << length), length)
     assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
     assert np.array_equal(sums, full_sums)
-    assert np.array_equal(sumsq, full_sumsq)
+
+
+@pytest.mark.parametrize("length", range(1, 18, 2))
+def test_in_t_table_matches_full_word_scan(length):
+    _, dom, _, _ = scan_words(np.arange(1 << length), length)
+    assert np.array_equal(in_t_table(length), dom)
+
+
+@pytest.mark.parametrize("length", [19, 21])
+def test_in_t_table_matches_odd_word_scan_with_high_bits(length):
+    # above 17 bits the high part of a word enters the longest-run decision;
+    # against a full scan of the odd words below 2^(L-1), an even word taking
+    # the flag of its odd part (a rotation of it) and the upper half the
+    # flipped flag of the complement
+    half = 1 << (length - 1)
+    odd = np.arange(1, half, 2, dtype=np.uint32)
+    flags = np.zeros(half, dtype=bool)
+    flags[odd] = scan_words(odd, length)[1]
+    words = np.arange(1, half)
+    flags[1:] = flags[words // (words & -words)]
+    assert np.array_equal(in_t_table(length), np.concatenate([flags, ~flags[::-1]]))
 
 
 @pytest.mark.parametrize("length", [2, 3, 6, 17, 25, 33, 63])
@@ -300,32 +321,25 @@ def test_scan_words_on_no_words():
 
 @pytest.mark.parametrize("length", [17, 19])
 def test_exact_scan_matches_one_block_over_every_word(length):
-    # the blocked, mirrored exact scan against one unblocked block
-    dom, hist, sums, sumsq = _exact_scan(length)
-    tie, full_dom, full_sums, full_sumsq = _scan_block(
-        np.arange(1 << length, dtype=np.uint32), length
-    )
-    assert np.array_equal(dom, full_dom)
+    # the blocked, doubled exact scan and the dominance table against one
+    # unblocked block
+    hist, sums = _exact_scan(length)
+    tie, full_dom, full_sums, _ = _scan_block(np.arange(1 << length, dtype=np.uint32), length)
+    assert np.array_equal(in_t_table(length), full_dom)
     assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
     assert np.array_equal(sums, full_sums)
-    assert np.array_equal(sumsq, full_sumsq)
 
 
 @pytest.mark.parametrize("length", [18, 20])
 def test_odd_word_scan_matches_one_block_over_every_word_at_even_length(length):
-    # even length mirrors nothing, so every word's flags come from the
-    # odd-word scan: the weighted first block, later blocks of one bit
-    # length each (a block spans 2 * _BLOCK words), and the level-by-level
-    # fill of the even words
+    # even length doubles nothing, so the counts come from the odd-word
+    # scan alone: the weighted first block and later blocks of one bit
+    # length each (a block spans 2 * _BLOCK words)
     assert (1 << length) > 2 * _BLOCK
-    dom, hist, sums, sumsq = _exact_scan(length)
-    tie, full_dom, full_sums, full_sumsq = _scan_block(
-        np.arange(1 << length, dtype=np.uint32), length
-    )
-    assert np.array_equal(dom, full_dom)
+    hist, sums = _exact_scan(length)
+    tie, _, full_sums, _ = _scan_block(np.arange(1 << length, dtype=np.uint32), length)
     assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
     assert np.array_equal(sums, full_sums)
-    assert np.array_equal(sumsq, full_sumsq)
 
 
 def test_scan_words_rejects_words_outside_the_length():
