@@ -17,11 +17,12 @@ code 2, named under the action's own usage (``divlab <command> <action>
 ``family build --kind`` is the one option whose value decides what else is
 read: a kind records only the options it uses.
 
-Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage error,
-3 resource-cap refusal.  Reports are written as JSON (--json), with every
-result table, and as CSV (--csv), with every table but the JSON-only ones
-(the exact rationals of ``boolean counterexample-table``).  Identical argv,
-including the seed, reproduces byte-identical result tables.
+Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage error
+(a bad option, value or file), 3 resource-cap refusal.  Reports are written
+as JSON (--json), with every result table, and as CSV (--csv), with every
+table but the JSON-only ones (the exact rationals of ``boolean
+counterexample-table``).  Identical argv, including the seed, reproduces
+byte-identical result tables.
 """
 
 from __future__ import annotations
@@ -464,26 +465,26 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         result = args.run(args)
+        reports = result if isinstance(result, list) else [result]
+        for rep in reports:
+            for line in rep.summary_lines():
+                print(line)
+        if args.json_path:
+            if len(reports) == 1:
+                reports[0].write_json(args.json_path)
+            else:
+                with open(args.json_path, "w", encoding="utf-8") as fh:
+                    reps = [r.to_json_dict() for r in reports]
+                    json.dump({"schema": 1, "reports": reps}, fh, indent=2)
+                    fh.write("\n")
+        if args.csv_path:
+            reports[-1].write_csv(args.csv_path)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-
-    reports = result if isinstance(result, list) else [result]
-    for rep in reports:
-        for line in rep.summary_lines():
-            print(line)
-    if args.json_path:
-        if len(reports) == 1:
-            reports[0].write_json(args.json_path)
-        else:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                json.dump({"schema": 1, "reports": [r.to_json_dict() for r in reports]}, fh, indent=2)
-                fh.write("\n")
-    if args.csv_path:
-        reports[-1].write_csv(args.csv_path)
     return 0 if all(r.ok for r in reports) else 1
 
 

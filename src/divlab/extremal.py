@@ -129,8 +129,8 @@ def max_diversity_search(n: int, k: int, budget_seconds: float = 60.0) -> Search
     witness is A u B, of diversity |B|.  Out of time, the result is best-found
     with complete=False, as at n = 2k, where every two B-sets meet.
     """
-    if k < 2 or n < 2 * k:
-        raise ValueError(f"need k >= 2 and n >= 2k, got n={n}, k={k}")
+    if k < 2 or not 2 * k <= n <= MAX_GROUND:
+        raise ValueError(f"need k >= 2 and 2k <= n <= {MAX_GROUND}, got n={n}, k={k}")
     start = time.monotonic()
     deadline = start + budget_seconds
     # vertices: the B-sets (k-sets of [2..n]), the A-sets (k-sets through 1),

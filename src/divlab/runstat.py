@@ -6,6 +6,9 @@ run-length sequences (ones-runs, zeros-runs).  The profile comparison rule
 (ones-profile lexicographically beats zeros-profile, with zero padding for
 unequal lengths) defines the run-dominance junta families; the tie-length
 statistic measures how many leading run lengths the two profiles share.
+Sampled words go through a vectorized scan; the exact statistics over all
+2^L words depend only on the run multisets, so they are counted from pairs
+of partitions, with no word enumerated.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -73,14 +77,12 @@ def run_profile(word: int, length: int) -> RunProfile:
 # ---------------------------------------------------------------------------
 
 
-def _scan_block(words: np.ndarray, length: int, weights: Optional[np.ndarray] = None):
+def _scan_block(words: np.ndarray, length: int):
     """Per-word tie length, dominance and run-count sums for a word block.
 
     Returns (tie, dominant, nrun_sums, nrun_sumsq) where nrun_sums[t] is the
-    sum over words of N(t) = number of maximal runs of length >= t, each
-    word's N(t) counted ``weights[i]`` times if weights are given, and
-    nrun_sumsq[t] the sum of N(t)^2, for an unweighted block only (zero
-    when weights are given).
+    sum over words of N(t) = number of maximal runs of length >= t, and
+    nrun_sumsq[t] the sum of N(t)^2.
 
     After step t, bit p of acc1 (acc0) is set iff positions p..p+t all hold
     a 1 (a 0).  A run of length r >= t holds r - t + 1 windows of length t
@@ -115,12 +117,9 @@ def _scan_block(words: np.ndarray, length: int, weights: Optional[np.ndarray] = 
         nu += cnt1 == length
         nz += cnt0 == length
         both = nu + nz
-        if weights is None:
-            nrun_sums[t] = both.sum(dtype=np.int64)
-            both = both.astype(np.uint16)  # both <= 64, so both^2 fits
-            nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
-        else:
-            nrun_sums[t] = both @ weights
+        nrun_sums[t] = both.sum(dtype=np.int64)
+        both = both.astype(np.uint16)  # both <= 64, so both^2 fits
+        nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
         if t == 1:
             tie = nu.copy()
         # where nu != nz: tie = min(nu, nz), dominant = nu > nz; arithmetic
@@ -135,8 +134,6 @@ def _scan_block(words: np.ndarray, length: int, weights: Optional[np.ndarray] = 
             keep = np.flatnonzero(live)
             state = (pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant)
             pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant = (a[keep] for a in state)
-            if weights is not None:
-                weights = weights[keep]
     return tie_out, dom_out, nrun_sums, nrun_sumsq
 
 
@@ -153,57 +150,67 @@ def scan_words(words: np.ndarray, length: int):
     return np.concatenate(ties), np.concatenate(doms), sum(sums), sum(sumsqs)
 
 
-@lru_cache(maxsize=2)
-def _exact_scan(length: int):
-    """One statistics scan of all 2^length words, reading only the odd ones,
-    in blocks.
+def _partitions(total: int, parts: int, largest: int):
+    """Partitions of total into exactly ``parts`` parts of at most ``largest``,
+    as descending tuples."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(largest, total - parts + 1), -(-total // parts) - 1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
 
-    Returns read-only (tie_hist, nrun_sums): the tie-length histogram over
-    0..length//2 + 1 and the run-count sums of ``_scan_block`` over every
-    word; ``in_t_table`` gives the dominance flags.
 
-    The complement w -> ~w swaps the two profiles and keeps the tie and
-    every N(t); it maps [2^(L-1), 2^L) onto [0, 2^(L-1)), so odd length
-    scans the lower half only and doubles its counts.
+def _orders(runs: tuple[int, ...]) -> int:
+    """Distinct orders of a descending multiset: m! / prod(multiplicity!)."""
+    count = math.factorial(len(runs))
+    for _, group in groupby(runs):
+        count //= math.factorial(len(list(group)))
+    return count
 
-    Below ``scanned`` = 2^S (S = L, or L - 1 for odd L), an even word 2v is
-    v rotated left by one place, since its top bit is clear: it has the tie
-    and every N(t) of v.  So only word 0 and the odd words are scanned.
-    Odd a of bit length b stands for a << s for s = 0..S - b, all below 2^S,
-    so it carries weight S - b + 1; word 0 carries weight 1.  A block of odd
-    words after the first spans [lo, lo + 2 * _BLOCK) with lo >= 2 * _BLOCK,
-    where every word has the bit length of lo, so only the first block needs
-    per-word weights.
+
+def _exact_counts(length: int):
+    """Tie-length histogram, run-count sums and dominant-word count over all
+    2^length words, counted from run-partition pairs.
+
+    A word that is not constant has m >= 1 runs of ones and m of zeros,
+    alternating round the circle.  Marking one of its ones-runs fixes it by
+    where that run starts (length choices) and the orders of the runs that
+    follow, and each word has m marks; so the words whose multisets of
+    ones-runs and zeros-runs are the partitions U and Z number
+    length * o(U) * o(Z) / m, with o from ``_orders``.  Their tie is the
+    first index where the descending U and Z differ (m if they never do) and
+    they are dominant iff U is larger there.  A run of length p counts in
+    N(t) for t = 1..p.  The two constant words are one run of length
+    ``length`` each, tie 0, and only the all-ones word is dominant.
+
+    Returns (tie_hist, nrun_sums, dominant): the tie histogram over
+    0..length//2 + 1 and the run-count sums over t = 0..length as int64
+    arrays, equal to those of ``scan_words`` over every word, and the
+    number of dominant words.
     """
     if length > EXACT_CAP_L:
-        raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
-    scanned = 1 << (length - length % 2)
-    top = scanned.bit_length()  # S + 1
-    bins = length // 2 + 2
-    hist = np.zeros(bins, dtype=np.int64)
+        raise ResourceCapError(f"exact counts capped at length {EXACT_CAP_L}")
+    hist = [0] * (length // 2 + 2)
+    runs = [0] * (length + 1)  # runs[p]: runs of length exactly p over all words
+    hist[0], runs[length], dominant = 2, 2, 1
+    for weight in range(1, length):
+        for m in range(1, min(weight, length - weight) + 1):
+            ones = [(u, _orders(u)) for u in _partitions(weight, m, weight)]
+            zeros = [(z, _orders(z)) for z in _partitions(length - weight, m, length - weight)]
+            for u, ou in ones:
+                for z, oz in zeros:
+                    words = length * ou * oz // m
+                    tie = next((i for i, (a, b) in enumerate(zip(u, z)) if a != b), m)
+                    hist[tie] += words
+                    if tie < m and u[tie] > z[tie]:
+                        dominant += words
+                    for p in u + z:
+                        runs[p] += words
     nrun_sums = np.zeros(length + 1, dtype=np.int64)
-    for lo in range(0, scanned, 2 * _BLOCK):
-        hi = min(lo + 2 * _BLOCK, scanned)
-        # EXACT_CAP_L <= 30, so uint32 holds every word
-        words = np.arange(lo + 1, hi, 2, dtype=np.uint32)
-        if lo == 0:
-            words = np.concatenate([np.zeros(1, dtype=np.uint32), words])
-            # frexp gives the bit length of each word; word 0 stands for itself
-            weights = (top - np.frexp(words)[1]).astype(np.int64)
-            weights[0] = 1
-            tie, _, s, _ = _scan_block(words, length, weights)
-            hist += np.bincount(tie, weights, bins)[:bins].astype(np.int64)
-        else:
-            weight = top - lo.bit_length()
-            tie, _, s, _ = _scan_block(words, length)
-            hist += weight * np.bincount(tie, minlength=bins)[:bins]
-            s = weight * s
-        nrun_sums += s
-    if length % 2:
-        hist, nrun_sums = 2 * hist, 2 * nrun_sums
-    for arr in (hist, nrun_sums):
-        arr.setflags(write=False)
-    return hist, nrun_sums
+    nrun_sums[1:] = np.cumsum(runs[:0:-1])[::-1]
+    return np.array(hist, dtype=np.int64), nrun_sums, dominant
 
 
 _LOW_BITS = 17  # in_t_table splits a word into its low 17 bits and the rest
@@ -302,28 +309,42 @@ def rho_distribution(
 ) -> Report:
     """Distribution of the profile tie length, plus expected long-run counts.
 
-    Exact mode enumerates all 2^length words under the uniform measure
-    (length <= 25); mc mode draws ``samples`` words from a counter-based
-    generator keyed by ``seed`` (default 0) and reports standard errors.  Only
-    mc mode consumes a seed and a sample count, so only mc reports record them.
+    Exact mode counts all 2^length words under the uniform measure from
+    their run-partition pairs (length <= 25); mc mode draws ``samples`` words
+    from a counter-based generator keyed by ``seed`` (default 0) and reports
+    standard errors.  Only mc mode consumes a seed and a sample count, so only
+    mc reports record them.
     """
-    report = Report(
-        command="rho-dist",
-        parameters={"L": length, "mode": mode},
-    )
+    report = Report(command="rho-dist", parameters={"L": length, "mode": mode})
     _check_word(0, length)
     kmax = length // 2
     if mode == "exact":
-        hist, nrun_sums = _exact_scan(length)
-        total = 1 << length
-        tail = np.concatenate([np.cumsum(hist[::-1])[::-1], [0]])
-        rows = [
-            {"k": k, "prob": Fraction(int(tail[k]), total), "stderr": None}
-            for k in range(0, kmax + 1)
-        ]
-        report.add_table("rho_tail", rows)
-        runs = _expected_runs_rows(length, nrun_sums, total)
-        report.add_table("expected_runs", runs)
+        hist, nrun_sums, dominant = _exact_counts(length)
+        total, nrun_sumsq = 1 << length, None
+    elif mode == "mc":
+        if samples is None or samples < 1:
+            raise ValueError("mc mode needs samples >= 1")
+        report.parameters["samples"] = samples
+        report.seed = seed = 0 if seed is None else seed
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        words = rng.integers(0, 1 << length, size=samples, dtype=np.uint64)
+        tie, dom, nrun_sums, nrun_sumsq = scan_words(words, length)
+        hist, total = np.bincount(tie, minlength=kmax + 2), samples
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    tail = np.cumsum(hist[::-1])[::-1]  # tail[k]: words with tie >= k
+    rows = []
+    for k in range(0, kmax + 1):
+        if mode == "exact":
+            rows.append({"k": k, "prob": Fraction(int(tail[k]), total), "stderr": None})
+        else:
+            p = tail[k] / total
+            rows.append({"k": k, "prob": p, "stderr": math.sqrt(max(p * (1 - p), 0.0) / total)})
+    report.add_table("rho_tail", rows)
+    runs = _expected_runs_rows(length, nrun_sums, total, nrun_sumsq)
+    report.add_table("expected_runs", runs)
+    if mode == "exact":
         # E[#runs >= t] = L 2^-t [t < L] + 2^(1-L): a run starts wherever the
         # bit changes, and each constant word is one run of length L
         mismatches = sum(
@@ -333,40 +354,12 @@ def rho_distribution(
         )
         report.check("expected_runs_closed_form_mismatches", 0, mismatches)
         if length % 2 == 1:
-            dominant = int(np.count_nonzero(in_t_table(length)))
             report.check("dominant_count", 1 << (length - 1), dominant)
-    elif mode == "mc":
-        if samples is None or samples < 1:
-            raise ValueError("mc mode needs samples >= 1")
-        report.parameters["samples"] = samples
-        report.seed = seed = 0 if seed is None else seed
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        words = rng.integers(0, 1 << length, size=samples, dtype=np.uint64)
-        tie, dom, nrun_sums, nrun_sumsq = scan_words(words, length)
-        hist = np.bincount(tie, minlength=kmax + 2)[: kmax + 2]
-        tail = np.concatenate([np.cumsum(hist[::-1])[::-1], [0]])
-        rows = []
-        for k in range(0, kmax + 1):
-            p = tail[k] / samples
-            rows.append(
-                {"k": k, "prob": p, "stderr": math.sqrt(max(p * (1 - p), 0.0) / samples)}
-            )
-        report.add_table("rho_tail", rows)
-        report.add_table(
-            "expected_runs",
-            _expected_runs_rows(length, nrun_sums, samples, nrun_sumsq),
-        )
-        if length % 2 == 1:
-            share = int(dom.sum()) / samples
-            report.note(f"dominant share {share:.6f} (exact value is 1/2 for odd length)")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    elif length % 2 == 1:
+        share = int(dom.sum()) / samples
+        report.note(f"dominant share {share:.6f} (exact value is 1/2 for odd length)")
 
-    probs = [float(r["prob"]) for r in report.tables["rho_tail"]]
-    report.check(
-        "tail_nonincreasing",
-        True,
-        all(probs[i] >= probs[i + 1] for i in range(len(probs) - 1)),
-    )
+    probs = [float(r["prob"]) for r in rows]
+    report.check("tail_nonincreasing", True, all(a >= b for a, b in zip(probs, probs[1:])))
     report.check("tail_starts_at_one", 1.0, probs[0])
     return report.finish()

@@ -278,9 +278,10 @@ def criterion_08_russo(quick: bool = False) -> Report:
 
 
 def criterion_09_rho_stats(quick: bool = False, seed: int = 22) -> Report:
-    """Exact tie-length distributions and expected long-run counts vs Monte
-    Carlo at 3.5 standard errors; the exact reports' assertions (among them
-    E[#runs >= t] = L 2^-t [t < L] + 2^(1-L)) are carried over."""
+    """Exact tie-length distributions and expected long-run counts, counted
+    from run-partition pairs, vs Monte Carlo scans at 3.5 standard errors;
+    the exact reports' assertions (among them E[#runs >= t] = L 2^-t [t < L]
+    + 2^(1-L)) are carried over."""
     report = Report(command="criterion-09-rho-stats", parameters={"quick": quick}, seed=seed)
     lengths = (11,) if quick else (11, 15, 19)
     samples = 10**5 if quick else 10**6

@@ -67,6 +67,25 @@ def test_usage_error_exit_code(tmp_path):
                 "--u", "2"]) == 2  # n < 2k
 
 
+def test_extremal_search_past_the_ground_set_cap_is_usage_error(capsys):
+    assert run(["extremal", "search", "--n", "64", "--k", "2", "--budget", "5"]) == 2
+    assert "n <= 63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "stats", "--in", "{dir}"],
+        ["rho", "exact", "--L", "5", "--json", "{dir}/missing/rep.json"],
+        ["rho", "exact", "--L", "5", "--csv", "{dir}/missing/rep.csv"],
+    ],
+    ids=["in-directory", "json-missing-directory", "csv-missing-directory"],
+)
+def test_file_errors_are_usage_errors(argv, tmp_path, capsys):
+    assert run([arg.format(dir=tmp_path) for arg in argv]) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
 def test_resource_cap_exit_code():
     assert run(["rho", "exact", "--L", "30"]) == 3
     assert run(["family", "build", "--n", "60", "--k", "30"]) == 3

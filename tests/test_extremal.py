@@ -193,3 +193,5 @@ def test_search_rejects_bad_parameters():
         max_diversity_search(5, 3, budget_seconds=1)  # n < 2k
     with pytest.raises(ValueError):
         max_diversity_search(4, 1, budget_seconds=1)
+    with pytest.raises(ValueError):
+        max_diversity_search(64, 2, budget_seconds=1)  # n > MAX_GROUND

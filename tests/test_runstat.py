@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ from divlab import booleanlab as bl
 from divlab.errors import ResourceCapError
 from divlab.runstat import (
     _BLOCK,
-    _exact_scan,
-    _scan_block,
+    _exact_counts,
+    _orders,
+    _partitions,
     in_t_table,
     rho_distribution,
     run_profile,
@@ -187,27 +189,16 @@ def test_rho_distribution_expected_runs_match_direct_enumeration():
 
 
 def test_rho_distribution_expected_runs_closed_form():
-    # E[#runs >= t] = L 2^-t [t < L] + 2^(1-L), for every t at L = 1..17
-    for length in range(1, 18):
+    # E[#runs >= t] = L 2^-t [t < L] + 2^(1-L), for every t at L = 1..25
+    for length in range(1, 26):
         rep = rho_distribution(length, "exact")
+        assert rep.ok  # dominant_count among its checks at odd length
         checks = [a for a in rep.assertions if a.name == "expected_runs_closed_form_mismatches"]
         assert [a.passed for a in checks] == [True]
         for row in rep.tables["expected_runs"]:
             t = row["t"]
             want = Fraction(length, 2**t) * (t < length) + Fraction(2, 2**length)
             assert row["expected_runs"] == want
-
-
-def test_rho_exact_tables_same_with_or_without_in_t_table_first():
-    length = 13
-    _exact_scan.cache_clear()
-    in_t_table.cache_clear()
-    cold = rho_distribution(length, "exact").tables
-    _exact_scan.cache_clear()
-    in_t_table.cache_clear()
-    in_t_table(length)
-    warm = rho_distribution(length, "exact").tables
-    assert cold == warm
 
 
 def test_rho_distribution_mc_deterministic():
@@ -240,14 +231,33 @@ def test_rho_distribution_caps_and_validation():
         rho_distribution(11, "bogus")
 
 
-@pytest.mark.parametrize("length", range(1, 17))
+@pytest.mark.parametrize("length", range(1, 21))
 def test_exact_scan_matches_full_word_scan(length):
-    # the exact scan doubles the lower half for odd length; scan_words
-    # scans every word
-    hist, sums = _exact_scan(length)
-    tie, _, full_sums, _ = scan_words(np.arange(1 << length), length)
+    # the counts from run-partition pairs against a scan of every word,
+    # even lengths, with their full ties, included
+    hist, sums, dominant = _exact_counts(length)
+    tie, dom, full_sums, _ = scan_words(np.arange(1 << length), length)
+    assert hist.dtype == sums.dtype == np.int64
     assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
     assert np.array_equal(sums, full_sums)
+    assert dominant == np.count_nonzero(dom)
+
+
+@pytest.mark.parametrize("length", range(1, 13))
+def test_words_per_run_partition_pair(length):
+    # every word that is not constant, tallied by its run profile, against
+    # length * o(U) * o(Z) / m for each pair of partitions into m parts
+    tally = Counter()
+    for w in range(1, (1 << length) - 1):
+        p = run_profile(w, length)
+        tally[p.ones, p.zeros] += 1
+    want = {}
+    for weight in range(1, length):
+        for m in range(1, min(weight, length - weight) + 1):
+            for u in _partitions(weight, m, weight):
+                for z in _partitions(length - weight, m, length - weight):
+                    want[u, z] = Fraction(length * _orders(u) * _orders(z), m)
+    assert tally == want
 
 
 @pytest.mark.parametrize("length", range(1, 18, 2))
@@ -317,29 +327,6 @@ def test_scan_words_on_no_words():
     tie, dom, sums, sumsq = scan_words(np.array([], dtype=np.int64), 9)
     assert tie.size == 0 and dom.size == 0
     assert np.array_equal(sums, np.zeros(10)) and np.array_equal(sumsq, np.zeros(10))
-
-
-@pytest.mark.parametrize("length", [17, 19])
-def test_exact_scan_matches_one_block_over_every_word(length):
-    # the blocked, doubled exact scan and the dominance table against one
-    # unblocked block
-    hist, sums = _exact_scan(length)
-    tie, full_dom, full_sums, _ = _scan_block(np.arange(1 << length, dtype=np.uint32), length)
-    assert np.array_equal(in_t_table(length), full_dom)
-    assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
-    assert np.array_equal(sums, full_sums)
-
-
-@pytest.mark.parametrize("length", [18, 20])
-def test_odd_word_scan_matches_one_block_over_every_word_at_even_length(length):
-    # even length doubles nothing, so the counts come from the odd-word
-    # scan alone: the weighted first block and later blocks of one bit
-    # length each (a block spans 2 * _BLOCK words)
-    assert (1 << length) > 2 * _BLOCK
-    hist, sums = _exact_scan(length)
-    tie, _, full_sums, _ = _scan_block(np.arange(1 << length, dtype=np.uint32), length)
-    assert np.array_equal(hist, np.bincount(tie, minlength=hist.size))
-    assert np.array_equal(sums, full_sums)
 
 
 def test_scan_words_rejects_words_outside_the_length():
