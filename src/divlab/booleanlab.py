@@ -172,18 +172,26 @@ def _coordinates(table: np.ndarray, j: int) -> range:
     return range(1 if _is_cyclic(table) else j)
 
 
+def _prepared(spec: JuntaSpec) -> tuple[np.ndarray, int, range]:
+    """The spec's packed table, its center size and the coordinates whose
+    values need computing, shared by the quantities read from one spec."""
+    table = spec.membership_table()
+    words, j = _packed(table)
+    return words, j, _coordinates(table, j)
+
+
+def _influences(words: np.ndarray, j: int, coordinates: range, p) -> list[Fraction]:
+    """The influence of every coordinate: a cyclic table's one value j times."""
+    per = [_measure_from_weight_counts(_pivotal_counts(words, j, b), j, p) for b in coordinates]
+    return per * (j // len(per))
+
+
 def total_influence(spec: JuntaSpec, p) -> InfluenceProfile:
     """All coordinate influences and their sum; ``per_coordinate[i - 1]`` is
     the influence of coordinate i at bias p, the measure of the points whose
     membership flips with the coordinate.  A cyclic table's coordinates
     share one influence, computed once."""
-    table = spec.membership_table()
-    words, j = _packed(table)
-    per = [
-        _measure_from_weight_counts(_pivotal_counts(words, j, b), j, p)
-        for b in _coordinates(table, j)
-    ]
-    per *= j // len(per)
+    per = _influences(*_prepared(spec), p)
     return InfluenceProfile(per_coordinate=tuple(per), total=sum(per, Fraction(0)))
 
 
@@ -196,15 +204,17 @@ def _without(words: np.ndarray, b: int) -> np.ndarray:
     return out
 
 
+def _diversity(words: np.ndarray, j: int, coordinates: range, p) -> Fraction:
+    return min(
+        _measure_from_weight_counts(_packed_weight_counts(_without(words, b), j), j, p)
+        for b in coordinates
+    )
+
+
 def biased_diversity(spec: JuntaSpec, p) -> Fraction:
     """Minimum over coordinates of the measure of members avoiding the
     coordinate; for a cyclic table, the measure avoiding coordinate 1."""
-    table = spec.membership_table()
-    words, j = _packed(table)
-    return min(
-        _measure_from_weight_counts(_packed_weight_counts(_without(words, b), j), j, p)
-        for b in _coordinates(table, j)
-    )
+    return _diversity(*_prepared(spec), p)
 
 
 def default_bias_rule(r: int) -> Fraction:
@@ -245,9 +255,10 @@ def counterexample_table(r_values: Sequence[int]) -> Report:
             ("run_dominance", build_run_dominance_defining(r)),
             ("window_majority", build_majority_defining(r)),
         ):
-            mu = biased_measure(spec, p)
-            gp = biased_diversity(spec, p)
-            per_family[name] = (mu, gp, total_influence(spec, p).total)
+            words, j, coordinates = _prepared(spec)  # one packing, one cyclic test
+            mu = _measure_from_weight_counts(_packed_weight_counts(words, j), j, p)
+            gp = _diversity(words, j, coordinates, p)
+            per_family[name] = (mu, gp, sum(_influences(words, j, coordinates, p), Fraction(0)))
         inf_ratio = (
             float(per_family["run_dominance"][2]) / float(per_family["window_majority"][2])
         )

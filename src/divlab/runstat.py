@@ -9,6 +9,11 @@ statistic measures how many leading run lengths the two profiles share.
 Sampled words go through a vectorized scan; the exact statistics over all
 2^L words depend only on the run multisets, so they are counted from pairs
 of partitions, with no word enumerated.
+
+The run-dominance table (``in_t_table``) decides each word by the sign of
+one integer key, sum W[len] over ones-runs minus sum W[len] over zeros-runs.
+Each W[p] exceeds any sum of W over runs shorter than p of total length at
+most L - p, so the largest length whose run counts differ decides the sign.
 """
 
 from __future__ import annotations
@@ -213,20 +218,20 @@ def _exact_counts(length: int):
     return np.array(hist, dtype=np.int64), nrun_sums, dominant
 
 
-_LOW_BITS = 17  # in_t_table splits a word into its low 17 bits and the rest
+_LOW_BITS = 16  # in_t_table splits a word into its low 16 bits and the rest
 
 
-def _run_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The longest run of ones and the leading ones (the run ending at bit
-    bits - 1) of every value below 2^bits, as uint8 tables.  Built by
-    doubling: setting bit b above the values below 2^b makes their leading
-    ones one longer, and their longest run at least that long."""
-    run = lead = np.zeros(1, dtype=np.uint8)
-    for _ in range(bits):
-        top = lead + 1
-        run = np.concatenate([run, np.maximum(run, top)])
-        lead = np.concatenate([np.zeros_like(lead), top])
-    return run, lead
+def _run_weights(length: int) -> list[int]:
+    """W[0] = 0 and, for p = 1..length, W[p] = 1 + the largest sum of W[q]
+    over runs of lengths q < p with total length at most length - p, an
+    unbounded knapsack over the lengths taken in increasing order."""
+    weights = [0]
+    best = [0] * (length + 1)  # best[s]: the largest such sum within length s
+    for p in range(1, length + 1):
+        weights.append(1 + best[length - p])
+        for s in range(p, length + 1):
+            best[s] = max(best[s], best[s - p] + weights[p])
+    return weights
 
 
 @lru_cache(maxsize=2)
@@ -236,50 +241,55 @@ def in_t_table(length: int) -> np.ndarray:
     Returns a read-only bool array of size 2^length: entry w is True iff the
     ones-profile of w beats the zeros-profile.
 
-    Most words are decided by their longest runs.  An odd word w below
-    2^(L-1) has bit 0 set and bit L-1 clear, so no run wraps around: M1, its
-    longest run of ones, and M0, the longest run of ones of its complement,
-    are linear runs.  The profiles agree above max(M1, M0) and differ there,
-    so if M1 != M0 the word is dominant iff M1 > M0.  Both come from the
-    tables of ``_run_tables`` over the low 17 bits (or all L): the words of
-    a block of 2^17 share their high bits, which enter as scalars (their
-    longest run, and their trailing ones joined to the leading ones of the
-    low bits), and M0 reads the tables reversed, since 2^b-1-x complements
-    a b-bit x.  Only the words with M1 == M0 (17 % at L = 23) go through
-    ``_scan_block``.
+    Each word is decided by the sign of its key (see the module docstring),
+    with W from ``_run_weights``.  Let p be the largest length whose run
+    counts differ; the profile with more runs of length p wins.  The longer
+    runs cancel in the key, and the shorter ones, of total length at most
+    L - p, sum to less than W[p] on either side.  Odd length rules out a
+    full tie, so the key is never 0.
+
+    An odd word w below 2^(L-1) has bit 0 set and bit L-1 clear, so no run
+    wraps around.  Tables over the low 16 bits (or L-1), built by doubling,
+    hold the key of the closed runs and the signed length of the top run
+    (positive for ones).  The words of a block share their high bits, which
+    add two terms: the key of the high part's closed runs, a scalar, and a
+    junction term looked up by the low top run, which merges with the high
+    part's bottom run when the two share a colour and closes otherwise.  The
+    low keys plus the junction term depend on the block only through that
+    bottom run, so they are summed once per bottom run.
 
     An even word 2v below 2^(L-1) is v rotated and shares its flag, filled
     level by level; word 0 is not dominant; and the complement maps the
-    upper half onto the lower half reversed, flipping dominance, since odd
-    length rules out a full tie.
+    upper half onto the lower half reversed, flipping dominance.
     """
     if length % 2 == 0:
         raise ValueError("run dominance needs an odd word length")
     if length > EXACT_CAP_L:
         raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
-    total = 1 << length
-    half = total >> 1
-    low = min(length, _LOW_BITS)
-    span = min(half, 1 << low)  # the words of one block: 2^17, or all of them
-    run, lead = _run_tables(low)
-    runs = run[1:span:2], run[::-1][1:span:2]  # of the odd low parts, and their complements
-    leads = lead[1:span:2], lead[::-1][1:span:2]
-    dominant = np.empty(total, dtype=bool)
+    half = 1 << (length - 1)
+    low = min(length - 1, _LOW_BITS)  # the top bit, always 0, is a high bit
+    weights = np.array(_run_weights(length), dtype=np.int32)  # |key| < 2^20 at L = 25
+    # signed[s]: the key of one run of signed length s, negative for zeros
+    signed = np.concatenate([weights, -weights[:0:-1]])
+    key, top = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
+    for _ in range(low):  # a new top bit 0 closes a ones-run, a 1 a zeros-run
+        key = np.concatenate([key + signed[np.maximum(top, 0)], key + signed[np.minimum(top, 0)]])
+        top = np.concatenate([np.minimum(top, 0) - 1, np.maximum(top, 0) + 1])
+    key, top = key[1::2], top[1::2] + low
+    tops = np.arange(-low, low + 1)
+    by_bottom = {}
+    dominant = np.empty(2 * half, dtype=bool)
     dominant[0] = False
-    tied = []
-    for base in range(0, half, span):
-        longest = []
-        for high, low_run, low_lead in zip((base >> low, (total - 1 - base) >> low), runs, leads):
-            trailing = (high ^ (high + 1)).bit_length() - 1
-            longest.append(np.maximum(np.maximum(low_run, low_lead + trailing), run[high]))
-        ones, zeros = longest
-        dominant[base + 1 : base + span : 2] = ones > zeros
-        tied.append((np.flatnonzero(ones == zeros) * 2 + base + 1).astype(np.uint32))
-        # scan the tied words about _BLOCK at a time, as they gather
-        if sum(map(len, tied)) >= _BLOCK or base + span >= half:
-            words = np.concatenate(tied)
-            dominant[words] = _scan_block(words, length)[1]
-            tied = []
+    for high in range(half >> low):
+        bits = (high >> i & 1 for i in range(length - low))
+        runs = [len(list(g)) * (2 * bit - 1) for bit, g in groupby(bits)]  # signed, from bit 0
+        bottom = runs[0]
+        if bottom not in by_bottom:
+            merges = tops * bottom > 0  # the low top run and the bottom run share a colour
+            junction = np.where(merges, signed[tops + bottom], signed[tops] + signed[bottom])
+            by_bottom[bottom] = key + junction[top]
+        closed_high = sum(signed[runs[1:]])
+        dominant[(high << low) + 1 : (high + 1) << low : 2] = by_bottom[bottom] > -closed_high
     for b in range(1, length - 1):
         dominant[1 << b : 2 << b : 2] = dominant[1 << (b - 1) : 1 << b]
     np.logical_not(dominant[:half][::-1], out=dominant[half:])

@@ -122,6 +122,24 @@ def padded_compare(u, z):
     return (pu > pz) - (pu < pz)
 
 
+def partitions_up_to(total):
+    """Every partition of every n <= total, as descending tuples."""
+    def parts(n, largest):
+        if n == 0:
+            yield ()
+        for first in range(min(n, largest), 0, -1):
+            for rest in parts(n - first, first):
+                yield (first,) + rest
+
+    for n in range(total + 1):
+        yield from parts(n, n)
+
+
+def run_key(ones, zeros, weights):
+    """Sum of weights[len] over the ones-runs minus that over the zeros-runs."""
+    return sum(weights[u] for u in ones) - sum(weights[z] for z in zeros)
+
+
 def tie_len_by_padding(u, z):
     m = max(len(u), len(z))
     pu = tuple(u) + (0,) * (m - len(u))

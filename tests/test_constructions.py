@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from divlab import booleanlab as bl
 from divlab import runstat
-from divlab.bitfam import is_t_intersecting, make_family, stats
+from divlab.bitfam import family_from_masks, is_t_intersecting, make_family, stats
 from divlab.constructions import (
     JuntaSpec,
     build_dictator_defining,
@@ -134,6 +134,15 @@ def test_membership_table_is_read_only_and_built_once():
 @pytest.mark.parametrize("r", [1, 5])
 def test_run_dominance_spec_shares_the_scan_table(r):
     assert build_run_dominance_defining(r).membership_table() is runstat.in_t_table(2 * r + 1)
+
+
+def test_defining_equals_the_validated_construction():
+    specs = [build_run_dominance_defining(r) for r in range(1, 7)]
+    specs += [build_majority_defining(3), build_dictator_defining(5)]
+    specs.append(JuntaSpec(np.zeros(16, dtype=bool)))
+    for spec in specs:
+        members = np.flatnonzero(spec.membership_table())
+        assert spec.defining == family_from_masks(spec.center_size, None, members)
 
 
 def test_junta_spec_copies_a_writable_table():

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from divlab.runstat import (
     _exact_counts,
     _orders,
     _partitions,
+    _run_weights,
     in_t_table,
     rho_distribution,
     run_profile,
@@ -21,6 +23,8 @@ from divlab.runstat import (
 
 from oracles import (
     padded_compare,
+    partitions_up_to,
+    run_key,
     run_profile_by_string,
     tie_len_by_padding,
     word_to_string,
@@ -266,12 +270,12 @@ def test_in_t_table_matches_full_word_scan(length):
     assert np.array_equal(in_t_table(length), dom)
 
 
-@pytest.mark.parametrize("length", [19, 21])
+@pytest.mark.parametrize("length", [19, 21, 23])
 def test_in_t_table_matches_odd_word_scan_with_high_bits(length):
-    # above 17 bits the high part of a word enters the longest-run decision;
-    # against a full scan of the odd words below 2^(L-1), an even word taking
-    # the flag of its odd part (a rotation of it) and the upper half the
-    # flipped flag of the complement
+    # from L = 19 the odd words span several blocks of high bits, each joined
+    # to the low key tables; against a full scan of the odd words below
+    # 2^(L-1), an even word taking the flag of its odd part (a rotation of
+    # it) and the upper half the flipped flag of the complement
     half = 1 << (length - 1)
     odd = np.arange(1, half, 2, dtype=np.uint32)
     flags = np.zeros(half, dtype=bool)
@@ -279,6 +283,40 @@ def test_in_t_table_matches_odd_word_scan_with_high_bits(length):
     words = np.arange(1, half)
     flags[1:] = flags[words // (words & -words)]
     assert np.array_equal(in_t_table(length), np.concatenate([flags, ~flags[::-1]]))
+
+
+def test_in_t_table_digest_up_to_the_cap():
+    # the digest of the tables that longest runs and a scan of the tied
+    # words built, an independent method
+    digest = hashlib.sha256()
+    for length in range(1, 26, 2):
+        digest.update(np.packbits(in_t_table(length)).tobytes())
+    assert digest.hexdigest() == (
+        "89c8b12de5c4b8f24744d535d501c1e22ec335948ee728815d075f9cd4e85b82"
+    )
+
+
+@pytest.mark.parametrize("length", range(1, 26))
+def test_run_weights_by_partitions(length):
+    # W[p] = 1 + the largest sum of W over the partitions into parts below p
+    # of every total up to L - p, by enumeration rather than the knapsack
+    weights = _run_weights(length)
+    best = [0] * (length + 1)
+    for parts in partitions_up_to(length - 1):
+        value = sum(weights[q] for q in parts)
+        for p in range(max(parts, default=0) + 1, length - sum(parts) + 1):
+            best[p] = max(best[p], value)
+    assert weights == [0] + [1 + best[p] for p in range(1, length + 1)]
+
+
+@given(st.integers(1, 63), st.data())
+@settings(max_examples=300)
+def test_run_key_sign_is_the_profile_comparison(length, data):
+    # odd lengths never tie; at even lengths a full tie has key 0
+    mask = data.draw(st.integers(0, (1 << length) - 1))
+    profile = run_profile(mask, length)
+    key = run_key(profile.ones, profile.zeros, _run_weights(length))
+    assert (key > 0) - (key < 0) == padded_compare(profile.ones, profile.zeros)
 
 
 @pytest.mark.parametrize("length", [2, 3, 6, 17, 25, 33, 63])
