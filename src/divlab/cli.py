@@ -32,6 +32,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 from . import booleanlab as bl
@@ -298,15 +299,19 @@ def cmd_rho_profile(args) -> Report:
     if args.t is not None and args.t < 1:
         raise ValueError(f"run length threshold t={args.t} must be >= 1")
     profile = runstat.run_profile(mask, length)
-    tie, dominant, _, _ = runstat.scan_words([mask], length)
+    # the tie is the first index where the zero-padded profiles differ, and
+    # the number of runs on a full tie; descending tuples of positive lengths
+    # compare as their zero-padded forms do
+    pairs = zip_longest(profile.ones, profile.zeros, fillvalue=0)
+    tie = next((i for i, (u, z) in enumerate(pairs) if u != z), len(profile.ones))
     report = Report(command="rho-profile", parameters={"word": args.word, "t": args.t})
     row = {
         "ones_runs": ",".join(map(str, profile.ones)),
         "zeros_runs": ",".join(map(str, profile.zeros)),
         "weight": profile.weight,
-        "tie_len": int(tie[0]),
+        "tie_len": tie,
         # even length lets the profiles tie outright: no dominance there
-        "ones_dominant": None if length % 2 == 0 else bool(dominant[0]),
+        "ones_dominant": None if length % 2 == 0 else profile.ones > profile.zeros,
     }
     if args.t is not None:
         row[f"runs_ge_{args.t}"] = sum(run >= args.t for run in profile.ones + profile.zeros)

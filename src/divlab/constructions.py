@@ -111,11 +111,20 @@ def build_run_dominance_defining(r: int) -> JuntaSpec:
 
 
 def build_majority_defining(r: int) -> JuntaSpec:
-    """Window-majority junta: traces of size >= r+1."""
+    """Window-majority junta: traces of size >= r+1.
+
+    A trace is its high r+1 bits above its low r bits, so the table is one
+    compare of the two halves' popcount tables, row by high part, and no
+    array but the table is larger than 2^(r+1).  The table is read-only, so
+    the spec shares it without a copy.
+    """
     if not 1 <= r <= 12:
         raise ValueError(f"need 1 <= r <= 12, got r={r}")
-    points = np.arange(1 << (2 * r + 1), dtype=np.uint32)
-    return JuntaSpec(np.bitwise_count(points) >= r + 1)
+    lo = np.bitwise_count(np.arange(1 << r))
+    hi = np.bitwise_count(np.arange(1 << (r + 1))).astype(np.int16)
+    table = (lo[None, :] >= (r + 1 - hi)[:, None]).ravel()
+    table.setflags(write=False)
+    return JuntaSpec(table)
 
 
 def build_dictator_defining(center_size: int) -> JuntaSpec:

@@ -6,9 +6,11 @@ run-length sequences (ones-runs, zeros-runs).  The profile comparison rule
 (ones-profile lexicographically beats zeros-profile, with zero padding for
 unequal lengths) defines the run-dominance junta families; the tie-length
 statistic measures how many leading run lengths the two profiles share.
-Sampled words go through a vectorized scan; the exact statistics over all
-2^L words depend only on the run multisets, so they are counted from pairs
-of partitions, with no word enumerated.
+Sampled words go through a vectorized scan, drawn and scanned one block at
+a time, so Monte Carlo memory is one block whatever the sample count: the
+count sets only the time.  The exact statistics over all 2^L words depend
+only on the run multisets, so they are counted from pairs of partitions,
+with no word enumerated.
 
 The run-dominance table (``in_t_table``) decides each word by the sign of
 one integer key, sum W[len] over ones-runs minus sum W[len] over zeros-runs.
@@ -32,7 +34,9 @@ from .report import Report
 
 EXACT_CAP_L = 25
 MAX_L = 63
-_BLOCK = 1 << 16  # words per scan block: its state arrays stay in cache
+# words per Monte Carlo block: its state arrays stay in cache, and no array
+# holds more than one block, so memory does not grow with the sample count
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,11 @@ def run_profile(word: int, length: int) -> RunProfile:
 
 
 def _scan_block(words: np.ndarray, length: int):
-    """Per-word tie length, dominance and run-count sums for a word block.
+    """Tie-length histogram, dominant count and run-count sums of a word block.
 
-    Returns (tie, dominant, nrun_sums, nrun_sumsq) where nrun_sums[t] is the
-    sum over words of N(t) = number of maximal runs of length >= t, and
+    Returns (tie_hist, dominant, nrun_sums, nrun_sumsq): tie_hist over
+    0..length//2 + 1 and the number of dominant words, nrun_sums[t] the sum
+    over words of N(t) = number of maximal runs of length >= t, and
     nrun_sumsq[t] the sum of N(t)^2.
 
     After step t, bit p of acc1 (acc0) is set iff positions p..p+t all hold
@@ -97,18 +102,18 @@ def _scan_block(words: np.ndarray, length: int):
     so the last t where they differ fixes the tie, min(nu, nz), and the
     dominance; a full tie (even length only) keeps tie nu(1).  A word whose
     runs are used up (acc1 | acc0 == 0) has nu = nz = 0 at every larger t: it
-    adds nothing more and its results are final, so it is dropped from the
-    scan, in one batch once a quarter of the words left are used up.
+    adds nothing more and its results are final, so it is counted into the
+    histogram and the dominant count and dropped from the scan, in one batch
+    once a quarter of the words left are used up, and every word at t = length.
     """
     dt = words.dtype.type
     full = dt((1 << length) - 1)
     one, high = dt(1), dt(length - 1)
-    tie_out = np.empty(words.shape, dtype=np.uint8)
-    dom_out = np.empty(words.shape, dtype=bool)
-    pos = np.arange(words.size)
     rot1, acc1, acc0 = words.copy(), words.copy(), ~words & full
     cnt1, cnt0 = np.bitwise_count(acc1), np.bitwise_count(acc0)
     dominant = np.zeros(words.shape, dtype=bool)
+    tie_hist = np.zeros(length // 2 + 2, dtype=np.int64)
+    dominant_count = 0
     nrun_sums = np.zeros(length + 1, dtype=np.int64)
     nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
     for t in range(1, length + 1):
@@ -132,27 +137,18 @@ def _scan_block(words: np.ndarray, length: int):
         low, same = np.minimum(nu, nz), nu == nz
         tie = low + (tie - low) * same
         dominant = (dominant & same) | (nu > nz)
-        live = np.logical_or(cnt1, cnt0)
-        if t == length or 4 * (live.size - np.count_nonzero(live)) >= live.size:
-            tie_out[pos] = tie
-            dom_out[pos] = dominant
+        live = np.logical_or(cnt1, cnt0) & (t < length)
+        if 4 * (live.size - np.count_nonzero(live)) >= live.size:
+            # the finished words' counts: all words' less the kept words'
+            # (a boolean mask of the finished words is several times slower)
+            tie_hist += np.bincount(tie, minlength=tie_hist.size)
+            dominant_count += np.count_nonzero(dominant)
             keep = np.flatnonzero(live)
-            state = (pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant)
-            pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant = (a[keep] for a in state)
-    return tie_out, dom_out, nrun_sums, nrun_sumsq
-
-
-def scan_words(words: np.ndarray, length: int):
-    """Tie lengths and dominance flags for a 1-D array of words."""
-    _check_word(0, length)
-    words = np.asarray(words)
-    if words.ndim != 1 or words.size and (words.min() < 0 or int(words.max()) >> length):
-        raise ValueError(f"words must be a 1-D array of integers in [0, 2^{length})")
-    words = words.astype(np.uint32 if length <= 30 else np.uint64)
-    # one block even for no words, so the sums keep their shape
-    blocks = range(0, words.size or 1, _BLOCK)
-    ties, doms, sums, sumsqs = zip(*(_scan_block(words[i : i + _BLOCK], length) for i in blocks))
-    return np.concatenate(ties), np.concatenate(doms), sum(sums), sum(sumsqs)
+            state = (rot1, acc1, acc0, cnt1, cnt0, tie, dominant)
+            rot1, acc1, acc0, cnt1, cnt0, tie, dominant = (a[keep] for a in state)
+            tie_hist -= np.bincount(tie, minlength=tie_hist.size)
+            dominant_count -= np.count_nonzero(dominant)
+    return tie_hist, dominant_count, nrun_sums, nrun_sumsq
 
 
 def _partitions(total: int, parts: int, largest: int):
@@ -192,7 +188,7 @@ def _exact_counts(length: int):
 
     Returns (tie_hist, nrun_sums, dominant): the tie histogram over
     0..length//2 + 1 and the run-count sums over t = 0..length as int64
-    arrays, equal to those of ``scan_words`` over every word, and the
+    arrays, equal to those of ``_scan_block`` over every word, and the
     number of dominant words.
     """
     if length > EXACT_CAP_L:
@@ -322,8 +318,11 @@ def rho_distribution(
     Exact mode counts all 2^length words under the uniform measure from
     their run-partition pairs (length <= 25); mc mode draws ``samples`` words
     from a counter-based generator keyed by ``seed`` (default 0) and reports
-    standard errors.  Only mc mode consumes a seed and a sample count, so only
-    mc reports record them.
+    standard errors.  It draws and scans ``_BLOCK`` words at a time and keeps
+    running totals, so its memory is one block whatever ``samples`` is, and
+    ``samples`` sets only the time; the blocks continue one generator stream,
+    so the words are those of a single draw.  Only mc mode consumes a seed and
+    a sample count, so only mc reports record them.
     """
     report = Report(command="rho-dist", parameters={"L": length, "mode": mode})
     _check_word(0, length)
@@ -337,9 +336,13 @@ def rho_distribution(
         report.parameters["samples"] = samples
         report.seed = seed = 0 if seed is None else seed
         rng = np.random.Generator(np.random.Philox(key=seed))
-        words = rng.integers(0, 1 << length, size=samples, dtype=np.uint64)
-        tie, dom, nrun_sums, nrun_sumsq = scan_words(words, length)
-        hist, total = np.bincount(tie, minlength=kmax + 2), samples
+        dtype = np.uint32 if length <= 30 else np.uint64
+        totals = [0, 0, 0, 0]
+        for start in range(0, samples, _BLOCK):
+            words = rng.integers(0, 1 << length, size=min(_BLOCK, samples - start), dtype=np.uint64)
+            totals = [a + b for a, b in zip(totals, _scan_block(words.astype(dtype), length))]
+        hist, dominant, nrun_sums, nrun_sumsq = totals
+        total = samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -366,7 +369,7 @@ def rho_distribution(
         if length % 2 == 1:
             report.check("dominant_count", 1 << (length - 1), dominant)
     elif length % 2 == 1:
-        share = int(dom.sum()) / samples
+        share = dominant / samples
         report.note(f"dominant share {share:.6f} (exact value is 1/2 for odd length)")
 
     probs = [float(r["prob"]) for r in rows]

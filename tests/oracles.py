@@ -1,9 +1,11 @@
 """Deliberately naive reference implementations used as independent oracles.
 
-Everything here but the last section works on element sets / strings with
-no bit tricks and no numpy, so agreement with the package is meaningful.
-The last section keeps the unpacked numpy weight counts (one entry per
-point of the center cube) that the package's packed-word kernels replaced.
+Everything here but the last two sections works on element sets / strings
+with no bit tricks and no numpy, so agreement with the package is
+meaningful.  The last two sections keep numpy kernels that the package
+replaced: the per-word run scan, whose outputs the package now only
+aggregates, and the unpacked weight counts (one entry per point of the
+center cube) that its packed-word kernels replaced.
 """
 
 from fractions import Fraction
@@ -201,3 +203,85 @@ def avoiding_counts_unpacked(table, j, b):
     """Weight histogram of the members that do not contain coordinate b."""
     members = np.flatnonzero(table)
     return weight_counts_of_masks(members[(members >> b & 1) == 0], j)
+
+
+# ---------------------------------------------------------------------------
+# per-word run scan over arrays of words
+# ---------------------------------------------------------------------------
+
+BLOCK = 1 << 16  # words per scan block
+
+
+def scan_block(words, length):
+    """Per-word tie length, dominance and run-count sums for a word block.
+
+    Returns (tie, dominant, nrun_sums, nrun_sumsq) where nrun_sums[t] is the
+    sum over words of N(t) = number of maximal runs of length >= t, and
+    nrun_sumsq[t] the sum of N(t)^2.
+
+    After step t, bit p of acc1 (acc0) is set iff positions p..p+t all hold
+    a 1 (a 0).  A run of length r >= t holds r - t + 1 windows of length t
+    and r - t of length t + 1, so step t counts the ones-runs of length >= t
+    as nu = popcount(acc1) before minus after; likewise nz for zeros, and a
+    constant word counts one run at every t.  nu and nz only fall as t grows,
+    so the last t where they differ fixes the tie, min(nu, nz), and the
+    dominance; a full tie (even length only) keeps tie nu(1).  A word whose
+    runs are used up (acc1 | acc0 == 0) has nu = nz = 0 at every larger t: it
+    adds nothing more and its results are final, so it is dropped from the
+    scan, in one batch once a quarter of the words left are used up.
+    """
+    dt = words.dtype.type
+    full = dt((1 << length) - 1)
+    one, high = dt(1), dt(length - 1)
+    tie_out = np.empty(words.shape, dtype=np.uint8)
+    dom_out = np.empty(words.shape, dtype=bool)
+    pos = np.arange(words.size)
+    rot1, acc1, acc0 = words.copy(), words.copy(), ~words & full
+    cnt1, cnt0 = np.bitwise_count(acc1), np.bitwise_count(acc0)
+    dominant = np.zeros(words.shape, dtype=bool)
+    nrun_sums = np.zeros(length + 1, dtype=np.int64)
+    nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
+    for t in range(1, length + 1):
+        rot1 = (rot1 >> one) | ((rot1 & one) << high)
+        acc1 &= rot1
+        acc0 &= ~rot1
+        nu, cnt1 = cnt1, np.bitwise_count(acc1)
+        nz, cnt0 = cnt0, np.bitwise_count(acc0)
+        nu -= cnt1
+        nz -= cnt0
+        nu += cnt1 == length
+        nz += cnt0 == length
+        both = nu + nz
+        nrun_sums[t] = both.sum(dtype=np.int64)
+        both = both.astype(np.uint16)  # both <= 64, so both^2 fits
+        nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
+        if t == 1:
+            tie = nu.copy()
+        # where nu != nz: tie = min(nu, nz), dominant = nu > nz; arithmetic
+        # (exact mod 256) is several times faster than a masked copy
+        low, same = np.minimum(nu, nz), nu == nz
+        tie = low + (tie - low) * same
+        dominant = (dominant & same) | (nu > nz)
+        live = np.logical_or(cnt1, cnt0)
+        if t == length or 4 * (live.size - np.count_nonzero(live)) >= live.size:
+            tie_out[pos] = tie
+            dom_out[pos] = dominant
+            keep = np.flatnonzero(live)
+            state = (pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant)
+            pos, rot1, acc1, acc0, cnt1, cnt0, tie, dominant = (a[keep] for a in state)
+    return tie_out, dom_out, nrun_sums, nrun_sumsq
+
+
+def scan_words(words, length):
+    """Tie lengths and dominance flags for a 1-D array of words, with the
+    run-count sums and sums of squares, block by block."""
+    if not 1 <= length <= 63:
+        raise ValueError(f"word length {length} outside [1, 63]")
+    words = np.asarray(words)
+    if words.ndim != 1 or words.size and (words.min() < 0 or int(words.max()) >> length):
+        raise ValueError(f"words must be a 1-D array of integers in [0, 2^{length})")
+    words = words.astype(np.uint32 if length <= 30 else np.uint64)
+    # one block even for no words, so the sums keep their shape
+    blocks = range(0, words.size or 1, BLOCK)
+    ties, doms, sums, sumsqs = zip(*(scan_block(words[i : i + BLOCK], length) for i in blocks))
+    return np.concatenate(ties), np.concatenate(doms), sum(sums), sum(sumsqs)

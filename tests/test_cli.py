@@ -2,10 +2,20 @@ import argparse
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from divlab.cli import build_parser, main, parse_bias, parse_r_range, word_from_string
+from divlab.cli import (
+    build_parser,
+    cmd_rho_profile,
+    main,
+    parse_bias,
+    parse_r_range,
+    word_from_string,
+)
 from divlab.verify import criterion_04_cross_weighted_sweep
+
+from oracles import scan_words, word_to_string
 
 
 def run(argv):
@@ -243,6 +253,16 @@ def test_rho_profile_cli(tmp_path):
     row = json.loads(json_path.read_text())["results"]["rows"][0]
     assert row["ones_dominant"] is None and row["tie_len"] == 1
     assert run(["rho", "profile", "--word", "1100100", "--t", "0"]) == 2
+
+
+@pytest.mark.parametrize("length", range(1, 15))
+def test_rho_profile_tie_and_dominance_match_the_oracle_scan(length):
+    tie, dom, _, _ = scan_words(np.arange(1 << length), length)
+    for mask in range(1 << length):
+        args = argparse.Namespace(word=word_to_string(mask, length), t=None)
+        row = cmd_rho_profile(args).tables["rows"][0]
+        assert type(row["tie_len"]) is int and row["tie_len"] == tie[mask]
+        assert row["ones_dominant"] is (None if length % 2 == 0 else bool(dom[mask]))
 
 
 def _parameters(argv, tmp_path):

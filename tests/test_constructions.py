@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,3 +259,22 @@ def test_lift_membership_rule(r, raw):
     table = spec.membership_table()
     for m in fam:
         assert table[m & jmask]
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_majority_table_is_the_popcount_rule(r):
+    table = build_majority_defining(r).membership_table()
+    points = range(1 << (2 * r + 1))
+    assert table.tolist() == [bin(m).count("1") >= r + 1 for m in points]
+    assert not table.flags.writeable
+
+
+def test_majority_table_build_peaks_near_its_size():
+    build_majority_defining(10)
+    tracemalloc.start()
+    try:
+        spec = build_majority_defining(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spec.table.nbytes + 2**20

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from divlab.runstat import (
     in_t_table,
     rho_distribution,
     run_profile,
-    scan_words,
 )
 
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     partitions_up_to,
     run_key,
     run_profile_by_string,
+    scan_words,
     tie_len_by_padding,
     word_to_string,
 )
@@ -372,3 +374,40 @@ def test_scan_words_rejects_words_outside_the_length():
         scan_words(np.array([-1]), 5)
     with pytest.raises(ValueError):
         scan_words(np.array([0b101011]), 5)
+
+
+@pytest.mark.parametrize("length", [1, 2, 13, 25, 31, 63])
+@pytest.mark.parametrize("samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_streamed_mc_matches_one_draw_through_the_oracle_scan(length, samples):
+    # the blocks continue one generator stream, so the report equals that of
+    # the same words drawn in one call and scanned word by word
+    seed = length + samples
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    words = rng.integers(0, 1 << length, size=samples, dtype=np.uint64)
+    tie, dom, sums, sumsq = scan_words(words, length)
+    tail = np.cumsum(np.bincount(tie, minlength=length // 2 + 2)[::-1])[::-1]
+    rep = rho_distribution(length, "mc", samples=samples, seed=seed)
+    want_tail = []
+    for k in range(length // 2 + 1):
+        p = tail[k] / samples
+        want_tail.append({"k": k, "prob": p, "stderr": math.sqrt(max(p * (1 - p), 0.0) / samples)})
+    assert rep.tables["rho_tail"] == want_tail
+    want_runs = []
+    for t in range(1, length + 1):
+        mean = sums[t] / samples
+        var = max(sumsq[t] / samples - mean * mean, 0.0)
+        want_runs.append({"t": t, "expected_runs": mean, "stderr": math.sqrt(var / samples)})
+    assert rep.tables["expected_runs"] == want_runs
+    share = np.count_nonzero(dom) / samples
+    want_notes = [f"dominant share {share:.6f} (exact value is 1/2 for odd length)"]
+    assert rep.notes == (want_notes if length % 2 else [])
+
+
+def test_mc_memory_is_one_block_whatever_the_sample_count():
+    tracemalloc.start()
+    try:
+        rho_distribution(25, "mc", samples=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
