@@ -143,6 +143,14 @@ def family_from_masks(
     return Family(n=n, k=k, members=arr)
 
 
+def check_enumeration(n: int, k: int) -> None:
+    """Refuse n outside [0, MAX_GROUND] and, for 0 <= k <= n, C(n, k) > KSUBSET_CAP."""
+    if not 0 <= n <= MAX_GROUND:
+        raise ValueError(f"ground set size {n} outside [0, {MAX_GROUND}]")
+    if 0 <= k <= n and math.comb(n, k) > KSUBSET_CAP:
+        raise ResourceCapError(f"C({n},{k}) exceeds the enumeration cap 2^26")
+
+
 def ksubset_masks(n: int, k: int) -> np.ndarray:
     """Masks of the k-subsets of [n] in lex order, the order of
     ``itertools.combinations(range(n), k)``; empty unless 0 <= k <= n.
@@ -151,12 +159,9 @@ def ksubset_masks(n: int, k: int) -> np.ndarray:
     are e joined to the last C(n-e-1, j-1) entries of level j-1, the
     (j-1)-sets above e.  Refuses C(n, k) > KSUBSET_CAP before allocating.
     """
-    if not 0 <= n <= MAX_GROUND:
-        raise ValueError(f"ground set size {n} outside [0, {MAX_GROUND}]")
+    check_enumeration(n, k)
     if not 0 <= k <= n:
         return np.zeros(0, dtype=np.int64)
-    if math.comb(n, k) > KSUBSET_CAP:
-        raise ResourceCapError(f"C({n},{k}) exceeds the enumeration cap 2^26")
     level = np.zeros(1, dtype=np.int64)
     for j in range(1, k + 1):
         out = np.empty(math.comb(n - k + j, j), dtype=np.int64)

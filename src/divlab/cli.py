@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -38,7 +37,6 @@ from typing import Optional
 from . import booleanlab as bl
 from . import bounds, extremal, runstat, shiftlex, verify
 from .bitfam import (
-    KSUBSET_CAP,
     Family,
     FamilyStats,
     are_cross_intersecting,
@@ -92,13 +90,6 @@ def word_from_string(text: str) -> tuple[int, int]:
     return mask, len(text)
 
 
-def _cap_check(n: int, k: int) -> None:
-    """Refuse an enumeration the k-subset kernel would refuse, before any work
-    (a run-dominance lift builds its defining table first)."""
-    if math.comb(n, k) > KSUBSET_CAP:
-        raise ResourceCapError(f"C({n},{k}) exceeds the enumeration cap 2^26")
-
-
 def _write_family(report: Report, fam: Family, path: Optional[str], what: str = "family") -> None:
     if path:
         save_family(fam, path)
@@ -110,8 +101,7 @@ def _write_family(report: Report, fam: Family, path: Optional[str], what: str = 
 # ---------------------------------------------------------------------------
 
 
-# family kind -> (the arguments it reads, its builder); every kind that reads
-# --k enumerates the k-subsets of [n]
+# family kind -> (the arguments it reads, its builder)
 _FAMILY_KINDS = {
     "hub-block": (("n", "k", "u"), lambda a: build_hub_block_family(a.n, a.k, a.u)),
     "window-majority": (("n", "k", "r"), lambda a: build_window_majority(a.n, a.k, a.r)),
@@ -146,8 +136,6 @@ def _stats_row(fam: Family, st: FamilyStats) -> dict:
 
 def cmd_family_build(args) -> Report:
     used, build = _FAMILY_KINDS[args.kind]
-    if "k" in used:
-        _cap_check(args.n, args.k)
     fam = build(args)
     params = {"kind": args.kind, **{name: getattr(args, name) for name in used}}
     report = Report(command="family-build", parameters=params)

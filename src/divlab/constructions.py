@@ -1,8 +1,8 @@
 """Builders for the named families and the decomposition around a 3-element center.
 
-All builders return canonical Families.  Junta-style families (membership
-determined by the intersection with a small center) are represented by a
-JuntaSpec, which is its membership table over the center cube.
+All builders return canonical Families.  A family whose membership depends
+only on the trace on a small center (hub-block, window majority, run
+dominance) is lift_junta of a JuntaSpec, its membership table on that center.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from . import runstat
 from .bitfam import (
     Family,
+    check_enumeration,
     family_from_masks,
     is_t_intersecting,
     ksubset_masks,
@@ -71,7 +72,7 @@ class JuntaSpec:
 
 def build_hub_block_family(n: int, k: int, u: int) -> Family:
     """k-sets that contain the whole block {2,...,u+1}, or contain element 1
-    and meet the block.
+    and meet the block: the lift of that rule's 2^(u+1)-entry table.
 
     For u=2 this is the 'two out of three' family {F: |F cap [3]| >= 2}.
     """
@@ -79,10 +80,11 @@ def build_hub_block_family(n: int, k: int, u: int) -> Family:
         raise ValueError(f"need 2 <= u <= k, got u={u}, k={k}")
     if n < 2 * k:
         raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+    check_enumeration(n, k)  # before the table, which doubles with u
     block = ((1 << u) - 1) << 1
-    masks = ksubset_masks(n, k)
-    meets = masks & block
-    return family_from_masks(n, k, masks[(meets == block) | (((masks & 1) != 0) & (meets != 0))])
+    traces = np.arange(1 << (u + 1))
+    meets = traces & block
+    return lift_junta(JuntaSpec((meets == block) | (((traces & 1) != 0) & (meets != 0))), n, k)
 
 
 def build_window_majority(n: int, k: int, r: int) -> Family:
@@ -92,9 +94,8 @@ def build_window_majority(n: int, k: int, r: int) -> Family:
     w = 2 * r + 1
     if w > n:
         raise ValueError(f"window 2r+1={w} exceeds ground set n={n}")
-    masks = ksubset_masks(n, k)
-    inside = np.bitwise_count((masks & ((1 << w) - 1)).astype(np.uint64))
-    return family_from_masks(n, k, masks[inside >= r + 1])
+    check_enumeration(n, k)  # before the table, which r > 12 lacks
+    return lift_junta(build_majority_defining(r), n, k)
 
 
 def build_run_dominance_defining(r: int) -> JuntaSpec:
@@ -135,12 +136,22 @@ def build_dictator_defining(center_size: int) -> JuntaSpec:
 
 
 def lift_junta(spec: JuntaSpec, n: int, k: int) -> Family:
-    """All k-sets of [n] whose trace on the center is a defining member."""
-    if spec.center_size > n:
-        raise ValueError(f"center size {spec.center_size} exceeds ground set {n}")
-    masks = ksubset_masks(n, k)
-    table = spec.membership_table()
-    return family_from_masks(n, k, masks[table[masks & ((1 << spec.center_size) - 1)]])
+    """All k-sets of [n] whose trace on the center is a defining member: per
+    trace weight w, the admitted w-subsets of the center times the (k-w)-sets
+    above it, merged by one sort.  family_from_masks validates k and the bits."""
+    c = spec.center_size
+    if c > n:
+        raise ValueError(f"center size {c} exceeds ground set {n}")
+    check_enumeration(n, k)
+    parts = [np.zeros(0, dtype=np.int64)]
+    for w in range(max(0, k - (n - c)), min(k, c) + 1):
+        traces = ksubset_masks(c, w)
+        traces = traces[spec.table[traces]]
+        parts.append(((ksubset_masks(n - c, k - w)[:, None] << c) | traces).ravel())
+    members = np.concatenate(parts)
+    del parts
+    members.sort()
+    return family_from_masks(n, k, members, presorted=True)
 
 
 @dataclass(eq=False)

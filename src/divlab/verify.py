@@ -16,7 +16,7 @@ import numpy as np
 
 from . import booleanlab as bl
 from . import bounds, extremal, shiftlex
-from .bitfam import family_from_masks, is_t_intersecting, ksubset_masks, stats
+from .bitfam import are_cross_intersecting, family_from_masks, is_t_intersecting, ksubset_masks, stats
 from .constructions import (
     build_dictator_defining,
     build_hub_block_family,
@@ -140,13 +140,9 @@ def criterion_05_lex_cross_pairs(quick: bool = False, seed: int = 20240813) -> R
         chosen = a_all[rng.choice(a_all.size, size=size, replace=False)]
         b_all = ksubset_masks(n, b)
         partner = b_all[np.all((b_all[:, None] & chosen[None, :]) != 0, axis=1)]
-        la = shiftlex.lex_segment(size, a, n).members
-        lb = shiftlex.lex_segment(int(partner.size), b, n).members
-        ok = (
-            partner.size == 0
-            or not bool(np.any((la[:, None] & lb[None, :]) == 0))
-        )
-        if not ok:
+        la = shiftlex.lex_segment(size, a, n)
+        lb = shiftlex.lex_segment(int(partner.size), b, n)
+        if not are_cross_intersecting(la, lb):
             failures.append({"trial": trial, "n": n, "a": a, "b": b, "a_size": size, "b_size": int(partner.size)})
     report.add_table("failures", failures)
     report.check("cross_intersecting_pairs", pairs, pairs - len(failures))

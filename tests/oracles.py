@@ -1,17 +1,20 @@
 """Deliberately naive reference implementations used as independent oracles.
 
-Everything here but the last two sections works on element sets / strings
+Everything here but the last three sections works on element sets / strings
 with no bit tricks and no numpy, so agreement with the package is
-meaningful.  The last two sections keep numpy kernels that the package
+meaningful.  The last three sections keep numpy kernels that the package
 replaced: the per-word run scan, whose outputs the package now only
-aggregates, and the unpacked weight counts (one entry per point of the
-center cube) that its packed-word kernels replaced.
+aggregates, the unpacked weight counts (one entry per point of the
+center cube) that its packed-word kernels replaced, and the lift of a
+membership table that filters every k-set of [n].
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
 
 import numpy as np
+
+from divlab.bitfam import family_from_masks, ksubset_masks
 
 
 def all_ksets(n, k):
@@ -285,3 +288,16 @@ def scan_words(words, length):
     blocks = range(0, words.size or 1, BLOCK)
     ties, doms, sums, sumsqs = zip(*(scan_block(words[i : i + BLOCK], length) for i in blocks))
     return np.concatenate(ties), np.concatenate(doms), sum(sums), sum(sumsqs)
+
+
+# ---------------------------------------------------------------------------
+# lift of a membership table by filtering every k-set
+# ---------------------------------------------------------------------------
+
+
+def lift_by_filter(table, n, k):
+    """The k-sets of [n] whose trace on the low log2(len(table)) elements is
+    admitted by the table: all C(n, k) masks, then one table lookup."""
+    masks = ksubset_masks(n, k)
+    center = table.size.bit_length() - 1
+    return family_from_masks(n, k, masks[table[masks & ((1 << center) - 1)]])

@@ -75,6 +75,7 @@ def test_cross_check(tmp_path):
 def test_usage_error_exit_code(tmp_path):
     assert run(["family", "build", "--kind", "hub-block", "--n", "5", "--k", "3",
                 "--u", "2"]) == 2  # n < 2k
+    assert run(["family", "build", "--kind", "window-majority", "--n", "64", "--k", "3"]) == 2
 
 
 def test_extremal_search_past_the_ground_set_cap_is_usage_error(capsys):
@@ -496,3 +497,6 @@ def test_family_build_records_only_the_parameters_its_kind_reads(tmp_path):
 
 def test_family_build_cap_still_refuses_enumerating_kinds():
     assert run(["family", "build", "--kind", "full", "--n", "60", "--k", "30"]) == 3
+    for kind, extra in [("star", []), ("hub-block", ["--u", "3"]),
+                        ("window-majority", ["--r", "13"]), ("run-dominance-lift", ["--r", "3"])]:
+        assert run(["family", "build", "--kind", kind, "--n", "40", "--k", "20", *extra]) == 3

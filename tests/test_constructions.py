@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from divlab import booleanlab as bl
 from divlab import runstat
-from divlab.bitfam import family_from_masks, is_t_intersecting, make_family, stats
+from divlab.bitfam import (
+    elements_of_mask,
+    family_from_masks,
+    is_t_intersecting,
+    make_family,
+    stats,
+)
 from divlab.constructions import (
     JuntaSpec,
     build_dictator_defining,
@@ -23,7 +29,7 @@ from divlab.constructions import (
 )
 from divlab.errors import ResourceCapError
 
-from oracles import all_ksets, family_as_sets, pascal_binom
+from oracles import all_ksets, family_as_sets, lift_by_filter, pascal_binom
 
 
 def hub_block_oracle(n, k, u):
@@ -185,9 +191,69 @@ def test_junta_spec_validation():
         JuntaSpec(np.zeros(1, dtype=bool))  # j = 0
 
 
-def test_lift_majority_equals_window_majority():
-    maj = build_majority_defining(1)
-    assert lift_junta(maj, 7, 3) == build_window_majority(7, 3, 1)
+def hub_block_table(u):
+    """The hub-block rule on the centre [u+1], from element sets."""
+    block = set(range(2, u + 2))
+    traces = (set(elements_of_mask(m)) for m in range(1 << (u + 1)))
+    return np.array([block <= t or (1 in t and bool(t & block)) for t in traces])
+
+
+def majority_table(r):
+    return np.array([bin(m).count("1") >= r + 1 for m in range(1 << (2 * r + 1))])
+
+
+_LIFT_TABLES = [runstat.in_t_table(2 * r + 1) for r in range(1, 5)] + [
+    table
+    for c in range(1, 7)
+    for table in (
+        np.zeros(1 << c, bool),
+        np.ones(1 << c, bool),
+        np.random.default_rng(c).random(1 << c) < 0.5,
+    )
+]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_lifts_equal_filter_oracle(n):
+    # every k, every admissible u and r, run dominance r <= 4, and the
+    # all-False, all-True and mixed tables on centres of 1..6 elements
+    for k in range(n + 1):
+        for table in _LIFT_TABLES:
+            if table.size <= 1 << n:
+                assert lift_junta(JuntaSpec(table), n, k) == lift_by_filter(table, n, k)
+        for u in range(2, k + 1) if n >= 2 * k else ():
+            assert build_hub_block_family(n, k, u) == lift_by_filter(hub_block_table(u), n, k)
+        for r in range(1, min(k - 1, (n - 1) // 2) + 1):
+            assert build_window_majority(n, k, r) == lift_by_filter(majority_table(r), n, k)
+
+
+@pytest.mark.parametrize("n,k", [(64, 3), (6, 7), (6, -1)])
+def test_lifts_refuse_ground_set_and_uniformity_out_of_range(n, k):
+    with pytest.raises(ValueError):
+        lift_junta(build_run_dominance_defining(1), n, k)
+    with pytest.raises(ValueError):
+        build_hub_block_family(n, k, 2)
+    with pytest.raises(ValueError):
+        build_window_majority(n, k, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lift_junta(build_run_dominance_defining(3), 26, 8),
+        lambda: build_hub_block_family(26, 8, 3),
+    ],
+    ids=["run-dominance-lift", "hub-block"],
+)
+def test_lift_peaks_near_its_output(build):
+    build()  # the first call fills the run-profile table cache
+    tracemalloc.start()
+    try:
+        members = build().members
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * members.nbytes + 2**20
 
 
 def test_lift_empty_and_full():
@@ -201,6 +267,12 @@ def test_lift_cap_refused():
     spec = build_majority_defining(1)
     with pytest.raises(ResourceCapError):
         lift_junta(spec, 40, 20)
+    with pytest.raises(ResourceCapError):  # C(40, 10) > 2^26, but no part is that large
+        lift_junta(JuntaSpec(np.zeros(1 << 20, dtype=bool)), 40, 10)
+    with pytest.raises(ResourceCapError):
+        build_hub_block_family(40, 20, 3)
+    with pytest.raises(ResourceCapError):
+        build_window_majority(40, 20, 13)  # r = 13 has no majority table
 
 
 def test_dictator_defining():
