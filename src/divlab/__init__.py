@@ -2,9 +2,10 @@
 
 Modules:
     bitfam        bitmask families, lex k-subset enumeration, degrees, diversity
-    constructions named family builders and the triangle-center decomposition
+    constructions named family builders and junta lifts
     shiftlex      (i,j)-shifts and Kruskal-Katona lex machinery
-    bounds        exact binomial bounds and inequality sweeps
+    bounds        exact binomial bounds, inequality sweeps and the
+                  triangle-center decomposition with its diversity chain
     booleanlab    exact biased measures and influences on junta centers
     runstat       cyclic run-length statistics
     extremal      maximal-family enumeration and diversity search

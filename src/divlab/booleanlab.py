@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .constructions import (
+    MAX_R,
     JuntaSpec,
     build_majority_defining,
     build_run_dominance_defining,
@@ -239,8 +240,8 @@ def counterexample_table(r_values: Sequence[int]) -> Report:
     family has 3003 (``lift_junta`` + ``stats``, ``build_window_majority``).
     """
     r_values = sorted(set(int(r) for r in r_values))
-    if not r_values or r_values[0] < 2 or r_values[-1] > 12:
-        raise ValueError(f"r values {r_values} outside [2, 12]")
+    if not r_values or r_values[0] < 2 or r_values[-1] > MAX_R:
+        raise ValueError(f"r values {r_values} outside [2, {MAX_R}]")
     report = Report(
         command="counterexample-table",
         parameters={"r_values": r_values, "p_rule": "max(1/4, 1/2 - 1/r)"},
@@ -249,44 +250,31 @@ def counterexample_table(r_values: Sequence[int]) -> Report:
     exact_rows = []
     for r in r_values:
         p = default_bias_rule(r)
-        pa = float(p)
-        per_family = {}
+        pair = []
         for name, spec in (
             ("run_dominance", build_run_dominance_defining(r)),
             ("window_majority", build_majority_defining(r)),
         ):
             words, j, coordinates = _prepared(spec)  # one packing, one cyclic test
-            mu = _measure_from_weight_counts(_packed_weight_counts(words, j), j, p)
             gp = _diversity(words, j, coordinates, p)
-            per_family[name] = (mu, gp, sum(_influences(words, j, coordinates, p), Fraction(0)))
-        inf_ratio = (
-            float(per_family["run_dominance"][2]) / float(per_family["window_majority"][2])
-        )
-        for name, (mu, gp, inf_p) in per_family.items():
-            deficit = (1.0 - pa) / 2.0 - float(gp)
-            rows.append(
-                {
-                    "r": r,
-                    "p": pa,
-                    "family": name,
-                    "mu": float(mu),
-                    "gamma_p": float(gp),
-                    "deficit": deficit,
-                    "total_influence": float(inf_p),
-                    "ratio": inf_ratio,
-                }
-            )
-            exact_rows.append(
+            pair.append(
                 {
                     "r": r,
                     "p": p,
                     "family": name,
-                    "mu": mu,
+                    "mu": _measure_from_weight_counts(_packed_weight_counts(words, j), j, p),
                     "gamma_p": gp,
                     "deficit": (1 - p) / 2 - gp,
-                    "total_influence": inf_p,
+                    "total_influence": sum(_influences(words, j, coordinates, p), Fraction(0)),
                 }
             )
+        exact_rows += pair
+        inf_ratio = float(pair[0]["total_influence"]) / float(pair[1]["total_influence"])
+        for exact in pair:
+            row = {c: float(v) if isinstance(v, Fraction) else v for c, v in exact.items()}
+            # float() of the exact deficit can differ from this in the last digit
+            row["deficit"] = (1.0 - row["p"]) / 2.0 - row["gamma_p"]
+            rows.append({**row, "ratio": inf_ratio})
     report.add_table("rows", rows)
     report.add_table("exact_values", exact_rows, csv=False)
     return report.finish()

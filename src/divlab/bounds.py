@@ -2,6 +2,8 @@
 
 Everything here is exact integer arithmetic; binomials outside the usual
 range evaluate to 0 so the bound formulas can be instantiated verbatim.
+The decomposition around the center {1,2,3} lives here with the diversity
+chain it feeds.
 """
 
 from __future__ import annotations
@@ -10,8 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .bitfam import Family, are_cross_intersecting
-from .constructions import triangle_decompose
+from .bitfam import Family, are_cross_intersecting, family_from_masks, is_t_intersecting, stats
 from .report import Report
 from .shiftlex import lex_partner_maxima
 
@@ -53,10 +54,6 @@ class CrossBoundReport:
     violations lists the rows with negative slack.
     """
 
-    m: int
-    a: int
-    b: int
-    weight: int
     b_cap: int
     swept_max: int
     worst_slack: int
@@ -94,10 +91,6 @@ def verify_cross_weighted_bound(m: int, a: int, b: int, weight: int) -> CrossBou
         lhs = amax + weight * s
         rows.append({"b_size": s, "a_max": amax, "lhs": lhs, "rhs": ca, "slack": ca - lhs})
     return CrossBoundReport(
-        m=m,
-        a=a,
-        b=b,
-        weight=weight,
         b_cap=b_cap,
         swept_max=swept_max,
         worst_slack=min(row["slack"] for row in rows),
@@ -142,6 +135,45 @@ def cross_bound_sweep(
     return rows
 
 
+@dataclass(eq=False)
+class TriangleDecomposition:
+    """Split of a k-uniform intersecting family around the center {1,2,3}.
+
+    ``fi[i-1]`` holds the members whose center trace is exactly {i}.  The
+    largest of the three (ties to the smallest index) drives the bound:
+    ``g`` collects the tails of members tracing the opposite pair, ``h1``
+    the tails of the largest fi, ``h2`` the members avoiding the center.
+    Tails are relabeled from [4, n] down to [1, n-3].
+    """
+
+    fi: tuple[Family, Family, Family]
+    g: Family
+    h1: Family
+    h2: Family
+    largest_fi_index: int
+
+
+def triangle_decompose(fam: Family) -> TriangleDecomposition:
+    """Decompose an intersecting k-uniform family around the center {1,2,3}."""
+    if fam.k is None or fam.k < 2:
+        raise ValueError("decomposition needs a k-uniform family with k >= 2")
+    if fam.n < 4:
+        raise ValueError("decomposition needs ground set size >= 4")
+    if not is_t_intersecting(fam, 1):
+        raise ValueError("decomposition is defined for intersecting families only")
+    traces = fam.members & 0b111
+    fi_masks = [fam.members[traces == (1 << i)] for i in range(3)]
+    sizes = [arr.size for arr in fi_masks]
+    largest = max(range(3), key=lambda i: (sizes[i], -i))  # ties to smallest index
+    pair_mask = 0b111 ^ (1 << largest)
+    n_tail = fam.n - 3
+    g = family_from_masks(n_tail, fam.k - 2, fam.members[traces == pair_mask] >> 3, presorted=True)
+    h1 = family_from_masks(n_tail, fam.k - 1, fi_masks[largest] >> 3, presorted=True)
+    h2 = family_from_masks(n_tail, fam.k, fam.members[traces == 0] >> 3, presorted=True)
+    fi = tuple(family_from_masks(fam.n, fam.k, arr, presorted=True) for arr in fi_masks)
+    return TriangleDecomposition(fi=fi, g=g, h1=h1, h2=h2, largest_fi_index=largest + 1)
+
+
 def verify_triangle_chain(fam: Family) -> Report:
     """Decompose around the center {1,2,3} and evaluate the diversity chain.
 
@@ -158,26 +190,27 @@ def verify_triangle_chain(fam: Family) -> Report:
     dec = triangle_decompose(fam)
     bound = diversity_bound(fam.n, fam.k)
     g, h1, h2 = len(dec.g), len(dec.h1), len(dec.h2)
+    gamma, chain_bound = stats(fam).diversity, g + 2 * h1 + h2
     report.add_table(
         "rows",
         [
             {
-                "gamma": dec.gamma,
+                "gamma": gamma,
                 "g": g,
                 "h1": h1,
                 "h2": h2,
                 "largest_fi_index": dec.largest_fi_index,
-                "chain_bound": dec.chain_bound,
+                "chain_bound": chain_bound,
                 "diversity_bound": bound,
                 "refinement_h1_lhs": g + 4 * h1,
                 "refinement_h1_holds": g + 4 * h1 <= bound,
                 "refinement_h2_lhs": g + 2 * h2,
                 "refinement_h2_holds": g + 2 * h2 <= bound,
-                "gamma_within_bound": dec.gamma <= bound,
+                "gamma_within_bound": gamma <= bound,
             }
         ],
     )
-    report.check("chain_gamma_le_g_2h1_h2", True, dec.chain_holds)
+    report.check("chain_gamma_le_g_2h1_h2", True, gamma <= chain_bound)
     report.check("g_h1_cross_intersecting", True, are_cross_intersecting(dec.g, dec.h1))
     report.check("g_h2_cross_intersecting", True, are_cross_intersecting(dec.g, dec.h2))
     report.note(

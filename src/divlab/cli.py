@@ -31,7 +31,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Optional
 
 from . import booleanlab as bl
@@ -51,14 +50,14 @@ from .constructions import (
     build_hub_block_family,
     build_majority_defining,
     build_run_dominance_defining,
+    build_run_dominance_family,
     build_window_majority,
     fano_plane,
     full_uniform_family,
-    lift_junta,
     star,
 )
 from .errors import ResourceCapError
-from .report import Report
+from .report import SCHEMA_VERSION, Report
 
 
 def parse_bias(text: str) -> Fraction:
@@ -80,7 +79,7 @@ def parse_r_range(text: str) -> list[int]:
 
 
 def word_from_string(text: str) -> tuple[int, int]:
-    """Binary word literal, most significant character = position 1."""
+    """Binary word literal, first character = position 1 = bit 0: '100' -> (1, 3)."""
     if not text or any(c not in "01" for c in text):
         raise ValueError(f"word literal must be nonempty over 0/1, got {text!r}")
     mask = 0
@@ -108,10 +107,7 @@ _FAMILY_KINDS = {
     "star": (("n", "k"), lambda a: star(a.n, a.k)),
     "full": (("n", "k"), lambda a: full_uniform_family(a.n, a.k)),
     "fano": ((), lambda a: fano_plane()),
-    "run-dominance-lift": (
-        ("n", "k", "r"),
-        lambda a: lift_junta(build_run_dominance_defining(a.r), a.n, a.k),
-    ),
+    "run-dominance-lift": (("n", "k", "r"), lambda a: build_run_dominance_family(a.n, a.k, a.r)),
 }
 
 # junta family -> its defining spec on a (2r+1)-point centre
@@ -255,6 +251,7 @@ def cmd_boolean_value(args) -> Report:
 
 def cmd_boolean_influence(args) -> Report:
     spec, p, report = _junta_report(args)
+    report.parameters["i"] = args.i
     prof = bl.total_influence(spec, p)
     rows = [
         {"i": i, "influence_exact": m, "influence": float(m)}
@@ -287,19 +284,13 @@ def cmd_rho_profile(args) -> Report:
     if args.t is not None and args.t < 1:
         raise ValueError(f"run length threshold t={args.t} must be >= 1")
     profile = runstat.run_profile(mask, length)
-    # the tie is the first index where the zero-padded profiles differ, and
-    # the number of runs on a full tie; descending tuples of positive lengths
-    # compare as their zero-padded forms do
-    pairs = zip_longest(profile.ones, profile.zeros, fillvalue=0)
-    tie = next((i for i, (u, z) in enumerate(pairs) if u != z), len(profile.ones))
     report = Report(command="rho-profile", parameters={"word": args.word, "t": args.t})
     row = {
         "ones_runs": ",".join(map(str, profile.ones)),
         "zeros_runs": ",".join(map(str, profile.zeros)),
         "weight": profile.weight,
-        "tie_len": tie,
-        # even length lets the profiles tie outright: no dominance there
-        "ones_dominant": None if length % 2 == 0 else profile.ones > profile.zeros,
+        "tie_len": profile.tie,
+        "ones_dominant": profile.ones_dominant,
     }
     if args.t is not None:
         row[f"runs_ge_{args.t}"] = sum(run >= args.t for run in profile.ones + profile.zeros)
@@ -468,7 +459,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:
                 with open(args.json_path, "w", encoding="utf-8") as fh:
                     reps = [r.to_json_dict() for r in reports]
-                    json.dump({"schema": 1, "reports": reps}, fh, indent=2)
+                    json.dump({"schema": SCHEMA_VERSION, "reports": reps}, fh, indent=2)
                     fh.write("\n")
         if args.csv_path:
             reports[-1].write_csv(args.csv_path)

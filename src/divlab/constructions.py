@@ -1,7 +1,7 @@
-"""Builders for the named families and the decomposition around a 3-element center.
+"""Builders for the named families.
 
 All builders return canonical Families.  A family whose membership depends
-only on the trace on a small center (hub-block, window majority, run
+only on the trace on a small center (star, hub-block, window majority, run
 dominance) is lift_junta of a JuntaSpec, its membership table on that center.
 """
 
@@ -12,17 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import runstat
-from .bitfam import (
-    Family,
-    check_enumeration,
-    family_from_masks,
-    is_t_intersecting,
-    ksubset_masks,
-    make_family,
-    stats,
-)
+from .bitfam import Family, check_enumeration, family_from_masks, ksubset_masks, make_family
 
 CENTER_CAP = 25
+# the largest r whose (2r+1)-point centre has a table
+MAX_R = (CENTER_CAP - 1) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +88,14 @@ def build_window_majority(n: int, k: int, r: int) -> Family:
     w = 2 * r + 1
     if w > n:
         raise ValueError(f"window 2r+1={w} exceeds ground set n={n}")
-    check_enumeration(n, k)  # before the table, which r > 12 lacks
+    check_enumeration(n, k)  # before the table, which r > MAX_R lacks
     return lift_junta(build_majority_defining(r), n, k)
+
+
+def build_run_dominance_family(n: int, k: int, r: int) -> Family:
+    """k-sets whose trace on the circle [1, 2r+1] is run-dominant."""
+    check_enumeration(n, k)  # before the table, which doubles with r
+    return lift_junta(build_run_dominance_defining(r), n, k)
 
 
 def build_run_dominance_defining(r: int) -> JuntaSpec:
@@ -106,8 +106,8 @@ def build_run_dominance_defining(r: int) -> JuntaSpec:
     2^(2r) members, is intersecting and is closed upward.  Its table is the
     run-profile scan's cached array, shared without a copy.
     """
-    if not 1 <= r <= 12:
-        raise ValueError(f"need 1 <= r <= 12, got r={r}")
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"need 1 <= r <= {MAX_R}, got r={r}")
     return JuntaSpec(runstat.in_t_table(2 * r + 1))
 
 
@@ -119,8 +119,8 @@ def build_majority_defining(r: int) -> JuntaSpec:
     array but the table is larger than 2^(r+1).  The table is read-only, so
     the spec shares it without a copy.
     """
-    if not 1 <= r <= 12:
-        raise ValueError(f"need 1 <= r <= 12, got r={r}")
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"need 1 <= r <= {MAX_R}, got r={r}")
     lo = np.bitwise_count(np.arange(1 << r))
     hi = np.bitwise_count(np.arange(1 << (r + 1))).astype(np.int16)
     table = (lo[None, :] >= (r + 1 - hi)[:, None]).ravel()
@@ -154,74 +154,14 @@ def lift_junta(spec: JuntaSpec, n: int, k: int) -> Family:
     return family_from_masks(n, k, members, presorted=True)
 
 
-@dataclass(eq=False)
-class TriangleDecomposition:
-    """Split of a k-uniform intersecting family around the center {1,2,3}.
-
-    ``fi[i-1]`` holds the members whose center trace is exactly {i}.  The
-    largest of the three (ties to the smallest index) drives the bound:
-    ``g`` collects the tails of members tracing the opposite pair, ``h1``
-    the tails of the largest fi, ``h2`` the members avoiding the center.
-    Tails are relabeled from [4, n] down to [1, n-3].
-    """
-
-    fi: tuple[Family, Family, Family]
-    g: Family
-    h1: Family
-    h2: Family
-    largest_fi_index: int
-    gamma: int
-    chain_bound: int
-    chain_holds: bool
-
-
-def triangle_decompose(fam: Family) -> TriangleDecomposition:
-    """Decompose an intersecting k-uniform family around the center {1,2,3}.
-
-    Records the diversity chain gamma <= |g| + 2|h1| + |h2|, which holds for
-    every intersecting uniform family.
-    """
-    if fam.k is None or fam.k < 2:
-        raise ValueError("decomposition needs a k-uniform family with k >= 2")
-    if fam.n < 4:
-        raise ValueError("decomposition needs ground set size >= 4")
-    if not is_t_intersecting(fam, 1):
-        raise ValueError("decomposition is defined for intersecting families only")
-    traces = fam.members & 0b111
-    fi_masks = [fam.members[traces == (1 << i)] for i in range(3)]
-    sizes = [arr.size for arr in fi_masks]
-    largest = max(range(3), key=lambda i: (sizes[i], -i))  # ties to smallest index
-    pair_mask = 0b111 ^ (1 << largest)
-    n_tail = fam.n - 3
-    g = family_from_masks(n_tail, fam.k - 2, fam.members[traces == pair_mask] >> 3, presorted=True)
-    h1 = family_from_masks(n_tail, fam.k - 1, fi_masks[largest] >> 3, presorted=True)
-    h2 = family_from_masks(n_tail, fam.k, fam.members[traces == 0] >> 3, presorted=True)
-    fi = tuple(family_from_masks(fam.n, fam.k, arr, presorted=True) for arr in fi_masks)
-    gamma = stats(fam).diversity
-    chain_bound = len(g) + 2 * len(h1) + len(h2)
-    return TriangleDecomposition(
-        fi=fi,
-        g=g,
-        h1=h1,
-        h2=h2,
-        largest_fi_index=largest + 1,
-        gamma=gamma,
-        chain_bound=chain_bound,
-        chain_holds=gamma <= chain_bound,
-    )
-
-
 def full_uniform_family(n: int, k: int) -> Family:
     """All k-subsets of [n]."""
     return family_from_masks(n, k, ksubset_masks(n, k))
 
 
-def star(n: int, k: int, element: int = 1) -> Family:
-    """All k-sets through a fixed element."""
-    if not 1 <= element <= n:
-        raise ValueError(f"element {element} outside ground set [1, {n}]")
-    masks = ksubset_masks(n, k)
-    return family_from_masks(n, k, masks[(masks & (1 << (element - 1))) != 0])
+def star(n: int, k: int) -> Family:
+    """All k-sets through element 1: the lift of the one-point dictator."""
+    return lift_junta(build_dictator_defining(1), n, k)
 
 
 def fano_plane() -> Family:

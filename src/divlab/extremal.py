@@ -45,13 +45,10 @@ class MaximalEnumeration:
 
 @dataclass
 class SearchResult:
-    n: int
-    k: int
     best_diversity: int
     witness: Family
     node_count: int
     complete: bool
-    budget_seconds: float
     elapsed_s: float
 
 
@@ -119,7 +116,7 @@ def enumerate_maximal_intersecting(
     return MaximalEnumeration(families=families, complete=complete)
 
 
-def max_diversity_search(n: int, k: int, budget_seconds: float = 60.0) -> SearchResult:
+def max_diversity_search(n: int, k: int, budget_seconds: float) -> SearchResult:
     """Maximum diversity over intersecting k-uniform families on [n]: the
     largest clique B of k-sets of [2..n] with |A(~x)| >= |B(x)| for all x >= 2,
     A being every k-set through 1 that meets all of B (module docstring: a
@@ -197,12 +194,9 @@ def max_diversity_search(n: int, k: int, budget_seconds: float = 60.0) -> Search
         n, k, [b_list[v] for v in best_b] + [a_list[i] for i in _iter_bits(best_a)]
     )
     return SearchResult(
-        n=n,
-        k=k,
         best_diversity=best,
         witness=witness,
         node_count=node_count,
         complete=complete,
-        budget_seconds=budget_seconds,
         elapsed_s=time.monotonic() - start,
     )

@@ -109,12 +109,9 @@ class Report:
             "ok": self.ok,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
-
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
+            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n")
 
     def to_csv(self) -> str:
         """Result tables as CSV, skipping JSON-only ones; more than one table

@@ -48,6 +48,26 @@ class RunProfile:
     length: int
     weight: int
 
+    @property
+    def tie(self) -> int:
+        """How many leading run lengths the zero-padded profiles share."""
+        return _tie(self.ones, self.zeros)
+
+    @property
+    def ones_dominant(self) -> Optional[bool]:
+        """Whether the ones-profile wins, None at even length (a full tie is
+        possible there); positive descending tuples compare as padded ones do."""
+        return None if self.length % 2 == 0 else self.ones > self.zeros
+
+
+def _tie(ones: tuple[int, ...], zeros: tuple[int, ...]) -> int:
+    """The first index where the zero-padded profiles differ, or len(ones) on
+    a full tie; a positive length differs from the padding."""
+    for i, (u, z) in enumerate(zip(ones, zeros)):
+        if u != z:
+            return i
+    return min(len(ones), len(zeros))
+
 
 def _check_word(word: int, length: int) -> None:
     if not 1 <= length <= MAX_L:
@@ -57,28 +77,20 @@ def _check_word(word: int, length: int) -> None:
 
 
 def run_profile(word: int, length: int) -> RunProfile:
-    """Cyclic maximal runs of the word, wrap-around merged, sorted descending."""
+    """Cyclic maximal runs, sorted descending: the bits are grouped from a
+    point where the bit changes (any point of a constant word)."""
     _check_word(word, length)
-    weight = word.bit_count()
-    if weight == length:
-        return RunProfile(ones=(length,), zeros=(), length=length, weight=weight)
-    if weight == 0:
-        return RunProfile(ones=(), zeros=(length,), length=length, weight=0)
     bits = [(word >> i) & 1 for i in range(length)]
-    start = next(i for i in range(length) if bits[i - 1] != bits[i])
-    ones: list[int] = []
-    zeros: list[int] = []
-    i = 0
-    while i < length:
-        val = bits[(start + i) % length]
-        j = i
-        while j < length and bits[(start + j) % length] == val:
-            j += 1
-        (ones if val else zeros).append(j - i)
-        i = j
-    ones.sort(reverse=True)
-    zeros.sort(reverse=True)
-    return RunProfile(ones=tuple(ones), zeros=tuple(zeros), length=length, weight=weight)
+    start = next((i for i in range(length) if bits[i - 1] != bits[i]), 0)
+    runs: tuple[list[int], list[int]] = ([], [])
+    for bit, group in groupby(bits[start:] + bits[:start]):
+        runs[bit].append(len(list(group)))
+    return RunProfile(
+        ones=tuple(sorted(runs[1], reverse=True)),
+        zeros=tuple(sorted(runs[0], reverse=True)),
+        length=length,
+        weight=word.bit_count(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +215,8 @@ def _exact_counts(length: int):
             for u, ou in ones:
                 for z, oz in zeros:
                     words = length * ou * oz // m
-                    tie = next((i for i, (a, b) in enumerate(zip(u, z)) if a != b), m)
-                    hist[tie] += words
-                    if tie < m and u[tie] > z[tie]:
+                    hist[_tie(u, z)] += words
+                    if u > z:  # m parts each: u[tie] > z[tie], False on a full tie
                         dominant += words
                     for p in u + z:
                         runs[p] += words

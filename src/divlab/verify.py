@@ -122,9 +122,10 @@ def criterion_04_cross_weighted_sweep(quick: bool = False) -> Report:
     return report.finish()
 
 
-def criterion_05_lex_cross_pairs(quick: bool = False, seed: int = 20240813) -> Report:
+def criterion_05_lex_cross_pairs(quick: bool = False) -> Report:
     """Lex segments of the sizes of random cross-intersecting pairs stay
     cross-intersecting (maximal-partner construction)."""
+    seed = 20240813
     pairs = 200 if quick else 1000
     report = Report(
         command="criterion-05-lex-pairs", parameters={"quick": quick, "pairs": pairs}, seed=seed
@@ -273,11 +274,12 @@ def criterion_08_russo(quick: bool = False) -> Report:
     return report.finish()
 
 
-def criterion_09_rho_stats(quick: bool = False, seed: int = 22) -> Report:
+def criterion_09_rho_stats(quick: bool = False) -> Report:
     """Exact tie-length distributions and expected long-run counts, counted
     from run-partition pairs, vs Monte Carlo scans at 3.5 standard errors;
     the exact reports' assertions (among them E[#runs >= t] = L 2^-t [t < L]
     + 2^(1-L)) are carried over."""
+    seed = 22
     report = Report(command="criterion-09-rho-stats", parameters={"quick": quick}, seed=seed)
     lengths = (11,) if quick else (11, 15, 19)
     samples = 10**5 if quick else 10**6
@@ -361,10 +363,11 @@ def criterion_10_extremal(quick: bool = False) -> Report:
     return report.finish()
 
 
-def criterion_11_triangle_chain(quick: bool = False, seed: int = 7011) -> Report:
+def criterion_11_triangle_chain(quick: bool = False) -> Report:
     """Center-decomposition chain and cross-intersecting pairs on the
     two-out-of-three family, the seven-line plane, and random intersecting
     families."""
+    seed = 7011
     trials = 10 if quick else 50
     report = Report(
         command="criterion-11-triangle-chain", parameters={"quick": quick, "trials": trials}, seed=seed
@@ -384,9 +387,10 @@ def criterion_11_triangle_chain(quick: bool = False, seed: int = 7011) -> Report
     return report.finish()
 
 
-def criterion_12_shifting(quick: bool = False, seed: int = 1202) -> Report:
+def criterion_12_shifting(quick: bool = False) -> Report:
     """Shift closures: shifted, size-preserving, intersecting-preserving,
     and 2-intersecting after removing the sets through element 1."""
+    seed = 1202
     trials = 40 if quick else 200
     report = Report(
         command="criterion-12-shifting", parameters={"quick": quick, "trials": trials}, seed=seed

@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divlab.bitfam import stats
+from divlab.bitfam import make_family, stats
 from divlab.bounds import (
     admissible_cross_bound_tuples,
     binom,
@@ -120,12 +122,18 @@ def test_triangle_chain_two_of_three_12_3():
     assert rep.ok
     row = rep.tables["rows"][0]
     assert row["g"] == 9 and row["h1"] == 0 and row["h2"] == 0
+    assert row["gamma"] == row["chain_bound"] == 9  # gamma is |g|: the chain is tight
     assert row["refinement_h1_holds"] and row["refinement_h2_holds"]
     assert row["gamma_within_bound"]
 
 
 def test_triangle_chain_star():
     rep = verify_triangle_chain(star(12, 3))
+    assert rep.ok
+    assert rep.tables["rows"][0]["gamma"] == 0
+    # a star off the centre: three trace classes of 3, gamma still 0
+    star5 = make_family(7, 3, [s for s in combinations(range(1, 8), 3) if 5 in s])
+    rep = verify_triangle_chain(star5)
     assert rep.ok
     assert rep.tables["rows"][0]["gamma"] == 0
 
@@ -135,3 +143,4 @@ def test_triangle_chain_fano_records_without_asserting():
     assert rep.ok  # the chain and cross checks hold; refinements are data
     row = rep.tables["rows"][0]
     assert row["gamma"] == 4 and row["diversity_bound"] == 4
+    assert row["chain_bound"] == 4  # 0 + 2*2 + 0: the chain is tight here

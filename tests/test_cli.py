@@ -13,6 +13,7 @@ from divlab.cli import (
     parse_r_range,
     word_from_string,
 )
+from divlab.runstat import in_t_table
 from divlab.verify import criterion_04_cross_weighted_sweep
 
 from oracles import scan_words, word_to_string
@@ -45,6 +46,7 @@ def test_parse_r_range():
 def test_word_from_string():
     mask, length = word_from_string("1011011")
     assert length == 7 and mask == int("1011011"[::-1], 2)
+    assert word_from_string("100") == (1, 3)  # the first character is bit 0
     with pytest.raises(ValueError):
         word_from_string("10x1")
 
@@ -287,6 +289,13 @@ def test_boolean_records_r_as_the_integer_it_used(tmp_path):
     assert params == {"family": "run-dominance", "r": 2, "p": "1/2"}
 
 
+def test_boolean_influence_records_the_coordinate_it_kept(tmp_path):
+    params = _parameters(["boolean", "influence", "--r", "3", "--i", "2"], tmp_path)
+    assert params == {"family": "run-dominance", "r": 3, "p": "1/2", "i": 2}
+    assert _parameters(["boolean", "influence", "--r", "3"], tmp_path)["i"] is None
+    assert "i" not in _parameters(["boolean", "gammap", "--r", "3"], tmp_path)
+
+
 @pytest.mark.parametrize("option", [["--p", "1/3"], ["--family", "dictator"], ["--i", "1"]])
 def test_counterexample_table_refuses_options_it_does_not_read(option, capsys):
     assert_usage_error(["boolean", "counterexample-table", "--r", "2", *option], option[0], capsys)
@@ -500,3 +509,10 @@ def test_family_build_cap_still_refuses_enumerating_kinds():
     for kind, extra in [("star", []), ("hub-block", ["--u", "3"]),
                         ("window-majority", ["--r", "13"]), ("run-dominance-lift", ["--r", "3"])]:
         assert run(["family", "build", "--kind", kind, "--n", "40", "--k", "20", *extra]) == 3
+
+
+def test_run_dominance_lift_refuses_the_cap_before_building_the_table():
+    in_t_table.cache_clear()
+    argv = ["family", "build", "--kind", "run-dominance-lift", "--r", "12", "--n", "40", "--k", "20"]
+    assert run(argv) == 3
+    assert in_t_table.cache_info().currsize == 0

@@ -14,18 +14,19 @@ from divlab.bitfam import (
     make_family,
     stats,
 )
+from divlab.bounds import triangle_decompose
 from divlab.constructions import (
     JuntaSpec,
     build_dictator_defining,
     build_hub_block_family,
     build_majority_defining,
     build_run_dominance_defining,
+    build_run_dominance_family,
     build_window_majority,
     fano_plane,
     full_uniform_family,
     lift_junta,
     star,
-    triangle_decompose,
 )
 from divlab.errors import ResourceCapError
 
@@ -215,12 +216,17 @@ _LIFT_TABLES = [runstat.in_t_table(2 * r + 1) for r in range(1, 5)] + [
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_lifts_equal_filter_oracle(n):
-    # every k, every admissible u and r, run dominance r <= 4, and the
-    # all-False, all-True and mixed tables on centres of 1..6 elements
+    # every k, every admissible u and r, run dominance r <= 4 (as a spec and
+    # through its builder), the star, and the all-False, all-True and mixed
+    # tables on centres of 1..6 elements
     for k in range(n + 1):
         for table in _LIFT_TABLES:
             if table.size <= 1 << n:
                 assert lift_junta(JuntaSpec(table), n, k) == lift_by_filter(table, n, k)
+        for r in range(1, min(4, (n - 1) // 2) + 1):
+            want = lift_by_filter(runstat.in_t_table(2 * r + 1), n, k)
+            assert build_run_dominance_family(n, k, r) == want
+        assert star(n, k) == lift_by_filter(np.array([False, True]), n, k)
         for u in range(2, k + 1) if n >= 2 * k else ():
             assert build_hub_block_family(n, k, u) == lift_by_filter(hub_block_table(u), n, k)
         for r in range(1, min(k - 1, (n - 1) // 2) + 1):
@@ -273,6 +279,8 @@ def test_lift_cap_refused():
         build_hub_block_family(40, 20, 3)
     with pytest.raises(ResourceCapError):
         build_window_majority(40, 20, 13)  # r = 13 has no majority table
+    with pytest.raises(ResourceCapError):
+        build_run_dominance_family(40, 20, 13)  # nor a run-dominance table
 
 
 def test_dictator_defining():
@@ -285,24 +293,27 @@ def test_triangle_decompose_two_of_three():
     dec = triangle_decompose(build_hub_block_family(7, 3, 2))
     assert [len(f) for f in dec.fi] == [0, 0, 0]
     assert len(dec.h2) == 0
-    assert len(dec.g) == 4 == dec.gamma
-    assert dec.chain_holds
+    assert len(dec.g) == 4
+
+
+def star_of_5():
+    """The 3-sets of [7] through element 5."""
+    return make_family(7, 3, [s for s in all_ksets(7, 3) if 5 in s])
 
 
 def test_triangle_decompose_star_of_5():
-    dec = triangle_decompose(star(7, 3, element=5))
+    dec = triangle_decompose(star_of_5())
     # members tracing {2,3} are exactly {2,3,5}; its tail {5} relabels to {2}
     assert dec.g.member_sets() == [(2,)]
     assert dec.largest_fi_index == 1  # all three trace classes tie at size 3
     assert len(dec.h1) == 3 and len(dec.h2) == 3
-    assert dec.gamma == 0 and dec.chain_holds
 
 
 def test_triangle_decompose_fano():
     dec = triangle_decompose(fano_plane())
-    assert dec.gamma == 4
-    assert dec.chain_bound == 4  # 0 + 2*2 + 0: the chain is tight here
-    assert dec.chain_holds
+    # two lines through each centre point alone, none through a pair alone
+    assert [len(f) for f in dec.fi] == [2, 2, 2] and dec.largest_fi_index == 1
+    assert (len(dec.g), len(dec.h1), len(dec.h2)) == (0, 2, 0)
 
 
 def test_triangle_decompose_uniformities():

@@ -135,9 +135,12 @@ def test_tie_len_matches_padding_oracle(length, raw):
     mask = raw & ((1 << length) - 1)
     ones, zeros = run_profile_by_string(word_to_string(mask, length))
     tie, dom = scan_one(mask, length)
-    assert tie == tie_len_by_padding(ones, zeros)
+    profile = run_profile(mask, length)
+    assert tie == profile.tie == tie_len_by_padding(ones, zeros)
     if length % 2 == 1:
-        assert dom == (padded_compare(ones, zeros) > 0)
+        assert dom == profile.ones_dominant == (padded_compare(ones, zeros) > 0)
+    else:
+        assert profile.ones_dominant is None
 
 
 @pytest.mark.parametrize("length", [3, 5, 7, 9, 11])
