@@ -138,7 +138,7 @@ def family_from_masks(
     if k is not None:
         if not 0 <= k <= n:
             raise ValueError(f"uniformity k={k} outside [0, {n}]")
-        if arr.size and not bool(np.all(np.bitwise_count(arr.astype(np.uint64)) == k)):
+        if arr.size and not bool(np.all(np.bitwise_count(arr.view(np.uint64)) == k)):
             raise ValueError(f"member with cardinality != k={k}")
     return Family(n=n, k=k, members=arr)
 

@@ -13,9 +13,14 @@
 Each action has its own sub-parser, which declares exactly the options the
 action reads, with their defaults; every other option is refused with exit
 code 2, named under the action's own usage (``divlab <command> <action>
---help`` lists the options it reads).
+--help`` lists the options it reads).  ``main`` builds the action's report
+from it: the command ``<command>-<action>`` and, as parameters, every
+declared option under its flag name (``--m-max`` -> ``m_max``, ``--in`` ->
+``in``) but the output paths --json, --csv, --out and --emit-witness.
 ``family build --kind`` is the one option whose value decides what else is
-read: a kind records only the options it uses.
+read: its report keeps ``kind`` and that kind's options.  ``decompose``,
+``boolean counterexample-table``, ``rho exact|mc`` and ``verify-all`` write
+the reports of the library functions they call.
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage error
 (a bad option, value or file), 3 resource-cap refusal.  Reports are written
@@ -28,7 +33,6 @@ byte-identical result tables.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -36,6 +40,7 @@ from typing import Optional
 from . import booleanlab as bl
 from . import bounds, extremal, runstat, shiftlex, verify
 from .bitfam import (
+    PAIRWISE_CHECK_CAP,
     Family,
     FamilyStats,
     are_cross_intersecting,
@@ -45,7 +50,6 @@ from .bitfam import (
     stats,
 )
 from .constructions import (
-    JuntaSpec,
     build_dictator_defining,
     build_hub_block_family,
     build_majority_defining,
@@ -57,7 +61,7 @@ from .constructions import (
     star,
 )
 from .errors import ResourceCapError
-from .report import SCHEMA_VERSION, Report
+from .report import Report, write_json
 
 
 def parse_bias(text: str) -> Fraction:
@@ -66,6 +70,14 @@ def parse_bias(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"bias {text!r} has a zero denominator") from None
+
+
+def _bias_option(text: str) -> Fraction:
+    """parse_bias for argparse, which names the option and keeps the message."""
+    try:
+        return parse_bias(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_r_range(text: str) -> list[int]:
@@ -96,7 +108,9 @@ def _write_family(report: Report, fam: Family, path: Optional[str], what: str = 
 
 
 # ---------------------------------------------------------------------------
-# action handlers (each returns a Report, verify-all a list of Reports)
+# action handlers: each adds its tables and checks to the report that main
+# prepared for its action (the actions whose reports come from the library
+# are lambdas in build_parser, which return those reports instead)
 # ---------------------------------------------------------------------------
 
 
@@ -130,30 +144,30 @@ def _stats_row(fam: Family, st: FamilyStats) -> dict:
     }
 
 
-def cmd_family_build(args) -> Report:
-    used, build = _FAMILY_KINDS[args.kind]
-    fam = build(args)
-    params = {"kind": args.kind, **{name: getattr(args, name) for name in used}}
-    report = Report(command="family-build", parameters=params)
-    row = {**_stats_row(fam, stats(fam)), "intersecting": is_t_intersecting(fam, 1)}
+def cmd_family_build(args, report: Report) -> Report:
+    fam = _FAMILY_KINDS[args.kind][1](args)
+    row = _stats_row(fam, stats(fam))
+    if len(fam) <= PAIRWISE_CHECK_CAP:
+        row["intersecting"] = is_t_intersecting(fam, 1)
+    else:
+        row["intersecting"] = None
+        report.note(f"intersecting not checked: {len(fam)} members exceed the pairwise cap "
+                    f"{PAIRWISE_CHECK_CAP}")
     report.add_table("rows", [row])
     _write_family(report, fam, args.out)
     return report.finish()
 
 
-def cmd_family_stats(args) -> Report:
+def cmd_family_stats(args, report: Report) -> Report:
     fam = load_family(args.infile)
     st = stats(fam)
-    report = Report(command="family-stats", parameters={"in": args.infile})
     report.add_table("rows", [_stats_row(fam, st)])
     report.add_table("degrees", [{"element": i + 1, "degree": d} for i, d in enumerate(st.degrees)])
     return report.finish()
 
 
-def cmd_family_check(args) -> Report:
+def cmd_family_check(args, report: Report) -> Report:
     fam = load_family(args.infile)
-    params = {"in": args.infile, "t": args.t, "cross": args.cross}
-    report = Report(command="family-check", parameters=params)
     if args.cross:
         other = load_family(args.cross)
         report.check("cross_intersecting", True, are_cross_intersecting(fam, other))
@@ -162,13 +176,7 @@ def cmd_family_check(args) -> Report:
     return report.finish()
 
 
-def cmd_decompose(args) -> Report:
-    return bounds.verify_triangle_chain(load_family(args.infile))
-
-
-def cmd_lemma_check(args) -> Report:
-    params = {"m": args.m, "a": args.a, "b": args.b, "cprime": args.cprime}
-    report = Report(command="lemma-sweep", parameters=params)
+def cmd_lemma_check(args, report: Report) -> Report:
     rep = bounds.verify_cross_weighted_bound(args.m, args.a, args.b, args.cprime)
     report.add_table("rows", rep.rows)
     report.check("violations", 0, len(rep.violations))
@@ -176,35 +184,27 @@ def cmd_lemma_check(args) -> Report:
     return report.finish()
 
 
-def cmd_lemma_grid(args) -> Report:
-    params = {"m_max": args.m_max, "a_max": args.a_max, "b_max": args.b_max,
-              "cprime_list": args.cprime_list}
-    report = Report(command="lemma-sweep", parameters=params)
+def cmd_lemma_grid(args, report: Report) -> Report:
     rows = bounds.cross_bound_sweep(args.m_max, args.a_max, args.b_max, tuple(args.cprime_list))
     report.add_table("rows", rows)
     report.check("violations", 0, sum(row["violations"] for row in rows))
     return report.finish()
 
 
-def cmd_lex_segment(args) -> Report:
-    params = {"op": "segment", "m": args.m, "k": args.k, "n": args.n}
+def cmd_lex_segment(args, report: Report) -> Report:
     seg = shiftlex.lex_segment(args.m, args.k, args.n)
-    report = Report(command="lex-segment", parameters=params)
     report.add_table("rows", [{"set": ",".join(map(str, s))} for s in seg.member_sets()])
     return report.finish()
 
 
-def cmd_lex_partner_max(args) -> Report:
-    params = {"op": "partner-max", "b_size": args.b_size, "a": args.a, "b": args.b, "m": args.m}
+def cmd_lex_partner_max(args, report: Report) -> Report:
     value = int(shiftlex.lex_partner_maxima(args.b_size, args.a, args.b, args.m)[-1])
-    report = Report(command="lex-partner-max", parameters=params)
     report.add_table("rows", [{"a_max": value}])
     return report.finish()
 
 
-def cmd_shift_closure(args) -> Report:
+def cmd_shift_closure(args, report: Report) -> Report:
     fam = load_family(args.infile)
-    report = Report(command="shift-closure", parameters={"in": args.infile, "op": "closure"})
     out = shiftlex.shift_closure(fam)
     report.check("closure_is_shifted", True, shiftlex.is_shifted(out))
     report.check("size_preserved", len(fam), len(out))
@@ -212,47 +212,33 @@ def cmd_shift_closure(args) -> Report:
     return report.finish()
 
 
-def cmd_shift_apply(args) -> Report:
+def cmd_shift_apply(args, report: Report) -> Report:
     fam = load_family(args.infile)
-    params = {"in": args.infile, "op": "apply", "i": args.i, "j": args.j}
-    report = Report(command="shift-apply", parameters=params)
     out = shiftlex.shift_family(fam, args.i, args.j)
     report.check("size_preserved", len(fam), len(out))
     _write_family(report, out, args.out)
     return report.finish()
 
 
-def cmd_shift_is_shifted(args) -> Report:
+def cmd_shift_is_shifted(args, report: Report) -> Report:
     fam = load_family(args.infile)
-    report = Report(command="shift-is-shifted", parameters={"in": args.infile, "op": "is-shifted"})
     report.add_table("rows", [{"is_shifted": shiftlex.is_shifted(fam)}])
     return report.finish()
-
-
-def _junta_report(args) -> tuple[JuntaSpec, Fraction, Report]:
-    """The junta spec, the bias and the report that ``boolean`` records them in."""
-    p = parse_bias(args.p)
-    spec = _JUNTAS[args.family](args.r)
-    params = {"family": args.family, "r": args.r, "p": p}
-    return spec, p, Report(command=f"boolean-{args.action}", parameters=params)
 
 
 # boolean action -> (its exact quantity, the column it reports)
 _BIASED_VALUES = {"mu": (bl.biased_measure, "mu"), "gammap": (bl.biased_diversity, "gamma_p")}
 
 
-def cmd_boolean_value(args) -> Report:
-    spec, p, report = _junta_report(args)
+def cmd_boolean_value(args, report: Report) -> Report:
     quantity, column = _BIASED_VALUES[args.action]
-    m = quantity(spec, p)
+    m = quantity(_JUNTAS[args.family](args.r), args.p)
     report.add_table("rows", [{f"{column}_exact": m, column: float(m)}])
     return report.finish()
 
 
-def cmd_boolean_influence(args) -> Report:
-    spec, p, report = _junta_report(args)
-    report.parameters["i"] = args.i
-    prof = bl.total_influence(spec, p)
+def cmd_boolean_influence(args, report: Report) -> Report:
+    prof = bl.total_influence(_JUNTAS[args.family](args.r), args.p)
     rows = [
         {"i": i, "influence_exact": m, "influence": float(m)}
         for i, m in enumerate(prof.per_coordinate, start=1)
@@ -267,24 +253,11 @@ def cmd_boolean_influence(args) -> Report:
     return report.finish()
 
 
-def cmd_counterexample_table(args) -> Report:
-    return bl.counterexample_table(parse_r_range(args.r))
-
-
-def cmd_rho_exact(args) -> Report:
-    return runstat.rho_distribution(args.L, "exact")
-
-
-def cmd_rho_mc(args) -> Report:
-    return runstat.rho_distribution(args.L, "mc", args.samples, args.seed)
-
-
-def cmd_rho_profile(args) -> Report:
+def cmd_rho_profile(args, report: Report) -> Report:
     mask, length = word_from_string(args.word)
     if args.t is not None and args.t < 1:
         raise ValueError(f"run length threshold t={args.t} must be >= 1")
     profile = runstat.run_profile(mask, length)
-    report = Report(command="rho-profile", parameters={"word": args.word, "t": args.t})
     row = {
         "ones_runs": ",".join(map(str, profile.ones)),
         "zeros_runs": ",".join(map(str, profile.zeros)),
@@ -298,9 +271,7 @@ def cmd_rho_profile(args) -> Report:
     return report.finish()
 
 
-def cmd_extremal_search(args) -> Report:
-    params = {"n": args.n, "k": args.k, "budget": args.budget}
-    report = Report(command="extremal-search", parameters=params)
+def cmd_extremal_search(args, report: Report) -> Report:
     res = extremal.max_diversity_search(args.n, args.k, budget_seconds=args.budget)
     row = {"best_diversity": res.best_diversity, "complete": res.complete,
            "node_count": res.node_count, "elapsed_s": res.elapsed_s,
@@ -311,9 +282,7 @@ def cmd_extremal_search(args) -> Report:
     return report.finish()
 
 
-def cmd_extremal_enumerate(args) -> Report:
-    params = {"n": args.n, "k": args.k, "cap": args.cap}
-    report = Report(command="extremal-enumerate", parameters=params)
+def cmd_extremal_enumerate(args, report: Report) -> Report:
     enum = extremal.enumerate_maximal_intersecting(args.n, args.k, cap=args.cap)
     best = max((stats(f).diversity for f in enum.families), default=0)
     row = {"maximal_families": len(enum.families), "max_diversity": best, "complete": enum.complete}
@@ -321,10 +290,6 @@ def cmd_extremal_enumerate(args) -> Report:
     if not enum.complete:
         report.note("enumeration stopped at the cap; results are partial")
     return report.finish()
-
-
-def cmd_verify_all(args) -> list[Report]:
-    return verify.run_all(quick=args.quick)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     junta = argparse.ArgumentParser(add_help=False)
     junta.add_argument("--family", choices=list(_JUNTAS), default="run-dominance")
     junta.add_argument("--r", type=int, default=2, help="window parameter: a (2r+1)-point centre")
-    junta.add_argument("--p", default="1/2", help="bias, exact: a fraction '2/5' or a decimal '0.4'")
+    junta.add_argument("--p", type=_bias_option, default="1/2",
+                       help="bias, exact: a fraction '2/5' or a decimal '0.4'")
     word_length = argparse.ArgumentParser(add_help=False)
     word_length.add_argument("--L", type=int, default=11, help="word length")
     nk = argparse.ArgumentParser(add_help=False)
@@ -380,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--cross", help="second family file for a cross check")
 
-    action(commands, "decompose", cmd_decompose, infile, help="triangle-center decomposition report")
+    action(commands, "decompose", lambda a, _: bounds.verify_triangle_chain(load_family(a.infile)),
+           infile, help="triangle-center decomposition report")
 
     lemma = command("lemma-sweep", "cross-intersecting weighted size bound")
     p = action(lemma, "grid", cmd_lemma_grid)
@@ -417,12 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = action(boolean, "influence", cmd_boolean_influence, junta)
     p.add_argument("--i", type=int, help="one coordinate (default: all, and their total)")
     action(boolean, "gammap", cmd_boolean_value, junta)
-    p = action(boolean, "counterexample-table", cmd_counterexample_table)
+    p = action(boolean, "counterexample-table",
+               lambda a, _: bl.counterexample_table(parse_r_range(a.r)))
     p.add_argument("--r", default="2", help="r values: '5', a range '2..10' or a list '2,5,7'")
 
     rho = command("rho", "run-profile tie statistics")
-    action(rho, "exact", cmd_rho_exact, word_length)
-    p = action(rho, "mc", cmd_rho_mc, word_length)
+    action(rho, "exact", lambda a, _: runstat.rho_distribution(a.L, "exact"), word_length)
+    p = action(rho, "mc", lambda a, _: runstat.rho_distribution(a.L, "mc", a.samples, a.seed),
+               word_length)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p = action(rho, "profile", cmd_rho_profile)
@@ -436,10 +405,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = action(ext, "enumerate", cmd_extremal_enumerate, nk)
     p.add_argument("--cap", type=int, help="stop after this many maximal families")
 
-    p = action(commands, "verify-all", cmd_verify_all, help="run the acceptance criteria")
+    p = action(commands, "verify-all", lambda a, _: verify.run_all(quick=a.quick),
+               help="run the acceptance criteria")
     p.add_argument("--quick", action="store_true", help="shrunken parameter ranges")
 
     return parser
+
+
+# output paths, which a report does not record as parameters
+_OUTPUT_OPTIONS = ("--help", "--json", "--csv", "--out", "--emit-witness")
+
+
+def _action_report(args) -> Report:
+    """The report of the parsed action, with the parameters that the module
+    docstring describes."""
+    parameters = {
+        act.option_strings[-1].lstrip("-").replace("-", "_"): getattr(args, act.dest)
+        for act in args.parser._actions
+        if act.option_strings and act.option_strings[-1] not in _OUTPUT_OPTIONS
+    }
+    if "kind" in parameters:
+        used = ("kind", *_FAMILY_KINDS[parameters["kind"]][0])
+        parameters = {name: value for name, value in parameters.items() if name in used}
+    return Report(command="-".join(args.parser.prog.split()[1:]), parameters=parameters)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -448,19 +436,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # refused with the action's own usage, which lists what it reads
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        result = args.run(args)
+        result = args.run(args, _action_report(args))
         reports = result if isinstance(result, list) else [result]
         for rep in reports:
             for line in rep.summary_lines():
                 print(line)
         if args.json_path:
-            if len(reports) == 1:
-                reports[0].write_json(args.json_path)
-            else:
-                with open(args.json_path, "w", encoding="utf-8") as fh:
-                    reps = [r.to_json_dict() for r in reports]
-                    json.dump({"schema": SCHEMA_VERSION, "reports": reps}, fh, indent=2)
-                    fh.write("\n")
+            write_json(result, args.json_path)
         if args.csv_path:
             reports[-1].write_csv(args.csv_path)
     except ResourceCapError as exc:

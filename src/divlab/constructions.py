@@ -155,8 +155,10 @@ def lift_junta(spec: JuntaSpec, n: int, k: int) -> Family:
 
 
 def full_uniform_family(n: int, k: int) -> Family:
-    """All k-subsets of [n]."""
-    return family_from_masks(n, k, ksubset_masks(n, k))
+    """All k-subsets of [n], sorted in place in the fresh enumeration."""
+    masks = ksubset_masks(n, k)
+    masks.sort()
+    return family_from_masks(n, k, masks, presorted=True)
 
 
 def star(n: int, k: int) -> Family:

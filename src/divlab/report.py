@@ -66,12 +66,11 @@ class Report:
         else:
             self._json_only.add(name)
 
-    def check(self, name: str, expected: Any, actual: Any, passed: Optional[bool] = None) -> bool:
-        """Record an assertion; pass flag defaults to expected == actual."""
-        if passed is None:
-            passed = expected == actual
-        self.assertions.append(Assertion(name, expected, actual, bool(passed)))
-        return bool(passed)
+    def check(self, name: str, expected: Any, actual: Any) -> bool:
+        """Record the assertion expected == actual."""
+        passed = bool(expected == actual)
+        self.assertions.append(Assertion(name, expected, actual, passed))
+        return passed
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -109,10 +108,6 @@ class Report:
             "ok": self.ok,
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n")
-
     def to_csv(self) -> str:
         """Result tables as CSV, skipping JSON-only ones; more than one table
         left gives '# name' sections."""
@@ -147,6 +142,17 @@ class Report:
         for note in self.notes:
             lines.append(f"  note  {note}")
         return lines
+
+
+def write_json(reports: Report | list[Report], path) -> None:
+    """One report as its JSON object; a list of them as
+    ``{"schema": ..., "reports": [...]}``."""
+    if isinstance(reports, Report):
+        payload = reports.to_json_dict()
+    else:
+        payload = {"schema": SCHEMA_VERSION, "reports": [r.to_json_dict() for r in reports]}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _csv_cell(v: Any) -> str:

@@ -34,6 +34,11 @@ from .report import Report
 
 EXACT_CAP_L = 25
 MAX_L = 63
+# A Monte Carlo cell is compared with its exact value where the sample expects
+# at least this many hits (and, for a probability, this many misses), at this
+# many standard errors: a false alarm is about 2e-9 a cell.
+MC_MIN_HITS = 100
+MC_TOLERANCE_SE = 6.0
 # words per Monte Carlo block: its state arrays stay in cache, and no array
 # holds more than one block, so memory does not grow with the sample count
 _BLOCK = 1 << 16
@@ -387,3 +392,23 @@ def rho_distribution(
     report.check("tail_nonincreasing", True, all(a >= b for a, b in zip(probs, probs[1:])))
     report.check("tail_starts_at_one", 1.0, probs[0])
     return report.finish()
+
+
+def mc_disagreements(exact: Report, mc: Report) -> list[dict]:
+    """The cells of an mc ``rho_distribution`` report that its exact report,
+    at the same length, rejects: a tail probability or an expected run count
+    off by more than MC_TOLERANCE_SE standard errors, among the cells where
+    the sample expects at least MC_MIN_HITS hits.  Rarer cells are left out,
+    since a handful of hits, or none, says nothing at that tolerance."""
+    samples = mc.parameters["samples"]
+    cells = []
+    for row_e, row_m in zip(exact.tables["rho_tail"], mc.tables["rho_tail"]):
+        p, phat = float(row_e["prob"]), row_m["prob"]
+        se = math.sqrt(p * (1 - p) / samples)
+        if min(p, 1 - p) * samples >= MC_MIN_HITS and abs(phat - p) > MC_TOLERANCE_SE * se:
+            cells.append({"cell": f"tail_k={row_e['k']}", "exact": p, "mc": phat, "se": se})
+    for row_e, row_m in zip(exact.tables["expected_runs"], mc.tables["expected_runs"]):
+        mean, est, se = float(row_e["expected_runs"]), row_m["expected_runs"], row_m["stderr"]
+        if mean * samples >= MC_MIN_HITS and abs(est - mean) > MC_TOLERANCE_SE * se:
+            cells.append({"cell": f"runs_t={row_e['t']}", "exact": mean, "mc": est, "se": se})
+    return cells

@@ -13,6 +13,7 @@ from divlab.cli import (
     parse_r_range,
     word_from_string,
 )
+from divlab.report import Report
 from divlab.runstat import in_t_table
 from divlab.verify import criterion_04_cross_weighted_sweep
 
@@ -155,8 +156,8 @@ def test_boolean_commands():
 def test_bias_with_zero_denominator_is_usage_error(capsys):
     with pytest.raises(ValueError, match="zero denominator"):
         parse_bias("1/0")
-    assert run(["boolean", "mu", "--p", "1/0"]) == 2
-    assert "zero denominator" in capsys.readouterr().err
+    assert_usage_error(["boolean", "mu", "--p", "1/0"],
+                       "argument --p: bias '1/0' has a zero denominator", capsys)
 
 
 def test_json_report_schema(tmp_path):
@@ -263,7 +264,7 @@ def test_rho_profile_tie_and_dominance_match_the_oracle_scan(length):
     tie, dom, _, _ = scan_words(np.arange(1 << length), length)
     for mask in range(1 << length):
         args = argparse.Namespace(word=word_to_string(mask, length), t=None)
-        row = cmd_rho_profile(args).tables["rows"][0]
+        row = cmd_rho_profile(args, Report("rho-profile")).tables["rows"][0]
         assert type(row["tie_len"]) is int and row["tie_len"] == tie[mask]
         assert row["ones_dominant"] is (None if length % 2 == 0 else bool(dom[mask]))
 
@@ -516,3 +517,68 @@ def test_run_dominance_lift_refuses_the_cap_before_building_the_table():
     argv = ["family", "build", "--kind", "run-dominance-lift", "--r", "12", "--n", "40", "--k", "20"]
     assert run(argv) == 3
     assert in_t_table.cache_info().currsize == 0
+
+
+def test_family_build_past_the_pairwise_cap_writes_the_family(tmp_path):
+    from divlab.bitfam import PAIRWISE_CHECK_CAP, load_family
+
+    fam_path, json_path = tmp_path / "full.txt", tmp_path / "full.json"
+    for argv, size in (
+        (["--kind", "full", "--n", "22", "--k", "7", "--out", str(fam_path)], 170544),
+        (["--kind", "window-majority", "--n", "30", "--k", "8", "--r", "3"], 348910),
+    ):
+        assert run(["family", "build", *argv, "--json", str(json_path)]) == 0
+        payload = json.loads(json_path.read_text())
+        row = payload["results"]["rows"][0]
+        assert row["size"] == size > PAIRWISE_CHECK_CAP
+        assert row["intersecting"] is None
+        assert f"exceed the pairwise cap {PAIRWISE_CHECK_CAP}" in payload["notes"][0]
+    assert len(load_family(fam_path)) == 170544
+    assert run(["family", "check", "--in", str(fam_path)]) == 3
+
+
+# the actions whose report comes from the library, as it is
+_LIBRARY_ACTIONS = {"decompose", "boolean counterexample-table", "rho exact", "rho mc",
+                    "verify-all"}
+_OUTPUT_FLAGS = {"--help", "--json", "--csv", "--out", "--emit-witness"}
+# a value for each option that some CLI-built action requires
+_REQUIRED_VALUES = {"--m": "10", "--a": "2", "--b": "3", "--i": "1", "--j": "2",
+                    "--n": "5", "--k": "2", "--word": "1101"}
+# family kind -> the options it reads
+_KIND_OPTIONS = {"hub-block": ["n", "k", "u"], "window-majority": ["n", "k", "r"],
+                 "star": ["n", "k"], "full": ["n", "k"], "fano": [],
+                 "run-dominance-lift": ["n", "k", "r"]}
+
+
+def _actions():
+    """'<command> <action>' -> its parser, for every action of build_parser()."""
+    actions = {}
+    for command, command_parser in _subcommands(build_parser()).items():
+        subs = _subcommands(command_parser)
+        if not subs:
+            actions[command] = command_parser
+        actions.update({f"{command} {a}": p for a, p in subs.items()})
+    return actions
+
+
+@pytest.mark.parametrize("path", sorted(set(_actions()) - _LIBRARY_ACTIONS))
+def test_every_cli_built_report_records_exactly_its_declared_options(path, tmp_path):
+    fam_path, json_path = tmp_path / "fano.txt", tmp_path / "report.json"
+    assert run(["family", "build", "--kind", "fano", "--out", str(fam_path)]) == 0
+    parser = _actions()[path]
+    argv = []
+    for act in parser._actions:
+        if act.required and act.option_strings:
+            flag = act.option_strings[0]
+            argv += [flag, str(fam_path) if flag == "--in" else _REQUIRED_VALUES[flag]]
+    declared = [act.option_strings[-1] for act in parser._actions if act.option_strings]
+    expected = [flag[2:].replace("-", "_") for flag in declared if flag not in _OUTPUT_FLAGS]
+    runs = [([], expected)]
+    if path == "family build":
+        assert sorted(_declared(parser)["--kind"].choices) == sorted(_KIND_OPTIONS)
+        runs = [(["--kind", kind], ["kind", *options]) for kind, options in _KIND_OPTIONS.items()]
+    for extra, keys in runs:
+        assert run([*path.split(), *argv, *extra, "--json", str(json_path)]) == 0
+        payload = json.loads(json_path.read_text())
+        assert payload["command"] == path.replace(" ", "-")
+        assert list(payload["parameters"]) == keys

@@ -262,6 +262,19 @@ def test_lift_peaks_near_its_output(build):
     assert peak <= 4 * members.nbytes + 2**20
 
 
+def test_full_family_peaks_near_its_output():
+    """The k-set enumeration is sorted in place and validated through a view,
+    so the only copy is the output itself."""
+    full_uniform_family(26, 8)
+    tracemalloc.start()
+    try:
+        members = full_uniform_family(26, 8).members
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * members.nbytes + 2**20
+
+
 def test_lift_empty_and_full():
     empty = JuntaSpec(np.zeros(8, dtype=bool))
     assert len(lift_junta(empty, 6, 3)) == 0

@@ -1,6 +1,7 @@
+import json
 from fractions import Fraction
 
-from divlab.report import Report
+from divlab.report import SCHEMA_VERSION, Report, write_json
 
 
 def test_json_only_table_left_out_of_csv():
@@ -18,3 +19,15 @@ def test_csv_sections_count_only_csv_tables():
     rep.add_table("b", [{"y": 2}])
     assert rep.to_csv() == "# a\nx\n1\n\n# b\ny\n2\n"
     assert list(rep.to_json_dict()["results"]) == ["a", "exact", "b"]
+
+
+def test_write_json_writes_one_report_or_many(tmp_path):
+    a, b = Report(command="a"), Report(command="b")
+    a.add_table("rows", [{"x": Fraction(1, 3)}])
+    one, many = tmp_path / "one.json", tmp_path / "many.json"
+    write_json(a, one)
+    write_json([a, b], many)
+    assert one.read_text() == json.dumps(a.to_json_dict(), indent=2) + "\n"
+    assert json.loads(many.read_text()) == {
+        "schema": SCHEMA_VERSION, "reports": [a.to_json_dict(), b.to_json_dict()],
+    }

@@ -18,6 +18,7 @@ from divlab.runstat import (
     _partitions,
     _run_weights,
     in_t_table,
+    mc_disagreements,
     rho_distribution,
     run_profile,
 )
@@ -229,6 +230,22 @@ def test_rho_distribution_mc_close_to_exact():
             assert rm["prob"] == p
         else:
             assert abs(rm["prob"] - p) <= 3.5 * se
+
+
+def test_mc_disagreements_pass_every_seed_and_name_a_shifted_cell():
+    """Criterion 09's quick size (L = 11, 10^5 words): no seed of 1..30 is
+    rejected, and a cell moved by 7 standard errors is."""
+    exact = rho_distribution(11, "exact")
+    for seed in range(1, 31):
+        mc = rho_distribution(11, "mc", samples=10**5, seed=seed)
+        assert mc_disagreements(exact, mc) == [], seed
+    p = float(exact.tables["rho_tail"][1]["prob"])
+    tail = mc.tables["rho_tail"][1]
+    mc.tables["rho_tail"][1] = {**tail, "prob": p - 7 * math.sqrt(p * (1 - p) / 10**5)}
+    mean = float(exact.tables["expected_runs"][2]["expected_runs"])
+    row = mc.tables["expected_runs"][2]
+    mc.tables["expected_runs"][2] = {**row, "expected_runs": mean + 7 * row["stderr"]}
+    assert [cell["cell"] for cell in mc_disagreements(exact, mc)] == ["tail_k=1", "runs_t=3"]
 
 
 def test_rho_distribution_caps_and_validation():
