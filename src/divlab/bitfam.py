@@ -4,10 +4,15 @@ A subset of the ground set [n] = {1, ..., n} is a machine word: element i
 sits at bit i-1, so n is capped at 63 and every set operation is a single
 word instruction.  A Family is a sorted, duplicate-free collection of such
 masks, optionally k-uniform.
+
+A family on few points can also be held as its packed table over the 2^n
+cube, 64 points to a little-endian word: the 1-intersecting check of a
+large family, and booleanlab's dense checks, run on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -18,9 +23,15 @@ from .errors import ResourceCapError
 
 MAX_GROUND = 63
 
-# Above this size the O(|F|^2) pairwise scan is refused; use the dense
-# up-set machinery in booleanlab instead.
+# Above this many members is_t_intersecting refuses, whatever t: its
+# pairwise scan is O(|F|^2); use booleanlab's dense up-set machinery.  Below
+# the cap, a t = 1 check on n <= PACKED_CHECK_N points with 2^n <= m(m-1)/2
+# already runs on the packed 2^n-point table instead.
 PAIRWISE_CHECK_CAP = 1 << 16
+
+# Largest n whose 2^n-point table the packed 1-intersecting check builds
+# (4 MiB at n = 25, the largest junta centre).
+PACKED_CHECK_N = 25
 
 # Entries of one row block of a pairwise check (2^14 and 2^18 measured
 # slower on a 12,597-member family).
@@ -33,6 +44,15 @@ _BYTE_BITS = np.unpackbits(
 
 # Largest C(n, k) that ksubset_masks materialises.
 KSUBSET_CAP = 1 << 26
+
+# ksubset_masks shares, read-only, the last KSUBSET_CACHE_TABLES tables of
+# at most KSUBSET_CACHE_SETS masks each (8 MiB at most, and a sweep's
+# tables are far smaller).
+KSUBSET_CACHE_SETS = 1 << 16
+KSUBSET_CACHE_TABLES = 16
+
+# bit i of _LOW[b] is set iff bit b of i is clear, for in-word indices i < 64
+_LOW = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(6))
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
@@ -155,13 +175,29 @@ def ksubset_masks(n: int, k: int) -> np.ndarray:
     """Masks of the k-subsets of [n] in lex order, the order of
     ``itertools.combinations(range(n), k)``; empty unless 0 <= k <= n.
 
-    Level j holds the j-sets of {k-j, ..., n-1}: those with least element e
-    are e joined to the last C(n-e-1, j-1) entries of level j-1, the
-    (j-1)-sets above e.  Refuses C(n, k) > KSUBSET_CAP before allocating.
+    A table of at most KSUBSET_CACHE_SETS masks is built once and shared
+    read-only; a larger one is fresh and writable.  Refuses C(n, k) >
+    KSUBSET_CAP before allocating.
     """
     check_enumeration(n, k)
     if not 0 <= k <= n:
         return np.zeros(0, dtype=np.int64)
+    if math.comb(n, k) <= KSUBSET_CACHE_SETS:
+        return _shared_ksubset_masks(n, k)
+    return _ksubset_masks(n, k)
+
+
+@functools.lru_cache(maxsize=KSUBSET_CACHE_TABLES)
+def _shared_ksubset_masks(n: int, k: int) -> np.ndarray:
+    out = _ksubset_masks(n, k)
+    out.setflags(write=False)
+    return out
+
+
+def _ksubset_masks(n: int, k: int) -> np.ndarray:
+    """Level j holds the j-sets of {k-j, ..., n-1}: those with least element
+    e are e joined to the last C(n-e-1, j-1) entries of level j-1, the
+    (j-1)-sets above e."""
     level = np.zeros(1, dtype=np.int64)
     for j in range(1, k + 1):
         out = np.empty(math.comb(n - k + j, j), dtype=np.int64)
@@ -193,6 +229,56 @@ def make_family(n: int, k: Optional[int], sets: Iterable[Iterable[int]]) -> Fami
     return family_from_masks(n, k, masks)
 
 
+def _packed(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """A 2^j-point bool table as little-endian words, point m at bit m % 64
+    of word m // 64 (a table under 64 points is one zero-padded word), and j."""
+    j = int(table.size).bit_length() - 1
+    packed = np.packbits(table, bitorder="little")
+    return np.pad(packed, (0, -packed.size % 8)).view("<u8"), j
+
+
+def _packed_members(members: np.ndarray, n: int) -> np.ndarray:
+    """The packed 2^n-point table of a mask array, as ``_packed`` lays it
+    out, set word by word with no 2^n-entry table in between."""
+    words = np.zeros(max(1, (1 << n) >> 6), dtype="<u8")
+    masks = members.view(np.uint64)
+    np.bitwise_or.at(words, masks >> np.uint64(6), np.uint64(1) << (masks & np.uint64(63)))
+    return words
+
+
+def _flip(words: np.ndarray, b: int) -> np.ndarray:
+    """The packed table reindexed with coordinate b flipped: bit m of the
+    result is bit m ^ 2^b of the input."""
+    if b < 6:
+        s = np.uint64(1 << b)
+        return ((words & _LOW[b]) << s) | ((words >> s) & _LOW[b])
+    return words.reshape(-1, 2, 1 << (b - 6))[:, ::-1, :].reshape(-1)
+
+
+def _up_closure(words: np.ndarray, j: int) -> np.ndarray:
+    """Packed superset closure: bit m is set iff some member is contained in m."""
+    up = words.copy()
+    for b in range(min(j, 6)):
+        up |= (up & _LOW[b]) << np.uint64(1 << b)
+    for b in range(6, j):
+        v = up.reshape(-1, 2, 1 << (b - 6))
+        v[:, 1, :] |= v[:, 0, :]
+    return up
+
+
+def _packed_intersecting(words: np.ndarray, j: int) -> bool:
+    """True iff no two, not necessarily distinct, points set in the packed
+    2^j-point table are disjoint: no point set lies in the complement of the
+    up-closure, whose bit m is bit 2^j-1-m of the closure.  The complement
+    reverses the word order and the bits of each word, which leaves a table
+    under 64 points in the top 2^j bits of its word."""
+    comp = _up_closure(words, j)[::-1]
+    for b in range(6):
+        comp = _flip(comp, b)
+    comp >>= np.uint64(max(0, 64 - (1 << j)))
+    return not bool(np.any(words & comp))
+
+
 def _pairs_meet(rows: np.ndarray, cols: np.ndarray, t: int, triangle: bool) -> bool:
     """True iff every row mask shares at least t elements with every column
     mask; with ``triangle`` (rows is cols) row i is compared with cols[i:]
@@ -212,12 +298,17 @@ def _pairs_meet(rows: np.ndarray, cols: np.ndarray, t: int, triangle: bool) -> b
 def is_t_intersecting(fam: Family, t: int = 1) -> bool:
     """True iff every pair of distinct members shares at least t elements.
 
-    Each block of rows is compared with the suffix of members from its first
-    row on, so the diagonal |F & F| = |F| is included: it is at least
-    |F & G| for every other member G, so once there are two members it
-    never lowers the minimum.  Empty and singleton families are vacuously
-    t-intersecting.  Refuses families above PAIRWISE_CHECK_CAP members; the
-    dense up-set check in booleanlab covers those.
+    Empty and singleton families are vacuously t-intersecting.  Refuses
+    families above PAIRWISE_CHECK_CAP members; the dense up-set check in
+    booleanlab covers those.  Below the cap, t = 1 on n <= PACKED_CHECK_N
+    with 2^n <= m(m-1)/2 runs on the packed table of the family: no member
+    may lie in the complement of its up-closure (two distinct members are
+    disjoint just when one lies there, and a member lies in its own
+    complement only if it is the empty set, which then misses every other
+    member).  Otherwise each block of rows is compared with the suffix of
+    members from its first row on, so the diagonal |F & F| = |F| is
+    included: it is at least |F & G| for every other member G, so once
+    there are two members it never lowers the minimum.
     """
     if t < 1:
         raise ValueError(f"threshold t={t} must be >= 1")
@@ -229,6 +320,8 @@ def is_t_intersecting(fam: Family, t: int = 1) -> bool:
         )
     if m < 2:
         return True
+    if t == 1 and fam.n <= PACKED_CHECK_N and 1 << fam.n <= m * (m - 1) // 2:
+        return _packed_intersecting(_packed_members(fam.members, fam.n), fam.n)
     return _pairs_meet(fam.members, fam.members, t, triangle=True)
 
 
@@ -243,6 +336,22 @@ def are_cross_intersecting(a: Family, b: Family) -> bool:
         return True
     large, small = (a.members, b.members) if len(a) >= len(b) else (b.members, a.members)
     return _pairs_meet(large, small, 1, triangle=False)
+
+
+def intersection_rows(masks: np.ndarray, sources: Optional[np.ndarray] = None) -> list[int]:
+    """Row v is a Python int with bit w set iff masks[w] meets sources[v]
+    and differs from it; ``sources`` defaults to ``masks``, which gives the
+    intersection graph on distinct masks.  Sources go in blocks of about
+    PAIR_BLOCK entries, so no V x V temporary is made."""
+    sources = masks if sources is None else sources
+    rows: list[int] = []
+    step = max(1, PAIR_BLOCK // max(1, masks.size))
+    for s in range(0, sources.size, step):
+        block = sources[s : s + step, None]
+        hits = ((block & masks) != 0) & (block != masks)
+        packed = np.packbits(hits, axis=1, bitorder="little")
+        rows += [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return rows
 
 
 def stats(fam: Family) -> FamilyStats:

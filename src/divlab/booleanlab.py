@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bitfam import _LOW, _flip, _packed, _packed_intersecting, _up_closure
 from .constructions import (
     MAX_R,
     JuntaSpec,
@@ -52,18 +53,8 @@ def _measure_from_weight_counts(counts: Sequence[int], j: int, p) -> Fraction:
     return Fraction(num, b**j)
 
 
-# bit i of _LOW[b] is set iff bit b of i is clear, for in-word indices i < 64
-_LOW = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(6))
 # bit i of _WEIGHT[c] is set iff the in-word index i has c bits set
 _WEIGHT = tuple(np.uint64(sum(1 << i for i in range(64) if i.bit_count() == c)) for c in range(7))
-
-
-def _packed(table: np.ndarray) -> tuple[np.ndarray, int]:
-    """The 2^j-point table as little-endian words, point m at bit m % 64 of
-    word m // 64 (a table under 64 points is one zero-padded word), and j."""
-    j = int(table.size).bit_length() - 1
-    packed = np.packbits(table, bitorder="little")
-    return np.pad(packed, (0, -packed.size % 8)).view("<u8"), j
 
 
 def _packed_weight_counts(words: np.ndarray, j: int) -> np.ndarray:
@@ -78,26 +69,6 @@ def _packed_weight_counts(words: np.ndarray, j: int) -> np.ndarray:
     return counts[: j + 1]
 
 
-def _flip(words: np.ndarray, b: int) -> np.ndarray:
-    """The packed table reindexed with coordinate b flipped: bit m of the
-    result is bit m ^ 2^b of the input."""
-    if b < 6:
-        s = np.uint64(1 << b)
-        return ((words & _LOW[b]) << s) | ((words >> s) & _LOW[b])
-    return words.reshape(-1, 2, 1 << (b - 6))[:, ::-1, :].reshape(-1)
-
-
-def _up_closure(words: np.ndarray, j: int) -> np.ndarray:
-    """Packed superset closure: bit m is set iff some member is contained in m."""
-    up = words.copy()
-    for b in range(min(j, 6)):
-        up |= (up & _LOW[b]) << np.uint64(1 << b)
-    for b in range(6, j):
-        v = up.reshape(-1, 2, 1 << (b - 6))
-        v[:, 1, :] |= v[:, 0, :]
-    return up
-
-
 def is_up_closed_table(table: np.ndarray) -> bool:
     """True iff the dense family table is closed under adding elements."""
     words, j = _packed(table)
@@ -109,15 +80,7 @@ def is_intersecting_table(table: np.ndarray) -> bool:
     with the single-member family {{}} vacuously intersecting."""
     if table[0] and np.count_nonzero(table) == 1:
         return True
-    words, j = _packed(table)
-    # no member may lie in the complement 2^j-1-m of a member m.  The
-    # complement reverses the word order and the bits of each word, which
-    # leaves a table under 64 points in the top 2^j bits of its word
-    comp = _up_closure(words, j)[::-1]
-    for b in range(6):
-        comp = _flip(comp, b)
-    comp >>= np.uint64(max(0, 64 - (1 << j)))
-    return not bool(np.any(words & comp))
+    return _packed_intersecting(*_packed(table))
 
 
 def spec_is_up_closed(spec: JuntaSpec) -> bool:

@@ -155,9 +155,13 @@ def lift_junta(spec: JuntaSpec, n: int, k: int) -> Family:
 
 
 def full_uniform_family(n: int, k: int) -> Family:
-    """All k-subsets of [n], sorted in place in the fresh enumeration."""
+    """All k-subsets of [n], sorted in place in a fresh enumeration; a
+    shared (read-only) table is sorted into a copy."""
     masks = ksubset_masks(n, k)
-    masks.sort()
+    if masks.flags.writeable:
+        masks.sort()
+    else:
+        masks = np.sort(masks)
     return family_from_masks(n, k, masks, presorted=True)
 
 

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitfam import MAX_GROUND, Family, family_from_masks, ksubset_masks
+from .bitfam import MAX_GROUND, Family, family_from_masks, intersection_rows, ksubset_masks
 
 
 @dataclass
@@ -50,18 +50,6 @@ class SearchResult:
     node_count: int
     complete: bool
     elapsed_s: float
-
-
-def _intersection_graph(masks: np.ndarray) -> list[int]:
-    """Row v has bit w iff masks v != w intersect.
-
-    Rows are built one vertex at a time, so no V x V temporary is made."""
-    adj = []
-    for v, mv in enumerate(masks):
-        row = (masks & mv) != 0
-        row[v] = False
-        adj.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
-    return adj
 
 
 def _iter_bits(mask: int):
@@ -83,7 +71,7 @@ def enumerate_maximal_intersecting(
     if not 1 <= n <= MAX_GROUND or not 0 <= k <= n:
         raise ValueError(f"need 1 <= n <= {MAX_GROUND} and 0 <= k <= n, got n={n}, k={k}")
     masks = ksubset_masks(n, k)
-    adj = _intersection_graph(masks)
+    adj = intersection_rows(masks)
     nv = len(masks)
     out: list[list[int]] = []
     complete = True
@@ -96,8 +84,15 @@ def enumerate_maximal_intersecting(
         if p == 0 and x == 0:
             out.append(list(r))
             return True
-        # pivot on the candidate covering most of P
-        pivot = max(_iter_bits(p | x), key=lambda u: (adj[u] & p).bit_count())
+        # pivot on the first candidate covering most of P
+        most, pivot, rest = -1, 0, p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            covered = (adj[u] & p).bit_count()
+            if covered > most:
+                most, pivot = covered, u
         ext = p & ~adj[pivot]
         for v in _iter_bits(ext):
             bit = 1 << v
@@ -111,8 +106,16 @@ def enumerate_maximal_intersecting(
         return True
 
     expand([], (1 << nv) - 1 if nv else 0, 0)
-    # the masks are distinct k-subsets of [n] by construction: sort, no checks
-    families = [Family(n=n, k=k, members=np.sort(masks[clique])) for clique in out]
+    # the masks are distinct k-subsets of [n] by construction: one sort of
+    # every clique's masks, by clique then mask, and each family a slice
+    sizes = [len(clique) for clique in out]
+    flat = masks[[v for clique in out for v in clique]]
+    clique_of = np.repeat(np.arange(len(out)), sizes)
+    flat = flat[np.lexsort((flat, clique_of))]
+    ends = np.cumsum(sizes).tolist()
+    families = [
+        Family(n=n, k=k, members=flat[e - size : e]) for e, size in zip(ends, sizes)
+    ]
     return MaximalEnumeration(families=families, complete=complete)
 
 
@@ -136,7 +139,7 @@ def max_diversity_search(n: int, k: int, budget_seconds: float) -> SearchResult:
     a_masks = (ksubset_masks(n - 1, k - 1) << 1) | 1
     points = np.left_shift(1, np.arange(1, n, dtype=np.int64))
     nb, na = len(b_masks), len(a_masks)
-    rows = _intersection_graph(np.concatenate([b_masks, a_masks, points]))
+    rows = intersection_rows(np.concatenate([b_masks, a_masks, points]))
     all_a = (1 << na) - 1
     adj = [row & ((1 << nb) - 1) for row in rows[:nb]]
     meet = [row >> nb & all_a for row in rows[:nb]]

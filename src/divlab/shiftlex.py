@@ -2,15 +2,37 @@
 
 The lex order used here puts A before B iff min(A \\ B) < min(B \\ A); the
 initial segment of that order on k-sets therefore starts at {1,...,k}.
+
+On n <= CUBE_N points, ``shift_closure`` and ``is_shifted`` hold a family
+as one Python int over the 2^n cube, bit m set iff mask m is a member.
+Each (i,j)-shift is then three whole-cube operations.  A member m holding
+j but not i has the image m - 2^(j-1) + 2^(i-1): clearing bit j-1 and
+setting bit i-1 of m changes no other bit, so no borrow or carry crosses
+them.  Bit m of the cube therefore moves to bit m - d, d = 2^(j-1) -
+2^(i-1), and a right shift by d moves every such member to its image at
+once.  Larger ground sets shift the sorted mask array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .bitfam import MAX_GROUND, PAIR_BLOCK, Family, family_from_masks, ksubset_masks
+from .bitfam import (
+    MAX_GROUND,
+    PAIR_BLOCK,
+    Family,
+    _packed_members,
+    family_from_masks,
+    ksubset_masks,
+)
+
+# Largest n whose families are shifted on the 2^n cube.  Against the mask
+# array, a closure of 200 (n // 3)-sets is 3.3x faster at n = 14, 1.3x at
+# 16 and 2.7x slower at 18, where the cube's 2^n bits dominate.
+CUBE_N = 14
 
 
 def _shift(members: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -27,6 +49,33 @@ def _shift(members: np.ndarray, i: int, j: int) -> np.ndarray:
     out = np.where(move, images, members)
     out.sort()
     return out
+
+
+@functools.lru_cache(maxsize=None)  # at most CUBE_N entries, 28 KB at n = 14
+def _cube_elements(n: int) -> tuple[int, ...]:
+    """Entry b is the cube bitset of the subsets of [n] holding element
+    b + 1: bit m is set iff bit b of m is.  Its byte pattern, 2^b zero bits
+    then 2^b one bits, repeats over the cube's bytes."""
+    size = 1 << n
+    out = []
+    for b in range(n):
+        if b < 3:
+            pattern = bytes([(0xAA, 0xCC, 0xF0)[b]])
+        else:
+            pattern = bytes(1 << (b - 3)) + b"\xff" * (1 << (b - 3))
+        whole = int.from_bytes(pattern * max(1, (size >> 3) // len(pattern)), "little")
+        out.append(whole & ((1 << size) - 1))
+    return tuple(out)
+
+
+def _to_cube(members: np.ndarray, n: int) -> int:
+    return int.from_bytes(_packed_members(members, n).tobytes(), "little")
+
+
+def _from_cube(cube: int, n: int) -> np.ndarray:
+    """The ascending masks of the cube bitset's members."""
+    raw = np.frombuffer(cube.to_bytes(max(8, (1 << n) >> 3), "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def _refamily(fam: Family, members: np.ndarray) -> Family:
@@ -63,11 +112,22 @@ def is_shifted(fam: Family) -> bool:
     moves it to G - j + i.  So each step walks an element of G in (i, j]
     down one free place.
 
-    Members go in blocks of about PAIR_BLOCK (member, a) entries, so the
-    temporaries stay small whatever the family's size.
+    On the cube (n <= CUBE_N) the images of the members holding a+1 but not
+    a are one right shift by 2^(a-1), and none may miss the family.
+    Otherwise members go in blocks of about PAIR_BLOCK (member, a) entries,
+    so the temporaries stay small whatever the family's size.
     """
-    members = fam.members
-    low = np.left_shift(np.int64(1), np.arange(fam.n - 1, dtype=np.int64))
+    if fam.n > CUBE_N:
+        return _array_is_shifted(fam.members, fam.n)
+    cube, holds = _to_cube(fam.members, fam.n), _cube_elements(fam.n)
+    return not any(
+        (cube & holds[a] & ~holds[a - 1]) >> (1 << (a - 1)) & ~cube for a in range(1, fam.n)
+    )
+
+
+def _array_is_shifted(members: np.ndarray, n: int) -> bool:
+    """is_shifted on the ascending mask array of a family on [n]."""
+    low = np.left_shift(np.int64(1), np.arange(n - 1, dtype=np.int64))
     high, pair = low << 1, low | (low << 1)
     step = max(1, PAIR_BLOCK // max(1, low.size))
     for s in range(0, members.size, step):
@@ -81,7 +141,8 @@ def is_shifted(fam: Family) -> bool:
 
 def shift_closure(fam: Family) -> Family:
     """One sweep of (i,j)-shifts, pairs in lex order (i, then j, ascending),
-    on the raw mask array; the Family is built once, at the end.
+    on the cube bitset (n <= CUBE_N) or the raw mask array; the Family is
+    built once, at the end.
 
     The result is shifted, and it is the fixed point of the loop that
     restarts the lex sweep at (1,2) after every effective shift, by this
@@ -93,11 +154,20 @@ def shift_closure(fam: Family) -> Family:
     So effective shifts only ever come in strictly increasing pair order,
     and after the last pair every pair fixes the family.
     """
-    members = fam.members
-    for i in range(1, fam.n):
-        for j in range(i + 1, fam.n + 1):
+    n, members = fam.n, fam.members
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    if n > CUBE_N:
+        for i, j in pairs:
             members = _shift(members, i, j)
-    return _refamily(fam, members)
+        return _refamily(fam, members)
+    holds = _cube_elements(n)
+    cube = start = _to_cube(members, n)
+    for i, j in pairs:
+        d = (1 << (j - 1)) - (1 << (i - 1))
+        # the images of the members holding j but not i that miss the family
+        add = (cube & holds[j - 1] & ~holds[i - 1]) >> d & ~cube
+        cube ^= add | add << d
+    return _refamily(fam, members if cube == start else _from_cube(cube, n))
 
 
 def _lex_prefix(m: int, k: int, n: int) -> np.ndarray:

@@ -170,6 +170,20 @@ def is_shifted_by_pairs(sets, n):
     return all(shift_sets(sets, i, j) == sets for i, j in combinations(range(1, n + 1), 2))
 
 
+def greedy_intersecting_by_scan(n, k, rng):
+    """The random intersecting family of randfam, drawn from ``rng`` the
+    same way: shuffle the k-sets of [n], keep each one that meets every kept
+    set, then keep each kept set with probability 0.7 (at least the first)."""
+    candidates = [frozenset(s) for s in combinations(range(1, n + 1), k)]
+    rng.shuffle(candidates)
+    kept = []
+    for s in candidates:
+        if all(s & other for other in kept):
+            kept.append(s)
+    members = [s for s in kept if rng.random() < 0.7] or kept[:1]
+    return family_from_masks(n, k, [sum(1 << (e - 1) for e in s) for s in members])
+
+
 def shift_closure_by_restart(sets, n):
     """Shift to a fixed point, restarting the lex pair sweep at (1,2) after
     every shift that changes the family."""

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlab import bitfam
 from divlab.bitfam import (
+    KSUBSET_CACHE_SETS,
+    PACKED_CHECK_N,
     PAIR_BLOCK,
     Family,
     are_cross_intersecting,
@@ -20,6 +24,7 @@ from divlab.bitfam import (
     mask_from_elements,
     stats,
 )
+from divlab.constructions import full_uniform_family
 from divlab.errors import ResourceCapError
 
 from conftest import small_families
@@ -94,6 +99,59 @@ def test_pairwise_cap_refused():
     fam = family_from_masks(17, None, np.arange(1, (1 << 16) + 2, dtype=np.int64))
     with pytest.raises(ResourceCapError, match="booleanlab"):
         is_t_intersecting(fam, 1)
+
+
+def _refuse(*args):
+    raise AssertionError("the other side of the packed-check switch ran")
+
+
+def _switch_size(n):
+    """The least m with 2^n <= m(m-1)/2: from m members on, a t = 1 check
+    on n <= PACKED_CHECK_N points runs on the packed table."""
+    return next(m for m in range(2, 1 << 14) if 1 << n <= m * (m - 1) // 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, PACKED_CHECK_N, PACKED_CHECK_N + 1])
+def test_packed_and_pairwise_checks_agree_at_the_switch(monkeypatch, n):
+    # m - 1 and m members either side of 2^n = m(m-1)/2: sets through
+    # element 1 (intersecting), the same with their last member swapped for
+    # {n} or for the empty set (neither meets the member {1}), and the
+    # empty set with m - 1 sets through 1.  The kernel of the other side is
+    # made to fail, so a moved switch shows.
+    m = _switch_size(n)
+    verdicts = set()
+    for size in (m - 1, m):
+        through_one = [1 | r << 1 for r in range(min(size, 1 << (n - 1)))]
+        cases = [
+            through_one,
+            through_one[:-1] + [1 << (n - 1)],
+            through_one[:-1] + [0],
+            [0] + through_one[: size - 1],
+        ]
+        for masks in cases:
+            fam = family_from_masks(n, None, masks)
+            packed = n <= PACKED_CHECK_N and len(fam) >= m
+            with monkeypatch.context() as mp:
+                mp.setattr(bitfam, "_pairs_meet" if packed else "_packed_intersecting", _refuse)
+                got = is_t_intersecting(fam, 1)
+            if n <= 12:
+                assert got == pairwise_t_intersecting(family_as_sets(fam), 1)
+            else:
+                assert got == (masks is through_one)
+            verdicts.add((packed, got))
+    # an intersecting family on [n] has at most 2^(n-1) members
+    sides = {False, True} if n <= PACKED_CHECK_N else {False}
+    assert {packed for packed, _ in verdicts} == sides
+    if n >= 4:
+        assert verdicts == {(packed, got) for packed in sides for got in (True, False)}
+
+
+def test_empty_set_families_are_checked_like_the_pairwise_scan():
+    for n in (1, 3, 6):
+        assert is_t_intersecting(family_from_masks(n, None, [0]))  # {{}} is vacuous
+        assert not is_t_intersecting(family_from_masks(n, None, [0, 1]))  # {{}, {1}}
+        # {{}} plus every other subset of [n]: m(m-1)/2 >= 2^n from n = 3 on
+        assert not is_t_intersecting(family_from_masks(n, None, range(1 << n)))
 
 
 def _fat_family():
@@ -275,6 +333,19 @@ def test_ksubset_masks_is_combinations_order():
 def test_ksubset_masks_empty_when_k_exceeds_n():
     out = ksubset_masks(4, 5)
     assert out.dtype == np.int64 and out.size == 0
+
+
+def test_small_ksubset_tables_are_shared_read_only():
+    small = ksubset_masks(9, 4)
+    assert small is ksubset_masks(9, 4) and not small.flags.writeable
+    n, k = 20, 8
+    assert math.comb(n, k) > KSUBSET_CACHE_SETS
+    large = ksubset_masks(n, k)
+    assert large is not ksubset_masks(n, k) and large.flags.writeable
+    # the full family sorts a copy of a shared table, not the table
+    order = small.tolist()
+    assert full_uniform_family(9, 4).members.tolist() == sorted(order)
+    assert small.tolist() == order != sorted(order)
 
 
 def test_ksubset_masks_cap_refused_before_allocating():

@@ -79,18 +79,42 @@ def test_enumeration_7_3_soundness_and_count():
 @pytest.mark.parametrize(
     "n,k,digest",
     [
+        (4, 2, "3c567cb70ed1e35b43dd0de7c61999b0d7bcfcaa56497f2b2fdf269b6df0a107"),
+        (4, 3, "bc1d7b4f0f5b4363338e8bc3d1468ab112b8fb1c26715349ebf4629c16712d9b"),
         (5, 2, "813a57c56de7b8fddfb79a420ad19d6f6316d666dfd117f38334ceffa63dc0cd"),
+        (5, 3, "aa22df59de37c7f0669435b26f555f72536f5ce4215ff11999b75b07ab722aef"),
         (6, 2, "0341dbf6c833d5f6c2584b11a1776a8335e31c3f04dc321bdfa35bfc268fe53b"),
         (6, 3, "207e22e6a53c88b2b3d52cc369295f7863f7370bab7f4b35877fe4b5503a7bbc"),
+        (7, 2, "57264f4469ed776024a592071a81ad1061bd10d46f0009ca0c568e2bc219c283"),
         (7, 3, "d905c9dd64db4b38f6dd25b176146659d83ecea01e9760685811b3fb70b8858e"),
         (8, 2, "36b86d64ec365f286f3fdd5d6af45fc7f0026da2d498a3a2645dcc78c45bbb3b"),
+        (8, 3, "942010588f859704cb1fa899ed4bbc9d7d05d38f93dec14040fb4837daed7f41"),
     ],
 )
 def test_enumeration_output_identity(n, k, digest):
     # sha256 of n, k, dtype and members of every family in output order,
     # recorded when each family was built by the validating
-    # family_from_masks; the unvalidated construction must match it
-    families = enumerate_maximal_intersecting(n, k).families
+    # family_from_masks and sorted on its own; the construction from one
+    # sort of all families must match it
+    _assert_enumeration_digest(n, k, None, digest)
+
+
+@pytest.mark.parametrize(
+    "n,k,digest",
+    [
+        (4, 2, "b1d3bdad5e573334ac04e2850ff3ec4b7d7d051c4d44b3711fffcdf5ba6a041d"),
+        (6, 3, "db9e006a05203926648a910cda55b808ba902d32dc67ee9d9f285b4a99e9a30e"),
+        (7, 3, "f3ce0a97c77b8362136cb7f7733f059ad6f0b11e10ce666bf55d206dbc7ff154"),
+        (8, 3, "527f51db282fa3792e07217e1b861a7889b517ed36bfa2b89a351fb508e33162"),
+    ],
+)
+def test_capped_enumeration_output_identity(n, k, digest):
+    # the first 7 families, recorded like the complete lists above
+    _assert_enumeration_digest(n, k, 7, digest)
+
+
+def _assert_enumeration_digest(n, k, cap, digest):
+    families = enumerate_maximal_intersecting(n, k, cap=cap).families
     h = hashlib.sha256()
     for f in families:
         h.update(f"{f.n} {f.k} {f.members.dtype.str} {f.members.tolist()}\n".encode())

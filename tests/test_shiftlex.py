@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlab import shiftlex
 from divlab.bitfam import PAIR_BLOCK, family_from_masks, is_t_intersecting, make_family, stats
 from divlab.constructions import fano_plane, star
 from divlab.randfam import random_intersecting_family
 from divlab.shiftlex import (
+    CUBE_N,
     is_shifted,
     lex_partner_maxima,
     lex_segment,
@@ -118,12 +120,51 @@ def test_is_shifted_matches_all_pairs_oracle(fam, close):
     assert is_shifted(fam) == is_shifted_by_pairs(family_as_sets(fam), fam.n)
 
 
+def _refuse(*args):
+    raise AssertionError("the other side of the cube switch ran")
+
+
+@pytest.mark.parametrize("n", [1, 2, CUBE_N, CUBE_N + 1])
+def test_cube_and_array_shifts_match_the_oracles_at_the_switch(monkeypatch, n):
+    # n <= CUBE_N shifts on the cube, n > CUBE_N on the mask array; the
+    # kernel of the other side is made to fail, so a moved switch shows
+    if n <= CUBE_N:
+        monkeypatch.setattr(shiftlex, "_shift", _refuse)
+        monkeypatch.setattr(shiftlex, "_array_is_shifted", _refuse)
+    else:
+        monkeypatch.setattr(shiftlex, "_cube_elements", _refuse)
+    rng = random.Random(n)
+    # the empty family, {{}}, a star, {{n}} (shifted only at n = 1) and
+    # random uniform and non-uniform families
+    families = [family_from_masks(n, None, []), family_from_masks(n, None, [0]), star(n, 1)]
+    families.append(family_from_masks(n, 1, [1 << (n - 1)]))
+    for _ in range(6):
+        families.append(family_from_masks(n, None, [rng.randrange(1 << n) for _ in range(12)]))
+        k = rng.randint(1, n)
+        masks = [sum(1 << e for e in rng.sample(range(n), k)) for _ in range(12)]
+        families.append(family_from_masks(n, k, masks))
+    verdicts = set()
+    for fam in families:
+        want = shift_closure_by_restart(family_as_sets(fam), n)
+        closed = shift_closure(fam)
+        assert set(family_as_sets(closed)) == want
+        assert closed == family_from_masks(n, fam.k, closed.members)
+        for f in (fam, closed):
+            verdict = is_shifted(f)
+            assert verdict == is_shifted_by_pairs(family_as_sets(f), n)
+            verdicts.add(verdict)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
 def test_is_shifted_across_member_blocks():
-    # the power set of [13] minus X = {10, 11, 12}: the one member that the
-    # (12, 13)-shift sends to X is {10, 11, 13}, beyond the first block
-    n, x, y = 13, 0b0111 << 9, 0b1011 << 9
-    whole = family_from_masks(n, None, range(1 << n))
-    holed = family_from_masks(n, None, [m for m in range(1 << n) if m != x])
+    # on the mask array (n > CUBE_N): the sets of at most 5 elements of
+    # [15], and the same without X = {10, 12, ..., 15}; the one member that
+    # the (10, 11)-shift sends to X is {11, ..., 15}, in the last block
+    n = CUBE_N + 1
+    x, y = 0b111101 << 9, 0b11111 << 10
+    small = [m for m in range(1 << n) if m.bit_count() <= 5]
+    whole = family_from_masks(n, None, small)
+    holed = family_from_masks(n, None, [m for m in small if m != x])
     assert int(np.searchsorted(holed.members, y)) >= PAIR_BLOCK // (n - 1)
     for fam, want in ((whole, True), (holed, False)):
         assert is_shifted_by_pairs(family_as_sets(fam), n) is want
