@@ -150,7 +150,7 @@ def test_empty_set_families_are_checked_like_the_pairwise_scan():
     for n in (1, 3, 6):
         assert is_t_intersecting(family_from_masks(n, None, [0]))  # {{}} is vacuous
         assert not is_t_intersecting(family_from_masks(n, None, [0, 1]))  # {{}, {1}}
-        # {{}} plus every other subset of [n]: m(m-1)/2 >= 2^n from n = 3 on
+        # {{}} plus every other subset of [n]: m(m-1)/2 >= 2^n from n = 2 on
         assert not is_t_intersecting(family_from_masks(n, None, range(1 << n)))
 
 
