@@ -25,13 +25,13 @@ MAX_GROUND = 63
 
 # Above this many members is_t_intersecting refuses, whatever t: its
 # pairwise scan is O(|F|^2); use booleanlab's dense up-set machinery.  Below
-# the cap, a t = 1 check on n <= PACKED_CHECK_N points with 2^n <= m(m-1)/2
+# the cap, a t = 1 check on n <= MAX_TABLE_N points with 2^n <= m(m-1)/2
 # already runs on the packed 2^n-point table instead.
 PAIRWISE_CHECK_CAP = 1 << 16
 
-# Largest n whose 2^n-point table the packed 1-intersecting check builds
-# (4 MiB at n = 25, the largest junta centre).
-PACKED_CHECK_N = 25
+# Largest n whose 2^n-point table divlab builds: a junta centre's, the
+# run-dominance table and the packed 1-intersecting check's (4 MiB at n = 25).
+MAX_TABLE_N = 25
 
 # Entries of one row block of a pairwise check (2^14 and 2^18 measured
 # slower on a 12,597-member family).
@@ -300,7 +300,7 @@ def is_t_intersecting(fam: Family, t: int = 1) -> bool:
 
     Empty and singleton families are vacuously t-intersecting.  Refuses
     families above PAIRWISE_CHECK_CAP members; the dense up-set check in
-    booleanlab covers those.  Below the cap, t = 1 on n <= PACKED_CHECK_N
+    booleanlab covers those.  Below the cap, t = 1 on n <= MAX_TABLE_N
     with 2^n <= m(m-1)/2 runs on the packed table of the family: no member
     may lie in the complement of its up-closure (two distinct members are
     disjoint just when one lies there, and a member lies in its own
@@ -320,7 +320,7 @@ def is_t_intersecting(fam: Family, t: int = 1) -> bool:
         )
     if m < 2:
         return True
-    if t == 1 and fam.n <= PACKED_CHECK_N and 1 << fam.n <= m * (m - 1) // 2:
+    if t == 1 and fam.n <= MAX_TABLE_N and 1 << fam.n <= m * (m - 1) // 2:
         return _packed_intersecting(_packed_members(fam.members, fam.n), fam.n)
     return _pairs_meet(fam.members, fam.members, t, triangle=True)
 

@@ -1,9 +1,9 @@
 """Exact biased-measure analysis over a junta center.
 
-A junta spec is its membership table on the center cube (at most 2^25
-points), and every quantity is read from that table.  Every value is one
-exact rational: a float bias is taken at its exact binary value, so
-``float()`` of a result is correctly rounded.
+A junta spec is its membership table on the center cube (at most
+2^MAX_TABLE_N points, bitfam's cap), and every quantity is read from that
+table.  Every value is one exact rational: a float bias is taken at its
+exact binary value, so ``float()`` of a result is correctly rounded.
 
 Measures, influences and the biased diversity are all read off one packed
 weight histogram (``_packed_weight_counts``): the table packed 64 points to

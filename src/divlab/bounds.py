@@ -27,7 +27,14 @@ def binom(n: int, k: int) -> int:
 
 
 def diversity_bound(n: int, k: int) -> int:
-    """The conjectured diversity maximum C(n-3, k-2) for k-uniform families on [n]."""
+    """C(n-3, k-2), the diversity of the two-out-of-three family, for
+    intersecting k-uniform families on [n].
+
+    Frankl conjectured it is the maximum diversity for n > 3k, and the paper
+    proves that for n >= ck.  It fails just above 3k: the lift of the T6
+    junta to (19, 6) is intersecting with diversity 1,833 > C(16, 4) = 1,820
+    (tests/test_documented_numbers.py).
+    """
     if n < 3 or k < 2:
         raise ValueError(f"need n >= 3 and k >= 2, got n={n}, k={k}")
     return binom(n - 3, k - 2)

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import runstat
-from .bitfam import Family, check_enumeration, family_from_masks, ksubset_masks, make_family
+from .bitfam import MAX_TABLE_N, Family, check_enumeration, family_from_masks, ksubset_masks, make_family
 
-CENTER_CAP = 25
 # the largest r whose (2r+1)-point centre has a table
-MAX_R = (CENTER_CAP - 1) // 2
+MAX_R = (MAX_TABLE_N - 1) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,8 +34,8 @@ class JuntaSpec:
         if not isinstance(table, np.ndarray) or table.dtype != bool or table.ndim != 1:
             raise ValueError("membership table must be a flat bool array")
         j = table.size.bit_length() - 1
-        if not 1 <= j <= CENTER_CAP or table.size != 1 << j:
-            raise ValueError(f"table of {table.size} entries is not 2^j, 1 <= j <= {CENTER_CAP}")
+        if not 1 <= j <= MAX_TABLE_N or table.size != 1 << j:
+            raise ValueError(f"table of {table.size} entries is not 2^j, 1 <= j <= {MAX_TABLE_N}")
         if table.flags.writeable:
             table = table.copy()
             table.setflags(write=False)
@@ -130,8 +129,8 @@ def build_majority_defining(r: int) -> JuntaSpec:
 
 def build_dictator_defining(center_size: int) -> JuntaSpec:
     """Dictator junta: traces containing element 1."""
-    if not 1 <= center_size <= CENTER_CAP:
-        raise ValueError(f"center size {center_size} outside [1, {CENTER_CAP}]")
+    if not 1 <= center_size <= MAX_TABLE_N:
+        raise ValueError(f"center size {center_size} outside [1, {MAX_TABLE_N}]")
     return JuntaSpec(np.tile(np.array([False, True]), 1 << (center_size - 1)))
 
 

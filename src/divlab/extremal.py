@@ -66,10 +66,12 @@ def enumerate_maximal_intersecting(
     Bron-Kerbosch on the intersection graph.
 
     ``cap`` limits the output count; hitting it returns a partial list with
-    complete=False.
+    complete=False.  A negative cap is refused.
     """
     if not 1 <= n <= MAX_GROUND or not 0 <= k <= n:
         raise ValueError(f"need 1 <= n <= {MAX_GROUND} and 0 <= k <= n, got n={n}, k={k}")
+    if cap is not None and cap < 0:
+        raise ValueError(f"family cap {cap} is negative")
     masks = ksubset_masks(n, k)
     adj = intersection_rows(masks)
     nv = len(masks)
@@ -127,23 +129,24 @@ def max_diversity_search(n: int, k: int, budget_seconds: float) -> SearchResult:
     {2..k+1}; a candidate leaves P once adding it alone breaks a constraint
     (violations are monotone), and a node is cut when |B| + |P| <= best.  The
     witness is A u B, of diversity |B|.  Out of time, the result is best-found
-    with complete=False, as at n = 2k, where every two B-sets meet.
+    with complete=False, as at n = 2k, where every two B-sets meet.  A budget
+    that is not > 0, NaN among them, is refused; an infinite one never ends.
     """
     if k < 2 or not 2 * k <= n <= MAX_GROUND:
         raise ValueError(f"need k >= 2 and 2k <= n <= {MAX_GROUND}, got n={n}, k={k}")
+    if not budget_seconds > 0:
+        raise ValueError(f"time budget {budget_seconds} is not > 0")
     start = time.monotonic()
     deadline = start + budget_seconds
-    # vertices: the B-sets (k-sets of [2..n]), the A-sets (k-sets through 1),
-    # and one point {x} per x = 2..n, whose row holds the A-sets through x
+    # B-sets are the k-sets of [2..n], A-sets those through 1; per B-set v the
+    # B-sets and A-sets meeting it, and per x = 2..n the A-sets missing x
     b_masks = ksubset_masks(n - 1, k) << 1
     a_masks = (ksubset_masks(n - 1, k - 1) << 1) | 1
     points = np.left_shift(1, np.arange(1, n, dtype=np.int64))
-    nb, na = len(b_masks), len(a_masks)
-    rows = intersection_rows(np.concatenate([b_masks, a_masks, points]))
-    all_a = (1 << na) - 1
-    adj = [row & ((1 << nb) - 1) for row in rows[:nb]]
-    meet = [row >> nb & all_a for row in rows[:nb]]
-    avoid = [all_a & ~(row >> nb) for row in rows[nb + na :]]
+    nb, all_a = len(b_masks), (1 << len(a_masks)) - 1
+    adj = intersection_rows(b_masks)
+    meet = intersection_rows(a_masks, b_masks)
+    avoid = [all_a & ~row for row in intersection_rows(a_masks, points)]
     # element x = 2..n is index x - 2 in elems, count and avoid
     b_list = b_masks.tolist()
     elems = [[e - 1 for e in _iter_bits(b)] for b in b_list]

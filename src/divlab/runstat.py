@@ -29,10 +29,11 @@ from typing import Optional
 
 import numpy as np
 
+from .bitfam import MAX_TABLE_N
 from .errors import ResourceCapError
 from .report import Report
 
-EXACT_CAP_L = 25
+EXACT_CAP_L = 25  # a time cap: _exact_counts builds no table
 MAX_L = 63
 # A Monte Carlo cell is compared with its exact value where the sample expects
 # at least this many hits (and, for a probability, this many misses), at this
@@ -276,8 +277,8 @@ def in_t_table(length: int) -> np.ndarray:
     """
     if length % 2 == 0:
         raise ValueError("run dominance needs an odd word length")
-    if length > EXACT_CAP_L:
-        raise ResourceCapError(f"exact enumeration capped at length {EXACT_CAP_L}")
+    if length > MAX_TABLE_N:
+        raise ResourceCapError(f"exact enumeration capped at length {MAX_TABLE_N}")
     half = 1 << (length - 1)
     low = min(length - 1, _LOW_BITS)  # the top bit, always 0, is a high bit
     weights = np.array(_run_weights(length), dtype=np.int32)  # |key| < 2^20 at L = 25

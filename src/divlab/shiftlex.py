@@ -4,13 +4,9 @@ The lex order used here puts A before B iff min(A \\ B) < min(B \\ A); the
 initial segment of that order on k-sets therefore starts at {1,...,k}.
 
 On n <= CUBE_N points, ``shift_closure`` and ``is_shifted`` hold a family
-as one Python int over the 2^n cube, bit m set iff mask m is a member.
-Each (i,j)-shift is then three whole-cube operations.  A member m holding
-j but not i has the image m - 2^(j-1) + 2^(i-1): clearing bit j-1 and
-setting bit i-1 of m changes no other bit, so no borrow or carry crosses
-them.  Bit m of the cube therefore moves to bit m - d, d = 2^(j-1) -
-2^(i-1), and a right shift by d moves every such member to its image at
-once.  Larger ground sets shift the sorted mask array.
+as one Python int over the 2^n cube, bit m set iff mask m is a member, and
+take each (i,j)-shift as whole-cube operations (``_cube_step``).  Larger
+ground sets shift the sorted mask array.
 """
 
 from __future__ import annotations
@@ -54,18 +50,28 @@ def _shift(members: np.ndarray, i: int, j: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)  # at most CUBE_N entries, 28 KB at n = 14
 def _cube_elements(n: int) -> tuple[int, ...]:
     """Entry b is the cube bitset of the subsets of [n] holding element
-    b + 1: bit m is set iff bit b of m is.  Its byte pattern, 2^b zero bits
-    then 2^b one bits, repeats over the cube's bytes."""
-    size = 1 << n
+    b + 1: bit m is set iff bit b of m is, so the bits run 2^b clear then
+    2^b set, and that period doubles until it spans the 2^n bits."""
     out = []
     for b in range(n):
-        if b < 3:
-            pattern = bytes([(0xAA, 0xCC, 0xF0)[b]])
-        else:
-            pattern = bytes(1 << (b - 3)) + b"\xff" * (1 << (b - 3))
-        whole = int.from_bytes(pattern * max(1, (size >> 3) // len(pattern)), "little")
-        out.append(whole & ((1 << size) - 1))
+        mask, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+        while width < 1 << n:
+            mask, width = mask | mask << width, width << 1
+        out.append(mask)
     return tuple(out)
+
+
+def _cube_step(cube: int, holds: tuple[int, ...], i: int, j: int) -> tuple[int, int]:
+    """The members that the (i,j)-shift adds to the cube bitset, and d.
+
+    A member m holding j but not i has the image m - 2^(j-1) + 2^(i-1):
+    clearing bit j-1 and setting bit i-1 of m changes no other bit, so no
+    borrow or carry crosses them.  Bit m of the cube therefore moves to bit
+    m - d, d = 2^(j-1) - 2^(i-1), and a right shift by d moves every such
+    member to its image at once; the images that miss the family are added.
+    """
+    d = (1 << (j - 1)) - (1 << (i - 1))
+    return (cube & holds[j - 1] & ~holds[i - 1]) >> d & ~cube, d
 
 
 def _to_cube(members: np.ndarray, n: int) -> int:
@@ -112,17 +118,14 @@ def is_shifted(fam: Family) -> bool:
     moves it to G - j + i.  So each step walks an element of G in (i, j]
     down one free place.
 
-    On the cube (n <= CUBE_N) the images of the members holding a+1 but not
-    a are one right shift by 2^(a-1), and none may miss the family.
+    On the cube (n <= CUBE_N) the (a, a+1)-shift may add no member.
     Otherwise members go in blocks of about PAIR_BLOCK (member, a) entries,
     so the temporaries stay small whatever the family's size.
     """
     if fam.n > CUBE_N:
         return _array_is_shifted(fam.members, fam.n)
     cube, holds = _to_cube(fam.members, fam.n), _cube_elements(fam.n)
-    return not any(
-        (cube & holds[a] & ~holds[a - 1]) >> (1 << (a - 1)) & ~cube for a in range(1, fam.n)
-    )
+    return not any(_cube_step(cube, holds, a, a + 1)[0] for a in range(1, fam.n))
 
 
 def _array_is_shifted(members: np.ndarray, n: int) -> bool:
@@ -163,9 +166,7 @@ def shift_closure(fam: Family) -> Family:
     holds = _cube_elements(n)
     cube = start = _to_cube(members, n)
     for i, j in pairs:
-        d = (1 << (j - 1)) - (1 << (i - 1))
-        # the images of the members holding j but not i that miss the family
-        add = (cube & holds[j - 1] & ~holds[i - 1]) >> d & ~cube
+        add, d = _cube_step(cube, holds, i, j)
         cube ^= add | add << d
     return _refamily(fam, members if cube == start else _from_cube(cube, n))
 

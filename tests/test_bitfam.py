@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from divlab import bitfam
 from divlab.bitfam import (
     KSUBSET_CACHE_SETS,
-    PACKED_CHECK_N,
+    MAX_TABLE_N,
     PAIR_BLOCK,
     Family,
     are_cross_intersecting,
@@ -107,11 +107,11 @@ def _refuse(*args):
 
 def _switch_size(n):
     """The least m with 2^n <= m(m-1)/2: from m members on, a t = 1 check
-    on n <= PACKED_CHECK_N points runs on the packed table."""
+    on n <= MAX_TABLE_N points runs on the packed table."""
     return next(m for m in range(2, 1 << 14) if 1 << n <= m * (m - 1) // 2)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, PACKED_CHECK_N, PACKED_CHECK_N + 1])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, MAX_TABLE_N, MAX_TABLE_N + 1])
 def test_packed_and_pairwise_checks_agree_at_the_switch(monkeypatch, n):
     # m - 1 and m members either side of 2^n = m(m-1)/2: sets through
     # element 1 (intersecting), the same with their last member swapped for
@@ -130,7 +130,7 @@ def test_packed_and_pairwise_checks_agree_at_the_switch(monkeypatch, n):
         ]
         for masks in cases:
             fam = family_from_masks(n, None, masks)
-            packed = n <= PACKED_CHECK_N and len(fam) >= m
+            packed = n <= MAX_TABLE_N and len(fam) >= m
             with monkeypatch.context() as mp:
                 mp.setattr(bitfam, "_pairs_meet" if packed else "_packed_intersecting", _refuse)
                 got = is_t_intersecting(fam, 1)
@@ -140,7 +140,7 @@ def test_packed_and_pairwise_checks_agree_at_the_switch(monkeypatch, n):
                 assert got == (masks is through_one)
             verdicts.add((packed, got))
     # an intersecting family on [n] has at most 2^(n-1) members
-    sides = {False, True} if n <= PACKED_CHECK_N else {False}
+    sides = {False, True} if n <= MAX_TABLE_N else {False}
     assert {packed for packed, _ in verdicts} == sides
     if n >= 4:
         assert verdicts == {(packed, got) for packed in sides for got in (True, False)}

@@ -225,6 +225,13 @@ def test_extremal_enumerate_cli():
     assert run(["extremal", "enumerate", "--n", "5", "--k", "2"]) == 0
 
 
+def test_extremal_nan_budget_and_negative_cap_are_usage_errors(capsys):
+    assert run(["extremal", "search", "--n", "7", "--k", "3", "--budget", "nan"]) == 2
+    assert "budget nan" in capsys.readouterr().err
+    assert run(["extremal", "enumerate", "--n", "5", "--k", "2", "--cap", "-1"]) == 2
+    assert "cap -1" in capsys.readouterr().err
+
+
 def test_lex_cli():
     assert run(["lex", "segment", "--m", "5", "--k", "2", "--n", "5"]) == 0
     assert run(["lex", "partner-max", "--b-size", "8", "--a", "2", "--b", "3",

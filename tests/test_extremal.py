@@ -130,6 +130,13 @@ def test_enumeration_refuses_bad_parameters(n, k):
         enumerate_maximal_intersecting(n, k)
 
 
+def test_enumeration_refuses_a_negative_cap():
+    with pytest.raises(ValueError):
+        enumerate_maximal_intersecting(5, 2, cap=-3)
+    enum = enumerate_maximal_intersecting(5, 2, cap=0)
+    assert enum.families == [] and not enum.complete
+
+
 def test_enumeration_cap_flags_partial():
     enum = enumerate_maximal_intersecting(6, 3, cap=100)
     assert not enum.complete
@@ -219,3 +226,15 @@ def test_search_rejects_bad_parameters():
         max_diversity_search(4, 1, budget_seconds=1)
     with pytest.raises(ValueError):
         max_diversity_search(64, 2, budget_seconds=1)  # n > MAX_GROUND
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
+def test_search_refuses_a_budget_that_is_not_positive(budget):
+    # no time is ever past start + NaN, so a NaN budget never ran out
+    with pytest.raises(ValueError):
+        max_diversity_search(7, 3, budget_seconds=budget)
+
+
+def test_search_takes_an_infinite_budget():
+    res = max_diversity_search(7, 3, budget_seconds=float("inf"))
+    assert res.complete and res.best_diversity == 5

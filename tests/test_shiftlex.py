@@ -120,6 +120,17 @@ def test_is_shifted_matches_all_pairs_oracle(fam, close):
     assert is_shifted(fam) == is_shifted_by_pairs(family_as_sets(fam), fam.n)
 
 
+@pytest.mark.parametrize("n", range(1, CUBE_N + 1))
+def test_cube_element_masks_hold_the_sets_through_each_element(n):
+    # bit m of entry b is set iff bit b of m is, read off the points in order
+    points = np.arange(1 << n)
+    holds = shiftlex._cube_elements(n)
+    assert len(holds) == n
+    for b, mask in enumerate(holds):
+        bits = np.packbits((points >> b) & 1, bitorder="little")
+        assert mask == int.from_bytes(bits.tobytes(), "little")
+
+
 def _refuse(*args):
     raise AssertionError("the other side of the cube switch ran")
 
