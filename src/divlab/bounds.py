@@ -2,6 +2,9 @@
 
 Everything here is exact integer arithmetic; binomials outside the usual
 range evaluate to 0 so the bound formulas can be instantiated verbatim.
+The lemma sweep runs exactly in int64: m <= 63 (lex_partner_maxima's cap)
+and m > (weight+1)*max(a, b) bound the weight by 62, so every term and slack
+is at most C(63, 31) < 2^60 in magnitude (tests/test_bounds.py checks it).
 The decomposition around the center {1,2,3} lives here with the diversity
 chain it feeds.
 """
@@ -9,8 +12,10 @@ chain it feeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .bitfam import Family, are_cross_intersecting, family_from_masks, is_t_intersecting, stats
 from .report import Report
@@ -54,22 +59,31 @@ def intersecting_size_bound(n: int, k: int, u: int) -> int:
 class CrossBoundReport:
     """Result of one cross-intersecting weighted-size sweep.
 
-    For every partner size s up to the cap, the largest lex prefix of a-sets
-    cross-intersecting the lex s-segment of b-sets was computed and
-    amax + weight * s <= C(m, a) checked.  rows holds one row per size,
-    worst_slack is the minimum of C(m, a) - (amax + weight * s), and
-    violations lists the rows with negative slack.
+    For every partner size s = 0..swept_max, a_max[s] is the largest lex
+    prefix of a-sets cross-intersecting the lex s-segment of b-sets, and
+    slack[s] = C(m, a) - (a_max[s] + weight * s); the bound holds where the
+    slack is nonnegative.  violations lists the sizes whose slack is negative.
     """
 
     b_cap: int
-    swept_max: int
-    worst_slack: int
-    violations: list[dict] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
+    a_max: np.ndarray
+    slack: np.ndarray
+
+    @property
+    def swept_max(self) -> int:
+        return self.slack.size - 1
+
+    @property
+    def worst_slack(self) -> int:
+        return int(self.slack.min())
+
+    @property
+    def violations(self) -> list[int]:
+        return np.flatnonzero(self.slack < 0).tolist()
 
     @property
     def ok(self) -> bool:
-        return not self.violations and self.worst_slack >= 0
+        return self.worst_slack >= 0
 
 
 def verify_cross_weighted_bound(m: int, a: int, b: int, weight: int) -> CrossBoundReport:
@@ -89,21 +103,9 @@ def verify_cross_weighted_bound(m: int, a: int, b: int, weight: int) -> CrossBou
             f"hypothesis violated: need m > (weight+1)*max(a,b) = {(weight + 1) * max(a, b)}, got m={m}"
         )
     b_cap = binom(m - (b - a + 1), a - 1)
-    swept_max = min(b_cap, binom(m, b))
-    ca = binom(m, a)
-    partner_max = lex_partner_maxima(swept_max, a, b, m)
-    rows = []
-    for s in range(swept_max + 1):
-        amax = int(partner_max[s])
-        lhs = amax + weight * s
-        rows.append({"b_size": s, "a_max": amax, "lhs": lhs, "rhs": ca, "slack": ca - lhs})
-    return CrossBoundReport(
-        b_cap=b_cap,
-        swept_max=swept_max,
-        worst_slack=min(row["slack"] for row in rows),
-        violations=[row for row in rows if row["slack"] < 0],
-        rows=rows,
-    )
+    a_max = lex_partner_maxima(min(b_cap, binom(m, b)), a, b, m)
+    slack = binom(m, a) - a_max - weight * np.arange(a_max.size, dtype=np.int64)
+    return CrossBoundReport(b_cap=b_cap, a_max=a_max, slack=slack)
 
 
 def admissible_cross_bound_tuples(
@@ -150,7 +152,8 @@ class TriangleDecomposition:
     largest of the three (ties to the smallest index) drives the bound:
     ``g`` collects the tails of members tracing the opposite pair, ``h1``
     the tails of the largest fi, ``h2`` the members avoiding the center.
-    Tails are relabeled from [4, n] down to [1, n-3].
+    Tails are relabeled from [4, n] down to [1, n-3], in a ground set of
+    max(n-3, k) points so every uniformity fits (h2 is empty if n < k+3).
     """
 
     fi: tuple[Family, Family, Family]
@@ -173,7 +176,7 @@ def triangle_decompose(fam: Family) -> TriangleDecomposition:
     sizes = [arr.size for arr in fi_masks]
     largest = max(range(3), key=lambda i: (sizes[i], -i))  # ties to smallest index
     pair_mask = 0b111 ^ (1 << largest)
-    n_tail = fam.n - 3
+    n_tail = max(fam.n - 3, fam.k)
     g = family_from_masks(n_tail, fam.k - 2, fam.members[traces == pair_mask] >> 3, presorted=True)
     h1 = family_from_masks(n_tail, fam.k - 1, fi_masks[largest] >> 3, presorted=True)
     h2 = family_from_masks(n_tail, fam.k, fam.members[traces == 0] >> 3, presorted=True)

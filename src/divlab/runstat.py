@@ -105,33 +105,30 @@ def run_profile(word: int, length: int) -> RunProfile:
 
 
 def _scan_block(words: np.ndarray, length: int):
-    """Tie-length histogram, dominant count and run-count sums of a word block.
+    """Tie-length histogram and run-count sums of a word block.
 
-    Returns (tie_hist, dominant, nrun_sums, nrun_sumsq): tie_hist over
-    0..length//2 + 1 and the number of dominant words, nrun_sums[t] the sum
-    over words of N(t) = number of maximal runs of length >= t, and
-    nrun_sumsq[t] the sum of N(t)^2.
+    Returns (tie_hist, nrun_sums, nrun_sumsq): tie_hist over 0..length//2 + 1,
+    nrun_sums[t] the sum over words of N(t) = number of maximal runs of
+    length >= t, and nrun_sumsq[t] the sum of N(t)^2.
 
     After step t, bit p of acc1 (acc0) is set iff positions p..p+t all hold
     a 1 (a 0).  A run of length r >= t holds r - t + 1 windows of length t
     and r - t of length t + 1, so step t counts the ones-runs of length >= t
     as nu = popcount(acc1) before minus after; likewise nz for zeros, and a
     constant word counts one run at every t.  nu and nz only fall as t grows,
-    so the last t where they differ fixes the tie, min(nu, nz), and the
-    dominance; a full tie (even length only) keeps tie nu(1).  A word whose
-    runs are used up (acc1 | acc0 == 0) has nu = nz = 0 at every larger t: it
-    adds nothing more and its results are final, so it is counted into the
-    histogram and the dominant count and dropped from the scan, in one batch
-    once a quarter of the words left are used up, and every word at t = length.
+    so the last t where they differ fixes the tie, min(nu, nz); a full tie
+    (even length only) keeps tie nu(1).  A word whose runs are used up
+    (acc1 | acc0 == 0) has nu = nz = 0 at every larger t: it adds nothing
+    more and its tie is final, so it is counted into the histogram and
+    dropped from the scan, in one batch once a quarter of the words left are
+    used up, and every word at t = length.
     """
     dt = words.dtype.type
     full = dt((1 << length) - 1)
     one, high = dt(1), dt(length - 1)
     rot1, acc1, acc0 = words.copy(), words.copy(), ~words & full
     cnt1, cnt0 = np.bitwise_count(acc1), np.bitwise_count(acc0)
-    dominant = np.zeros(words.shape, dtype=bool)
     tie_hist = np.zeros(length // 2 + 2, dtype=np.int64)
-    dominant_count = 0
     nrun_sums = np.zeros(length + 1, dtype=np.int64)
     nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
     for t in range(1, length + 1):
@@ -150,23 +147,20 @@ def _scan_block(words: np.ndarray, length: int):
         nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
         if t == 1:
             tie = nu.copy()
-        # where nu != nz: tie = min(nu, nz), dominant = nu > nz; arithmetic
-        # (exact mod 256) is several times faster than a masked copy
-        low, same = np.minimum(nu, nz), nu == nz
-        tie = low + (tie - low) * same
-        dominant = (dominant & same) | (nu > nz)
+        # where nu != nz: tie = min(nu, nz); arithmetic (exact mod 256) is
+        # several times faster than a masked copy
+        low = np.minimum(nu, nz)
+        tie = low + (tie - low) * (nu == nz)
         live = np.logical_or(cnt1, cnt0) & (t < length)
         if 4 * (live.size - np.count_nonzero(live)) >= live.size:
             # the finished words' counts: all words' less the kept words'
             # (a boolean mask of the finished words is several times slower)
             tie_hist += np.bincount(tie, minlength=tie_hist.size)
-            dominant_count += np.count_nonzero(dominant)
             keep = np.flatnonzero(live)
-            state = (rot1, acc1, acc0, cnt1, cnt0, tie, dominant)
-            rot1, acc1, acc0, cnt1, cnt0, tie, dominant = (a[keep] for a in state)
+            state = (rot1, acc1, acc0, cnt1, cnt0, tie)
+            rot1, acc1, acc0, cnt1, cnt0, tie = (a[keep] for a in state)
             tie_hist -= np.bincount(tie, minlength=tie_hist.size)
-            dominant_count -= np.count_nonzero(dominant)
-    return tie_hist, dominant_count, nrun_sums, nrun_sumsq
+    return tie_hist, nrun_sums, nrun_sumsq
 
 
 def _partitions(total: int, parts: int, largest: int):
@@ -354,11 +348,11 @@ def rho_distribution(
         report.seed = seed = 0 if seed is None else seed
         rng = np.random.Generator(np.random.Philox(key=seed))
         dtype = np.uint32 if length <= 30 else np.uint64
-        totals = [0, 0, 0, 0]
+        totals = [0, 0, 0]
         for start in range(0, samples, _BLOCK):
             words = rng.integers(0, 1 << length, size=min(_BLOCK, samples - start), dtype=np.uint64)
             totals = [a + b for a, b in zip(totals, _scan_block(words.astype(dtype), length))]
-        hist, dominant, nrun_sums, nrun_sumsq = totals
+        hist, nrun_sums, nrun_sumsq = totals
         total = samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -385,9 +379,6 @@ def rho_distribution(
         report.check("expected_runs_closed_form_mismatches", 0, mismatches)
         if length % 2 == 1:
             report.check("dominant_count", 1 << (length - 1), dominant)
-    elif length % 2 == 1:
-        share = dominant / samples
-        report.note(f"dominant share {share:.6f} (exact value is 1/2 for odd length)")
 
     probs = [float(r["prob"]) for r in rows]
     report.check("tail_nonincreasing", True, all(a >= b for a, b in zip(probs, probs[1:])))

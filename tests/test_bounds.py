@@ -1,11 +1,13 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab.bitfam import make_family, stats
 from divlab.bounds import (
+    CrossBoundReport,
     admissible_cross_bound_tuples,
     binom,
     diversity_bound,
@@ -76,10 +78,25 @@ def test_diversity_bound_matches_two_of_three(n):
 
 def test_cross_weighted_bound_10_2_3_2():
     rep = verify_cross_weighted_bound(10, 2, 3, 2)
-    assert rep.ok and rep.b_cap == 8
-    assert [r["b_size"] for r in rep.rows] == list(range(9))
-    row8 = next(r for r in rep.rows if r["b_size"] == 8)
-    assert row8["a_max"] == 17 and row8["lhs"] == 33 and row8["rhs"] == 45
+    assert rep.ok and rep.b_cap == 8 and rep.swept_max == 8
+    assert rep.a_max.size == rep.slack.size == 9  # partner sizes 0..8
+    # at s = 8: a_max 17, lhs 17 + 2*8 = 33, rhs C(10, 2) = 45
+    assert rep.a_max[8] == 17 and rep.slack[8] == 45 - 33
+
+
+def test_cross_bound_report_reads_its_slack():
+    rep = CrossBoundReport(b_cap=3, a_max=np.array([6, 4, 3, 3]), slack=np.array([0, -1, 2, -3]))
+    assert rep.swept_max == 3 and rep.worst_slack == -3
+    assert rep.violations == [1, 3] and not rep.ok
+    rep = CrossBoundReport(b_cap=1, a_max=np.array([6, 5]), slack=np.array([0, 1]))
+    assert rep.violations == [] and rep.worst_slack == 0 and rep.ok
+
+
+def test_cross_bound_terms_fit_int64_up_to_m_63():
+    # the sweep's int64 arithmetic is exact: every term is at most C(63, 31)
+    for m, a, b, w in admissible_cross_bound_tuples(63, 63, 63, range(1, 63)):
+        swept_max = min(binom(m - (b - a + 1), a - 1), binom(m, b))
+        assert w * swept_max <= binom(m, a) <= binom(63, 31) < 2**60
 
 
 def test_cross_weighted_bound_12_3_3_2():

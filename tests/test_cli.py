@@ -17,7 +17,7 @@ from divlab.report import Report
 from divlab.runstat import in_t_table
 from divlab.verify import criterion_04_cross_weighted_sweep
 
-from oracles import scan_words, word_to_string
+from oracles import cross_intersecting, lex_sorted_ksets, scan_words, word_to_string
 
 
 def run(argv):
@@ -176,6 +176,15 @@ def test_lemma_sweep_single_and_json(tmp_path):
                 "--json", str(json_path)]) == 0
     payload = json.loads(json_path.read_text())
     assert payload["assertions"][0]["pass"] is True
+    # row s recounted by brute force: a_max is the longest lex prefix of
+    # 2-sets that meets every one of the first s 3-sets of [10]
+    pairs, triples = lex_sorted_ksets(10, 2), lex_sorted_ksets(10, 3)
+    want = []
+    for s in range(9):  # s = 0..C(10 - 2, 1)
+        a_max = max(i for i in range(len(pairs) + 1) if cross_intersecting(pairs[:i], triples[:s]))
+        lhs = a_max + 2 * s
+        want.append({"b_size": s, "a_max": a_max, "lhs": lhs, "rhs": 45, "slack": 45 - lhs})
+    assert payload["results"]["rows"] == want
 
 
 def test_lemma_sweep_usage_errors(capsys):
@@ -242,11 +251,18 @@ def test_decompose_cli(tmp_path):
     fam_path = tmp_path / "fam.txt"
     run(["family", "build", "--kind", "fano", "--n", "7", "--k", "3", "--out", str(fam_path)])
     assert run(["decompose", "--in", str(fam_path)]) == 0
+    # n < k + 3: the tail family h2 cannot fit in n - 3 points and is empty
+    run(["family", "build", "--kind", "star", "--n", "5", "--k", "3", "--out", str(fam_path)])
+    assert run(["decompose", "--in", str(fam_path)]) == 0
 
 
 def test_deterministic_tables_across_runs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["rho", "mc", "--L", "13", "--samples", "20000", "--seed", "5"]
+    assert run(argv + ["--csv", str(a)]) == 0
+    assert run(argv + ["--csv", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    argv = ["lemma-sweep", "check", "--m", "14", "--a", "3", "--b", "4", "--cprime", "2"]
     assert run(argv + ["--csv", str(a)]) == 0
     assert run(argv + ["--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

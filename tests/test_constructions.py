@@ -336,6 +336,27 @@ def test_triangle_decompose_uniformities():
     assert len(dec.h1) == len(dec.fi[dec.largest_fi_index - 1])
 
 
+def tails_by_scan(sets, trace):
+    """The members whose centre trace is ``trace``, less the centre, relabeled
+    from [4, n] down to [1, n-3]."""
+    return sorted(tuple(e - 3 for e in sorted(s) if e > 3) for s in sets if s & {1, 2, 3} == trace)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_triangle_decompose_small_ground_sets(n):
+    # at n < k + 3 no k-set avoids the centre, so h2 is empty, and every tail
+    # family lives on max(n - 3, k) points, where its uniformity fits
+    for k in range(2, n + 1):
+        two_of_three = [s for s in all_ksets(n, k) if len(s & {1, 2, 3}) >= 2]
+        for fam in (star(n, k), make_family(n, k, two_of_three)):
+            dec = triangle_decompose(fam)
+            assert dec.g.n == dec.h1.n == dec.h2.n == max(n - 3, k)
+            sets, largest = family_as_sets(fam), dec.largest_fi_index
+            assert sorted(dec.g.member_sets()) == tails_by_scan(sets, {1, 2, 3} - {largest})
+            assert sorted(dec.h1.member_sets()) == tails_by_scan(sets, {largest})
+            assert sorted(dec.h2.member_sets()) == tails_by_scan(sets, set())
+
+
 def test_triangle_decompose_rejects_non_intersecting():
     fam = make_family(6, 3, [{1, 2, 3}, {4, 5, 6}])
     with pytest.raises(ValueError, match="intersecting"):
