@@ -6,8 +6,10 @@ word instruction.  A Family is a sorted, duplicate-free collection of such
 masks, optionally k-uniform.
 
 A family on few points can also be held as its packed table over the 2^n
-cube, 64 points to a little-endian word: the 1-intersecting check of a
-large family, and booleanlab's dense checks, run on it.
+cube, 64 points to a little-endian word.  The intersecting and
+cross-intersecting checks share one dispatcher, ``_check_pairs``: a t = 1
+check with at least 2^n member pairs runs on the packed tables, as do
+booleanlab's dense checks; any other check scans the pairs, up to a cap.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from .errors import ResourceCapError
 
 MAX_GROUND = 63
 
-# Above this many members is_t_intersecting refuses, whatever t: its
-# pairwise scan is O(|F|^2); use booleanlab's dense up-set machinery.  Below
-# the cap, a t = 1 check on n <= MAX_TABLE_N points with 2^n <= m(m-1)/2
-# already runs on the packed 2^n-point table instead.
-PAIRWISE_CHECK_CAP = 1 << 16
+# Most member pairs a pairwise scan takes on (about 2 s at the 1.1 G pairs/s
+# of one Xeon core): m(m-1)/2 for one family of m <= 65,536 members, |A|*|B|
+# for two.  A packed-table check is never refused.
+PAIRWISE_CHECK_CAP = 1 << 31
 
 # Largest n whose 2^n-point table divlab builds: a junta centre's, the
 # run-dominance table and the packed 1-intersecting check's (4 MiB at n = 25).
@@ -266,17 +267,18 @@ def _up_closure(words: np.ndarray, j: int) -> np.ndarray:
     return up
 
 
-def _packed_intersecting(words: np.ndarray, j: int) -> bool:
-    """True iff no two, not necessarily distinct, points set in the packed
-    2^j-point table are disjoint: no point set lies in the complement of the
-    up-closure, whose bit m is bit 2^j-1-m of the closure.  The complement
-    reverses the word order and the bits of each word, which leaves a table
-    under 64 points in the top 2^j bits of its word."""
-    comp = _up_closure(words, j)[::-1]
-    for b in range(6):
-        comp = _flip(comp, b)
-    comp >>= np.uint64(max(0, 64 - (1 << j)))
-    return not bool(np.any(words & comp))
+def _tables_meet(a: np.ndarray, b: np.ndarray, j: int) -> bool:
+    """True iff every point set in the packed 2^j-point table ``a`` meets
+    every point set in ``b``: no point of a lies in the reversed up-closure
+    of b, whose bit m is bit 2^j-1-m of the closure and is set iff some
+    point of b is disjoint from m.  The reversal turns the word order and
+    the bits of each word round, which leaves a table under 64 points in
+    the top 2^j bits of its word."""
+    rev = _up_closure(b, j)[::-1]
+    for bit in range(6):
+        rev = _flip(rev, bit)
+    rev >>= np.uint64(max(0, 64 - (1 << j)))
+    return not bool(np.any(a & rev))
 
 
 def _pairs_meet(rows: np.ndarray, cols: np.ndarray, t: int, triangle: bool) -> bool:
@@ -295,47 +297,55 @@ def _pairs_meet(rows: np.ndarray, cols: np.ndarray, t: int, triangle: bool) -> b
     return True
 
 
+def _check_pairs(rows: np.ndarray, cols: np.ndarray, n: int, t: int) -> bool:
+    """True iff every row mask shares at least t elements with every column
+    mask, both arrays nonempty and on [n]; ``rows is cols`` is one family,
+    of m(m-1)/2 pairs, else there are |rows|*|cols|.  t = 1 on
+    n <= MAX_TABLE_N with 2^n <= pairs runs on the packed tables; any other
+    check past PAIRWISE_CHECK_CAP pairs is refused, and the rest scanned."""
+    triangle = rows is cols
+    pairs = rows.size * (rows.size - 1) // 2 if triangle else rows.size * cols.size
+    if t == 1 and n <= MAX_TABLE_N and 1 << n <= pairs:
+        words = _packed_members(rows, n)
+        return _tables_meet(words, words if triangle else _packed_members(cols, n), n)
+    if pairs > PAIRWISE_CHECK_CAP:
+        raise ResourceCapError(f"pairwise check refused for {pairs} > 2^31 member pairs")
+    return _pairs_meet(rows, cols, t, triangle)
+
+
 def is_t_intersecting(fam: Family, t: int = 1) -> bool:
     """True iff every pair of distinct members shares at least t elements.
 
-    Empty and singleton families are vacuously t-intersecting.  Refuses
-    families above PAIRWISE_CHECK_CAP members; the dense up-set check in
-    booleanlab covers those.  Below the cap, t = 1 on n <= MAX_TABLE_N
-    with 2^n <= m(m-1)/2 runs on the packed table of the family: no member
-    may lie in the complement of its up-closure (two distinct members are
-    disjoint just when one lies there, and a member lies in its own
-    complement only if it is the empty set, which then misses every other
-    member).  Otherwise each block of rows is compared with the suffix of
-    members from its first row on, so the diagonal |F & F| = |F| is
-    included: it is at least |F & G| for every other member G, so once
-    there are two members it never lowers the minimum.
+    Empty and singleton families are vacuously t-intersecting.  t = 1 on
+    n <= MAX_TABLE_N points with 2^n <= m(m-1)/2 runs on the packed table:
+    no member may lie in the reversed up-closure of the family (a member
+    lies there through itself only if it is the empty set, which then
+    misses every other member).  Any other check of more than 65,536
+    members is refused.  The pairwise scan compares each block of rows with
+    the suffix of members from its first row on, so the diagonal
+    |F & F| = |F| is included: it is at least |F & G| for every other
+    member G, so once there are two members it never lowers the minimum.
     """
     if t < 1:
         raise ValueError(f"threshold t={t} must be >= 1")
-    m = len(fam)
-    if m > PAIRWISE_CHECK_CAP:
-        raise ResourceCapError(
-            f"pairwise scan refused for {m} > {PAIRWISE_CHECK_CAP} members; "
-            "use booleanlab.is_intersecting_table on the dense representation"
-        )
-    if m < 2:
+    if len(fam) < 2:
         return True
-    if t == 1 and fam.n <= MAX_TABLE_N and 1 << fam.n <= m * (m - 1) // 2:
-        return _packed_intersecting(_packed_members(fam.members, fam.n), fam.n)
-    return _pairs_meet(fam.members, fam.members, t, triangle=True)
+    return _check_pairs(fam.members, fam.members, fam.n, t)
 
 
 def are_cross_intersecting(a: Family, b: Family) -> bool:
     """True iff every member of ``a`` intersects every member of ``b``.
 
-    Vacuously true when either family is empty.
+    Vacuously true when either family is empty.  On n <= MAX_TABLE_N
+    points with 2^n <= |a|*|b| it runs on the packed tables; otherwise
+    more than PAIRWISE_CHECK_CAP pairs are refused.
     """
     if a.n != b.n:
         raise ValueError(f"mismatched ground sets: {a.n} != {b.n}")
     if len(a) == 0 or len(b) == 0:
         return True
     large, small = (a.members, b.members) if len(a) >= len(b) else (b.members, a.members)
-    return _pairs_meet(large, small, 1, triangle=False)
+    return _check_pairs(large, small, a.n, 1)
 
 
 def intersection_rows(masks: np.ndarray, sources: Optional[np.ndarray] = None) -> list[int]:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitfam import _LOW, _flip, _packed, _packed_intersecting, _up_closure
+from .bitfam import _LOW, _flip, _packed, _tables_meet, _up_closure
 from .constructions import (
     MAX_R,
     JuntaSpec,
@@ -80,7 +80,8 @@ def is_intersecting_table(table: np.ndarray) -> bool:
     with the single-member family {{}} vacuously intersecting."""
     if table[0] and np.count_nonzero(table) == 1:
         return True
-    return _packed_intersecting(*_packed(table))
+    words, j = _packed(table)
+    return _tables_meet(words, words, j)
 
 
 def spec_is_up_closed(spec: JuntaSpec) -> bool:

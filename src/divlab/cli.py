@@ -42,7 +42,6 @@ from typing import Optional
 from . import booleanlab as bl
 from . import bounds, extremal, runstat, shiftlex, verify
 from .bitfam import (
-    PAIRWISE_CHECK_CAP,
     Family,
     FamilyStats,
     are_cross_intersecting,
@@ -149,12 +148,11 @@ def _stats_row(fam: Family, st: FamilyStats) -> dict:
 def cmd_family_build(args, report: Report) -> Report:
     fam = _FAMILY_KINDS[args.kind][1](args)
     row = _stats_row(fam, stats(fam))
-    if len(fam) <= PAIRWISE_CHECK_CAP:
+    try:
         row["intersecting"] = is_t_intersecting(fam, 1)
-    else:
+    except ResourceCapError as exc:
         row["intersecting"] = None
-        report.note(f"intersecting not checked: {len(fam)} members exceed the pairwise cap "
-                    f"{PAIRWISE_CHECK_CAP}")
+        report.note(f"intersecting not checked: {exc}")
     report.add_table("rows", [row])
     _write_family(report, fam, args.out)
     return report.finish()

@@ -18,7 +18,6 @@ import numpy as np
 
 from .bitfam import (
     MAX_GROUND,
-    PAIR_BLOCK,
     Family,
     _packed_members,
     family_from_masks,
@@ -107,39 +106,24 @@ def shift_family(fam: Family, i: int, j: int) -> Family:
 def is_shifted(fam: Family) -> bool:
     """True iff every (i,j)-shift fixes the family.
 
-    It suffices to check the adjacent shifts (a, a+1), all n - 1 of them in
-    one pass: a member with a+1 but not a must find its image (a+1 replaced
-    by a) in the family.  Proof that adjacent stability gives (i,j)-stability
-    for every i < j, any family, by induction on j - i: take a member G with
-    j in G, i not in G.  If j - 1 is not in G, the (j-1, j)-shift gives
+    It suffices to check the n - 1 adjacent shifts (a, a+1): a member with
+    a+1 but not a must find its image (a+1 replaced by a) in the family.
+    Proof that adjacent stability gives (i,j)-stability for every i < j,
+    any family, by induction on j - i: take a member G with j in G, i not
+    in G.  If j - 1 is not in G, the (j-1, j)-shift gives
     G' = G - j + (j-1) in the family, and induction on (i, j-1) moves G' to
     G - j + i.  If j - 1 is in G (so i < j - 1), induction on (i, j-1) gives
     G'' = G - (j-1) + i, which holds j but not j - 1, and the (j-1, j)-shift
     moves it to G - j + i.  So each step walks an element of G in (i, j]
     down one free place.
 
-    On the cube (n <= CUBE_N) the (a, a+1)-shift may add no member.
-    Otherwise members go in blocks of about PAIR_BLOCK (member, a) entries,
-    so the temporaries stay small whatever the family's size.
+    On the cube (n <= CUBE_N) the (a, a+1)-shift may add no member; on the
+    mask array ``_shift`` must return its input for every a.
     """
     if fam.n > CUBE_N:
-        return _array_is_shifted(fam.members, fam.n)
+        return all(_shift(fam.members, a, a + 1) is fam.members for a in range(1, fam.n))
     cube, holds = _to_cube(fam.members, fam.n), _cube_elements(fam.n)
     return not any(_cube_step(cube, holds, a, a + 1)[0] for a in range(1, fam.n))
-
-
-def _array_is_shifted(members: np.ndarray, n: int) -> bool:
-    """is_shifted on the ascending mask array of a family on [n]."""
-    low = np.left_shift(np.int64(1), np.arange(n - 1, dtype=np.int64))
-    high, pair = low << 1, low | (low << 1)
-    step = max(1, PAIR_BLOCK // max(1, low.size))
-    for s in range(0, members.size, step):
-        block = members[s:s + step, None]
-        images = (block ^ pair)[(block & pair) == high]
-        pos = np.searchsorted(members, images).clip(max=members.size - 1)
-        if not np.all(members[pos] == images):
-            return False
-    return True
 
 
 def shift_closure(fam: Family) -> Family:

@@ -12,6 +12,7 @@ from divlab.bitfam import (
     KSUBSET_CACHE_SETS,
     MAX_TABLE_N,
     PAIR_BLOCK,
+    PAIRWISE_CHECK_CAP,
     Family,
     are_cross_intersecting,
     elements_of_mask,
@@ -24,7 +25,7 @@ from divlab.bitfam import (
     mask_from_elements,
     stats,
 )
-from divlab.constructions import full_uniform_family
+from divlab.constructions import build_hub_block_family, full_uniform_family
 from divlab.errors import ResourceCapError
 
 from conftest import small_families
@@ -96,9 +97,36 @@ def test_window_majority_restriction_is_2_intersecting():
 
 
 def test_pairwise_cap_refused():
-    fam = family_from_masks(17, None, np.arange(1, (1 << 16) + 2, dtype=np.int64))
-    with pytest.raises(ResourceCapError, match="booleanlab"):
-        is_t_intersecting(fam, 1)
+    # past MAX_TABLE_N, 2^16 members make 2^31 - 2^15 pairs and are scanned
+    # (the sets {1} and {2} fail the first row block), 2^16 + 1 make
+    # 2^31 + 2^15 and are refused, whatever t
+    n = MAX_TABLE_N + 1
+    masks = np.arange(1, (1 << 16) + 2, dtype=np.int64)
+    assert not is_t_intersecting(family_from_masks(n, None, masks[:-1]), 1)
+    for t in (1, 2):
+        with pytest.raises(ResourceCapError, match=r"2147516416 > 2\^31 member pairs"):
+            is_t_intersecting(family_from_masks(n, None, masks), t)
+    # |A|*|B| pairs on 30 points: 2^31 are scanned (the empty set in A
+    # fails the first row block), 2^32 are refused
+    a = family_from_masks(30, None, np.arange(1 << 16, dtype=np.int64))
+    b = family_from_masks(30, None, np.arange(1 << 15, dtype=np.int64) << 15)
+    c = family_from_masks(30, None, np.arange(1 << 16, dtype=np.int64) << 14)
+    assert len(a) * len(b) == PAIRWISE_CHECK_CAP
+    assert not are_cross_intersecting(a, b) and not are_cross_intersecting(b, a)
+    with pytest.raises(ResourceCapError, match=r"4294967296 > 2\^31 member pairs"):
+        are_cross_intersecting(a, c)
+
+
+def test_large_families_on_the_packed_table_are_not_refused(monkeypatch):
+    # past 65,536 members on n <= MAX_TABLE_N points, the t = 1 check runs
+    # on the packed table alone: no member pair is scanned
+    monkeypatch.setattr(bitfam, "_pairs_meet", _refuse)
+    hub = build_hub_block_family(22, 8, 2)
+    full = full_uniform_family(22, 7)
+    assert (len(hub), len(full)) == (93024, 170544)
+    assert is_t_intersecting(hub, 1)
+    assert not is_t_intersecting(full, 1)
+    assert not are_cross_intersecting(hub, full)
 
 
 def _refuse(*args):
@@ -132,7 +160,7 @@ def test_packed_and_pairwise_checks_agree_at_the_switch(monkeypatch, n):
             fam = family_from_masks(n, None, masks)
             packed = n <= MAX_TABLE_N and len(fam) >= m
             with monkeypatch.context() as mp:
-                mp.setattr(bitfam, "_pairs_meet" if packed else "_packed_intersecting", _refuse)
+                mp.setattr(bitfam, "_pairs_meet" if packed else "_tables_meet", _refuse)
                 got = is_t_intersecting(fam, 1)
             if n <= 12:
                 assert got == pairwise_t_intersecting(family_as_sets(fam), 1)
@@ -144,6 +172,33 @@ def test_packed_and_pairwise_checks_agree_at_the_switch(monkeypatch, n):
     assert {packed for packed, _ in verdicts} == sides
     if n >= 4:
         assert verdicts == {(packed, got) for packed in sides for got in (True, False)}
+    # two families either side of 2^n = |A|*|B|: |B| = 2^(n - n//2) sets
+    # through element 1, and 2^(n//2) - 1 or 2^(n//2) such sets in A, as
+    # they are or with the last member of A or B swapped for {n} (which
+    # misses the member {1} of the other), or with the empty set in A
+    b_masks = [1 | r << 1 for r in range(1 << (n - n // 2))]
+    verdicts = set()
+    for size in ((1 << n // 2) - 1, 1 << n // 2):
+        a_masks = b_masks[:size]
+        cases = [
+            (a_masks, b_masks),
+            (a_masks[:-1] + [1 << (n - 1)], b_masks),
+            (a_masks, b_masks[:-1] + [1 << (n - 1)]),
+            ([0] + a_masks[1:], b_masks),
+        ]
+        for masks, other in cases:
+            fam, cross = family_from_masks(n, None, masks), family_from_masks(n, None, other)
+            packed = n <= MAX_TABLE_N and len(fam) * len(cross) >= 1 << n
+            with monkeypatch.context() as mp:
+                mp.setattr(bitfam, "_pairs_meet" if packed else "_tables_meet", _refuse)
+                got = are_cross_intersecting(fam, cross)
+                assert are_cross_intersecting(cross, fam) == got
+            if n <= 12:
+                assert got == cross_intersecting(family_as_sets(fam), family_as_sets(cross))
+            else:
+                assert got == (masks is a_masks and other is b_masks)
+            verdicts.add((packed, got))
+    assert verdicts == {(packed, got) for packed in sides for got in (True, False)}
 
 
 def test_empty_set_families_are_checked_like_the_pairwise_scan():
@@ -198,13 +253,15 @@ def test_cross_intersecting_matches_oracle(fam, salt, raw):
 def test_cross_intersecting_across_row_blocks():
     fat = _fat_family()
     # 300 sets with at least 5 elements of [11] meet every fat set; the set
-    # {12} is the largest mask, so it fails only in the last row block
+    # {12} is the largest mask, so it fails only in the last row block.  On
+    # 13 points the packed tables answer, past MAX_TABLE_N the pairwise scan
     partner = [m for m in range(1 << 13) if (m & 0x7FF).bit_count() >= 5][:300]
     late = 1 << 11
-    for rows, cols, want in ((fat, partner, True), (fat + [late], partner, False)):
-        a, b = family_from_masks(13, None, rows), family_from_masks(13, None, cols)
-        assert cross_intersecting(family_as_sets(a), family_as_sets(b)) == want
-        assert are_cross_intersecting(a, b) == are_cross_intersecting(b, a) == want
+    for n in (13, MAX_TABLE_N + 1):
+        for rows, cols, want in ((fat, partner, True), (fat + [late], partner, False)):
+            a, b = family_from_masks(n, None, rows), family_from_masks(n, None, cols)
+            assert cross_intersecting(family_as_sets(a), family_as_sets(b)) == want
+            assert are_cross_intersecting(a, b) == are_cross_intersecting(b, a) == want
 
 
 def test_stats_degrees_at_n63_with_top_bit():

@@ -254,6 +254,12 @@ def test_decompose_cli(tmp_path):
     # n < k + 3: the tail family h2 cannot fit in n - 3 points and is empty
     run(["family", "build", "--kind", "star", "--n", "5", "--k", "3", "--out", str(fam_path)])
     assert run(["decompose", "--in", str(fam_path)]) == 0
+    # 93,024 members: its intersecting check runs on the packed table
+    json_path = tmp_path / "hub.json"
+    argv = ["--kind", "hub-block", "--n", "22", "--k", "8", "--u", "2", "--out", str(fam_path)]
+    assert run(["family", "build", *argv, "--json", str(json_path)]) == 0
+    assert json.loads(json_path.read_text())["results"]["rows"][0]["intersecting"] is True
+    assert run(["decompose", "--in", str(fam_path)]) == 0
 
 
 def test_deterministic_tables_across_runs(tmp_path):
@@ -545,19 +551,33 @@ def test_run_dominance_lift_refuses_the_cap_before_building_the_table():
 def test_family_build_past_the_pairwise_cap_writes_the_family(tmp_path):
     from divlab.bitfam import PAIRWISE_CHECK_CAP, load_family
 
+    # all 7-sets of [22] are checked on the packed table; window majority
+    # on 30 points has more than PAIRWISE_CHECK_CAP pairs and is refused
     fam_path, json_path = tmp_path / "full.txt", tmp_path / "full.json"
-    for argv, size in (
-        (["--kind", "full", "--n", "22", "--k", "7", "--out", str(fam_path)], 170544),
-        (["--kind", "window-majority", "--n", "30", "--k", "8", "--r", "3"], 348910),
+    for argv, size, want in (
+        (["--kind", "full", "--n", "22", "--k", "7", "--out", str(fam_path)], 170544, False),
+        (["--kind", "window-majority", "--n", "30", "--k", "8", "--r", "3"], 348910, None),
     ):
         assert run(["family", "build", *argv, "--json", str(json_path)]) == 0
         payload = json.loads(json_path.read_text())
         row = payload["results"]["rows"][0]
-        assert row["size"] == size > PAIRWISE_CHECK_CAP
-        assert row["intersecting"] is None
-        assert f"exceed the pairwise cap {PAIRWISE_CHECK_CAP}" in payload["notes"][0]
+        assert row["size"] == size and size * (size - 1) // 2 > PAIRWISE_CHECK_CAP
+        assert row["intersecting"] is want
+    assert payload["notes"][0] == ("intersecting not checked: pairwise check refused for "
+                                   "60868919595 > 2^31 member pairs")
     assert len(load_family(fam_path)) == 170544
-    assert run(["family", "check", "--in", str(fam_path)]) == 3
+    assert run(["family", "check", "--in", str(fam_path)]) == 1
+
+
+def test_family_check_past_the_pairwise_cap_exits_3(tmp_path):
+    # 2^16 subsets of [16] on 30 points, the empty set first: as one family
+    # 2^31 - 2^15 pairs are scanned and fail, against itself 2^32 are refused
+    from divlab.bitfam import family_from_masks, save_family
+
+    fam_path = tmp_path / "fam.txt"
+    save_family(family_from_masks(30, None, np.arange(1 << 16, dtype=np.int64)), fam_path)
+    assert run(["family", "check", "--in", str(fam_path)]) == 1
+    assert run(["family", "check", "--in", str(fam_path), "--cross", str(fam_path)]) == 3
 
 
 # the actions whose report comes from the library, as it is
