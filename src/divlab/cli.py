@@ -18,9 +18,11 @@ from it: the command ``<command>-<action>`` and, as parameters, every
 declared option under its flag name (``--m-max`` -> ``m_max``, ``--in`` ->
 ``in``) but the output paths --json, --csv, --out and --emit-witness.
 ``family build --kind`` is the one option whose value decides what else is
-read: its report keeps ``kind`` and that kind's options.  ``decompose``,
-``boolean counterexample-table``, ``rho exact|mc`` and ``verify-all`` write
-the reports of the library functions they call.
+read: its report keeps ``kind`` and that kind's options.  The action's
+handler only adds its tables, checks and notes to that report, and ``main``
+finishes it.  ``decompose``, ``boolean counterexample-table``, ``rho
+exact|mc`` and ``verify-all`` write the reports of the library functions
+they call, which those functions finish.
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage error
 (a bad option, value or file), 3 resource-cap refusal.  Reports are written
@@ -110,8 +112,8 @@ def _write_family(report: Report, fam: Family, path: Optional[str], what: str = 
 
 # ---------------------------------------------------------------------------
 # action handlers: each adds its tables and checks to the report that main
-# prepared for its action (the actions whose reports come from the library
-# are lambdas in build_parser, which return those reports instead)
+# prepared for its action and finishes (the actions whose reports come from
+# the library are lambdas in build_parser, which return those reports)
 # ---------------------------------------------------------------------------
 
 
@@ -145,7 +147,7 @@ def _stats_row(fam: Family, st: FamilyStats) -> dict:
     }
 
 
-def cmd_family_build(args, report: Report) -> Report:
+def cmd_family_build(args, report: Report) -> None:
     fam = _FAMILY_KINDS[args.kind][1](args)
     row = _stats_row(fam, stats(fam))
     try:
@@ -155,28 +157,25 @@ def cmd_family_build(args, report: Report) -> Report:
         report.note(f"intersecting not checked: {exc}")
     report.add_table("rows", [row])
     _write_family(report, fam, args.out)
-    return report.finish()
 
 
-def cmd_family_stats(args, report: Report) -> Report:
+def cmd_family_stats(args, report: Report) -> None:
     fam = load_family(args.infile)
     st = stats(fam)
     report.add_table("rows", [_stats_row(fam, st)])
     report.add_table("degrees", [{"element": i + 1, "degree": d} for i, d in enumerate(st.degrees)])
-    return report.finish()
 
 
-def cmd_family_check(args, report: Report) -> Report:
+def cmd_family_check(args, report: Report) -> None:
     fam = load_family(args.infile)
     if args.cross:
         other = load_family(args.cross)
         report.check("cross_intersecting", True, are_cross_intersecting(fam, other))
     else:
         report.check(f"{args.t}_intersecting", True, is_t_intersecting(fam, args.t))
-    return report.finish()
 
 
-def cmd_lemma_check(args, report: Report) -> Report:
+def cmd_lemma_check(args, report: Report) -> None:
     rep = bounds.verify_cross_weighted_bound(args.m, args.a, args.b, args.cprime)
     rhs = bounds.binom(args.m, args.a)
     columns = enumerate(zip(rep.a_max.tolist(), rep.slack.tolist()))
@@ -184,63 +183,55 @@ def cmd_lemma_check(args, report: Report) -> Report:
     report.add_table("rows", rows)
     report.check("violations", 0, len(rep.violations))
     report.check("worst_slack_nonnegative", True, rep.worst_slack >= 0)
-    return report.finish()
 
 
-def cmd_lemma_grid(args, report: Report) -> Report:
+def cmd_lemma_grid(args, report: Report) -> None:
     rows = bounds.cross_bound_sweep(args.m_max, args.a_max, args.b_max, tuple(args.cprime_list))
     report.add_table("rows", rows)
     report.check("violations", 0, sum(row["violations"] for row in rows))
-    return report.finish()
 
 
-def cmd_lex_segment(args, report: Report) -> Report:
+def cmd_lex_segment(args, report: Report) -> None:
     seg = shiftlex.lex_segment(args.m, args.k, args.n)
     report.add_table("rows", [{"set": ",".join(map(str, s))} for s in seg.member_sets()])
-    return report.finish()
 
 
-def cmd_lex_partner_max(args, report: Report) -> Report:
+def cmd_lex_partner_max(args, report: Report) -> None:
     value = int(shiftlex.lex_partner_maxima(args.b_size, args.a, args.b, args.m)[-1])
     report.add_table("rows", [{"a_max": value}])
-    return report.finish()
 
 
-def cmd_shift_closure(args, report: Report) -> Report:
+def cmd_shift_closure(args, report: Report) -> None:
     fam = load_family(args.infile)
     out = shiftlex.shift_closure(fam)
     report.check("closure_is_shifted", True, shiftlex.is_shifted(out))
     report.check("size_preserved", len(fam), len(out))
     _write_family(report, out, args.out)
-    return report.finish()
 
 
-def cmd_shift_apply(args, report: Report) -> Report:
+def cmd_shift_apply(args, report: Report) -> None:
     fam = load_family(args.infile)
     out = shiftlex.shift_family(fam, args.i, args.j)
     report.check("size_preserved", len(fam), len(out))
     _write_family(report, out, args.out)
-    return report.finish()
 
 
-def cmd_shift_is_shifted(args, report: Report) -> Report:
+def cmd_shift_is_shifted(args, report: Report) -> None:
     fam = load_family(args.infile)
     report.add_table("rows", [{"is_shifted": shiftlex.is_shifted(fam)}])
-    return report.finish()
 
 
 # boolean action -> (its exact quantity, the column it reports)
 _BIASED_VALUES = {"mu": (bl.biased_measure, "mu"), "gammap": (bl.biased_diversity, "gamma_p")}
 
 
-def cmd_boolean_value(args, report: Report) -> Report:
+def cmd_boolean_value(args, report: Report) -> None:
     quantity, column = _BIASED_VALUES[args.action]
     m = quantity(_JUNTAS[args.family](args.r), args.p)
     report.add_table("rows", [{f"{column}_exact": m, column: float(m)}])
-    return report.finish()
 
 
-def cmd_boolean_influence(args, report: Report) -> Report:
+def cmd_boolean_influence(args, report: Report) -> None:
     prof = bl.total_influence(_JUNTAS[args.family](args.r), args.p)
     rows = [
         {"i": i, "influence_exact": m, "influence": float(m)}
@@ -253,10 +244,9 @@ def cmd_boolean_influence(args, report: Report) -> Report:
     else:
         raise ValueError(f"coordinate --i {args.i} outside the centre [1, {len(rows)}]")
     report.add_table("rows", rows)
-    return report.finish()
 
 
-def cmd_rho_profile(args, report: Report) -> Report:
+def cmd_rho_profile(args, report: Report) -> None:
     mask, length = word_from_string(args.word)
     if args.t is not None and args.t < 1:
         raise ValueError(f"run length threshold t={args.t} must be >= 1")
@@ -271,10 +261,9 @@ def cmd_rho_profile(args, report: Report) -> Report:
     if args.t is not None:
         row[f"runs_ge_{args.t}"] = sum(run >= args.t for run in profile.ones + profile.zeros)
     report.add_table("rows", [row])
-    return report.finish()
 
 
-def cmd_extremal_search(args, report: Report) -> Report:
+def cmd_extremal_search(args, report: Report) -> None:
     res = extremal.max_diversity_search(args.n, args.k, budget_seconds=args.budget)
     row = {"best_diversity": res.best_diversity, "complete": res.complete,
            "node_count": res.node_count, "elapsed_s": res.elapsed_s,
@@ -282,17 +271,15 @@ def cmd_extremal_search(args, report: Report) -> Report:
     report.add_table("rows", [row])
     report.check("witness_diversity_consistent", res.best_diversity, stats(res.witness).diversity)
     _write_family(report, res.witness, args.emit_witness, "witness")
-    return report.finish()
 
 
-def cmd_extremal_enumerate(args, report: Report) -> Report:
+def cmd_extremal_enumerate(args, report: Report) -> None:
     enum = extremal.enumerate_maximal_intersecting(args.n, args.k, cap=args.cap)
     best = max((stats(f).diversity for f in enum.families), default=0)
     row = {"maximal_families": len(enum.families), "max_diversity": best, "complete": enum.complete}
     report.add_table("rows", [row])
     if not enum.complete:
         report.note("enumeration stopped at the cap; results are partial")
-    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +426,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # refused with the action's own usage, which lists what it reads
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        result = args.run(args, _action_report(args))
+        report = _action_report(args)
+        result = args.run(args, report) or report.finish()
         reports = result if isinstance(result, list) else [result]
         for rep in reports:
             for line in rep.summary_lines():

@@ -1,8 +1,12 @@
 """Runners for the acceptance criteria.
 
-Each criterion function performs one end-to-end verification sweep and
-returns a Report whose assertions decide pass/fail.  ``quick`` shrinks the
+Each criterion function performs one end-to-end verification sweep into the
+Report it is given, whose assertions decide pass/fail.  ``quick`` shrinks the
 parameter ranges for smoke runs; the full ranges are the acceptance gate.
+``run_all`` is the one place that builds, names, times and finishes those
+reports: ``criterion-<name>`` after the criterion's ``CRITERIA`` key, with
+``quick`` as the first parameter.  A criterion only adds its tables,
+checks, notes, seed and further parameters.
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ def _grid(quick: bool):
             yield n, k
 
 
-def criterion_01_a2_diversity(quick: bool = False) -> Report:
+def criterion_01_a2_diversity(report: Report, quick: bool) -> None:
     """Diversity of the two-out-of-three family equals C(n-3, k-2) on the grid."""
-    report = Report(command="criterion-01-a2-diversity", parameters={"quick": quick})
     mismatches = []
     cells = 0
     for n, k in _grid(quick):
@@ -52,12 +55,10 @@ def criterion_01_a2_diversity(quick: bool = False) -> Report:
     report.add_table("mismatches", mismatches)
     report.parameters["cells"] = cells
     report.check("diversity_mismatches", 0, len(mismatches))
-    return report.finish()
 
 
-def criterion_02_a3_size_identity(quick: bool = False) -> Report:
+def criterion_02_a3_size_identity(report: Report, quick: bool) -> None:
     """Size of the u=3 hub-block family matches both closed forms on the grid."""
-    report = Report(command="criterion-02-a3-size", parameters={"quick": quick})
     mismatches = []
     arithmetic_failures = []
     cells = 0
@@ -77,13 +78,11 @@ def criterion_02_a3_size_identity(quick: bool = False) -> Report:
     report.check("closed_forms_agree_failures", 0, len(arithmetic_failures))
     report.check("enumerated_size_mismatches", 0, len(mismatches))
     report.note("families built for k >= 3 only (the u=3 block needs u <= k)")
-    return report.finish()
 
 
-def criterion_03_run_dominance_counts(quick: bool = False) -> Report:
+def criterion_03_run_dominance_counts(report: Report, quick: bool) -> None:
     """Run-dominance defining families: 2^(2r) members, intersecting and
     up-closed, each verified exhaustively for every r <= 12 (r <= 8 quick)."""
-    report = Report(command="criterion-03-run-dominance", parameters={"quick": quick})
     r_max = 8 if quick else 12
     rows = []
     count_bad = structure_bad = 0
@@ -108,28 +107,22 @@ def criterion_03_run_dominance_counts(quick: bool = False) -> Report:
     report.add_table("rows", rows)
     report.check("member_count_mismatches", 0, count_bad)
     report.check("structure_failures", 0, structure_bad)
-    return report.finish()
 
 
-def criterion_04_cross_weighted_sweep(quick: bool = False) -> Report:
+def criterion_04_cross_weighted_sweep(report: Report, quick: bool) -> None:
     """Zero violations of |A|max + weight*|B| <= C(m,a) over all admissible tuples."""
-    report = Report(command="criterion-04-lemma-sweep", parameters={"quick": quick})
     m_max = 10 if quick else 14
     rows = bounds.cross_bound_sweep(m_max, 4, 4, (2, 3))
     report.add_table("rows", rows)
     report.parameters["tuples"] = len(rows)
     report.check("total_violations", 0, sum(row["violations"] for row in rows))
-    return report.finish()
 
 
-def criterion_05_lex_cross_pairs(quick: bool = False) -> Report:
+def criterion_05_lex_cross_pairs(report: Report, quick: bool) -> None:
     """Lex segments of the sizes of random cross-intersecting pairs stay
     cross-intersecting (maximal-partner construction)."""
-    seed = 20240813
-    pairs = 200 if quick else 1000
-    report = Report(
-        command="criterion-05-lex-pairs", parameters={"quick": quick, "pairs": pairs}, seed=seed
-    )
+    seed = report.seed = 20240813
+    pairs = report.parameters["pairs"] = 200 if quick else 1000
     rng = np.random.Generator(np.random.Philox(key=seed))
     failures = []
     for trial in range(pairs):
@@ -147,10 +140,9 @@ def criterion_05_lex_cross_pairs(quick: bool = False) -> Report:
             failures.append({"trial": trial, "n": n, "a": a, "b": b, "a_size": size, "b_size": int(partner.size)})
     report.add_table("failures", failures)
     report.check("cross_intersecting_pairs", pairs, pairs - len(failures))
-    return report.finish()
 
 
-def criterion_06_boolean_identities(quick: bool = False) -> Report:
+def criterion_06_boolean_identities(report: Report, quick: bool) -> None:
     """Exact boolean identities for the run-dominance and majority juntas:
     half measure at bias 1/2 (both are self-dual on 2r+1 points), and the
     symmetric identity p*I_i + gamma_p/(1-p) = mu_p for every coordinate i.
@@ -161,7 +153,6 @@ def criterion_06_boolean_identities(quick: bool = False) -> Report:
     pivotal-count influence.  For such a table ``total_influence`` and
     ``biased_diversity`` compute coordinate 1 only and give every other
     coordinate its value; the identity is still checked per coordinate."""
-    report = Report(command="criterion-06-boolean-identities", parameters={"quick": quick})
     r_max = 5 if quick else 8
     half = Fraction(1, 2)
     bad_half = bad_identity = 0
@@ -183,14 +174,12 @@ def criterion_06_boolean_identities(quick: bool = False) -> Report:
     report.add_table("rows", rows)
     report.check("half_measure_failures", 0, bad_half)
     report.check("symmetric_identity_failures", 0, bad_identity)
-    return report.finish()
 
 
-def criterion_07_majority_influence(quick: bool = False) -> Report:
+def criterion_07_majority_influence(report: Report, quick: bool) -> None:
     """Majority total influence matches its closed form; run dominance and
     window majority have equal tables for r <= 4, and from r = 4 on the
     influence ratio of the two at bias 1/2 strictly decreases with r."""
-    report = Report(command="criterion-07-majority-influence", parameters={"quick": quick})
     r_max = 6 if quick else 10
     half = Fraction(1, 2)
     closed_bad = unequal = 0
@@ -220,15 +209,13 @@ def criterion_07_majority_influence(quick: bool = False) -> Report:
         True,
         all(ratios[r + 1] < ratios[r] for r in range(4, r_max)),
     )
-    return report.finish()
 
 
-def criterion_08_russo(quick: bool = False) -> Report:
+def criterion_08_russo(report: Report, quick: bool) -> None:
     """Russo's lemma, exactly: d mu_p / dp equals the total influence, as
     Fractions, for the dictator on 5 points, window majority for r <= 6
     (r <= 3 quick) and run dominance for r = 5..8 (r = 5 quick; below 5 it
     is majority), at every bias of BIASES and at 9/20."""
-    report = Report(command="criterion-08-russo", parameters={"quick": quick})
     cases = [("dictator_j5", build_dictator_defining(5))]
     for r in range(1, (3 if quick else 6) + 1):
         cases.append((f"window_majority_r{r}", build_majority_defining(r)))
@@ -250,17 +237,15 @@ def criterion_08_russo(quick: bool = False) -> Report:
             )
     report.add_table("rows", rows)
     report.check("exact_mismatches", 0, sum(not row["equal"] for row in rows))
-    return report.finish()
 
 
-def criterion_09_rho_stats(quick: bool = False) -> Report:
+def criterion_09_rho_stats(report: Report, quick: bool) -> None:
     """Exact tie-length distributions and expected long-run counts, counted
     from run-partition pairs, vs Monte Carlo scans (``mc_disagreements``:
     the cells with at least 100 expected hits, at 6 standard errors); the
     assertions of both reports (among them E[#runs >= t] = L 2^-t [t < L]
     + 2^(1-L)) are carried over."""
-    seed = 22
-    report = Report(command="criterion-09-rho-stats", parameters={"quick": quick}, seed=seed)
+    seed = report.seed = 22
     lengths = (11,) if quick else (11, 15, 19)
     samples = 10**5 if quick else 10**6
     cell_failures = []
@@ -275,10 +260,9 @@ def criterion_09_rho_stats(quick: bool = False) -> Report:
                 report.check(f"L{length}_{other.parameters['mode']}_{a.name}", a.expected, a.actual)
     report.add_table("mc_cell_failures", cell_failures)
     report.check("mc_within_6_se_failures", 0, len(cell_failures))
-    return report.finish()
 
 
-def criterion_10_extremal(quick: bool = False) -> Report:
+def criterion_10_extremal(report: Report, quick: bool) -> None:
     """The search equals the maximal-family oracle at tiny parameters, and it
     certifies the k = 3 table: for 8 <= n <= 16 (n <= 12 quick) the maximum
     diversity at (n, 3) is C(n-3, 1) = n - 3, with every search complete and
@@ -290,7 +274,6 @@ def criterion_10_extremal(quick: bool = False) -> Report:
     gives its range (conjectured for n > 3k, proved for n >= ck, false at
     (19, 6)).
     """
-    report = Report(command="criterion-10-extremal", parameters={"quick": quick})
     rows = []
     mismatches = 0
     for n, k in [(4, 2), (5, 2), (6, 3), (7, 3)]:
@@ -321,18 +304,14 @@ def criterion_10_extremal(quick: bool = False) -> Report:
     report.check("k3_incomplete", 0, sum(not row["complete"] for row in table))
     report.check("k3_best_not_bound", 0, sum(row["best"] != row["bound"] for row in table))
     report.check("k3_witness_failures", 0, sum(not row["witness_ok"] for row in table))
-    return report.finish()
 
 
-def criterion_11_triangle_chain(quick: bool = False) -> Report:
+def criterion_11_triangle_chain(report: Report, quick: bool) -> None:
     """Center-decomposition chain and cross-intersecting pairs on the
     two-out-of-three family, the seven-line plane, and random intersecting
     families."""
-    seed = 7011
-    trials = 10 if quick else 50
-    report = Report(
-        command="criterion-11-triangle-chain", parameters={"quick": quick, "trials": trials}, seed=seed
-    )
+    seed = report.seed = 7011
+    trials = report.parameters["trials"] = 10 if quick else 50
     rng = random.Random(seed)
     cases = [("a2_12_3", build_hub_block_family(12, 3, 2)), ("fano", fano_plane())]
     for t in range(trials):
@@ -345,17 +324,13 @@ def criterion_11_triangle_chain(quick: bool = False) -> Report:
     report.add_table("failures", failures)
     report.parameters["cases"] = len(cases)
     report.check("chain_or_cross_failures", 0, len(failures))
-    return report.finish()
 
 
-def criterion_12_shifting(quick: bool = False) -> Report:
+def criterion_12_shifting(report: Report, quick: bool) -> None:
     """Shift closures: shifted, size-preserving, intersecting-preserving,
     and 2-intersecting after removing the sets through element 1."""
-    seed = 1202
-    trials = 40 if quick else 200
-    report = Report(
-        command="criterion-12-shifting", parameters={"quick": quick, "trials": trials}, seed=seed
-    )
+    seed = report.seed = 1202
+    trials = report.parameters["trials"] = 40 if quick else 200
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
@@ -374,10 +349,9 @@ def criterion_12_shifting(quick: bool = False) -> Report:
             failures.append({"trial": t, **checks})
     report.add_table("failures", failures)
     report.check("shift_closure_failures", 0, len(failures))
-    return report.finish()
 
 
-CRITERIA: list[tuple[str, Callable[[bool], Report]]] = [
+CRITERIA: list[tuple[str, Callable[[Report, bool], None]]] = [
     ("01-a2-diversity", criterion_01_a2_diversity),
     ("02-a3-size", criterion_02_a3_size_identity),
     ("03-run-dominance", criterion_03_run_dominance_counts),
@@ -397,7 +371,11 @@ def run_all(quick: bool = False) -> list[Report]:
     """The criterion reports, then the combined ``verify-all`` report: one
     check per criterion and the ``criteria`` table."""
     combined = Report(command="verify-all", parameters={"quick": quick})
-    reports = [fn(quick) for _, fn in CRITERIA]
+    reports = []
+    for name, criterion in CRITERIA:
+        report = Report(command=f"criterion-{name}", parameters={"quick": quick})
+        criterion(report, quick)
+        reports.append(report.finish())
     for rep in reports:
         combined.check(rep.command, True, rep.ok)
     combined.add_table(

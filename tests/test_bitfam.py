@@ -219,7 +219,7 @@ def _fat_family():
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
-def test_is_t_intersecting_across_row_blocks(t):
+def test_is_t_intersecting_across_row_blocks(monkeypatch, t):
     fat = _fat_family()
     # A = {1..5, 12} and B = {6..10, 13} each meet every fat set, but not
     # each other; they are the two largest masks, so at t = 1 only the last
@@ -233,12 +233,17 @@ def test_is_t_intersecting_across_row_blocks(t):
         fat + [0],  # the empty set meets nothing
         fat + [(1 << 13) - 1],
     ]
-    for masks in cases:
-        fam = family_from_masks(13, None, masks)
-        want = pairwise_t_intersecting(family_as_sets(fam), t)
-        assert is_t_intersecting(fam, t) == want
-    assert is_t_intersecting(family_from_masks(13, None, fat), t) == (t <= 3)
-    assert not is_t_intersecting(family_from_masks(13, None, fat + [a, b]), t)
+    # on 13 points t = 1 runs on the packed table; past MAX_TABLE_N every t
+    # runs the row-block scan, which the patch makes sure of
+    for n in (13, MAX_TABLE_N + 1):
+        if n > MAX_TABLE_N:
+            monkeypatch.setattr(bitfam, "_tables_meet", _refuse)
+        for masks in cases:
+            fam = family_from_masks(n, None, masks)
+            want = pairwise_t_intersecting(family_as_sets(fam), t)
+            assert is_t_intersecting(fam, t) == want
+        assert is_t_intersecting(family_from_masks(n, None, fat), t) == (t <= 3)
+        assert not is_t_intersecting(family_from_masks(n, None, fat + [a, b]), t)
 
 
 @given(small_families(), st.integers(0, (1 << 10) - 1), st.lists(st.integers(0, (1 << 10) - 1), max_size=24))

@@ -170,6 +170,15 @@ def test_json_report_schema(tmp_path):
     assert payload["ok"] is True
 
 
+def test_main_finishes_each_handler_report_once(monkeypatch):
+    finished = []
+    finish = Report.finish
+    monkeypatch.setattr(Report, "finish", lambda self: finished.append(self.command) or finish(self))
+    assert run(["lex", "segment", "--m", "3"]) == 0
+    assert run(["lemma-sweep", "check", "--m", "10", "--a", "2", "--b", "3"]) == 0
+    assert finished == ["lex-segment", "lemma-sweep-check"]
+
+
 def test_lemma_sweep_single_and_json(tmp_path):
     json_path = tmp_path / "lemma.json"
     assert run(["lemma-sweep", "check", "--m", "10", "--a", "2", "--b", "3", "--cprime", "2",
@@ -198,7 +207,9 @@ def test_lemma_sweep_rows_equal_criterion_04(tmp_path):
     json_path = tmp_path / "sweep.json"
     assert run(["lemma-sweep", "grid", "--m-max", "10", "--json", str(json_path)]) == 0
     rows = json.loads(json_path.read_text())["results"]["rows"]
-    assert rows == criterion_04_cross_weighted_sweep(quick=True).tables["rows"]
+    criterion = Report("criterion-04")
+    criterion_04_cross_weighted_sweep(criterion, quick=True)
+    assert rows == criterion.tables["rows"]
     assert rows and all(row["violations"] == 0 for row in rows)
 
 
@@ -293,7 +304,9 @@ def test_rho_profile_tie_and_dominance_match_the_oracle_scan(length):
     tie, dom, _, _ = scan_words(np.arange(1 << length), length)
     for mask in range(1 << length):
         args = argparse.Namespace(word=word_to_string(mask, length), t=None)
-        row = cmd_rho_profile(args, Report("rho-profile")).tables["rows"][0]
+        report = Report("rho-profile")
+        cmd_rho_profile(args, report)
+        row = report.tables["rows"][0]
         assert type(row["tie_len"]) is int and row["tie_len"] == tie[mask]
         assert row["ones_dominant"] is (None if length % 2 == 0 else bool(dom[mask]))
 
