@@ -419,8 +419,8 @@ def family_from_text(text: str) -> Family:
         if not line:
             continue
         if header is None:
-            parts = dict(p.split("=", 1) for p in line.split())
-            if "n" not in parts or "k" not in parts:
+            parts = dict(p.partition("=")[::2] for p in line.split())
+            if not {"n", "k"} <= parts.keys() or "" in parts.values():
                 raise ValueError(f"bad family header: {raw!r}")
             header = (int(parts["n"]), None if parts["k"] == "-" else int(parts["k"]))
             continue

@@ -1,6 +1,6 @@
 """Command-line front end: ``divlab <command> <action> [options]``.
 
-    family       build | stats | check
+    family       build <kind> | stats | check | cross-check
     decompose    (no action)
     lemma-sweep  grid | check
     lex          segment | partner-max
@@ -10,19 +10,17 @@
     extremal     search | enumerate
     verify-all   (no action)
 
-Each action has its own sub-parser, which declares exactly the options the
-action reads, with their defaults; every other option is refused with exit
-code 2, named under the action's own usage (``divlab <command> <action>
---help`` lists the options it reads).  ``main`` builds the action's report
-from it: the command ``<command>-<action>`` and, as parameters, every
-declared option under its flag name (``--m-max`` -> ``m_max``, ``--in`` ->
-``in``) but the output paths --json, --csv, --out and --emit-witness.
-``family build --kind`` is the one option whose value decides what else is
-read: its report keeps ``kind`` and that kind's options.  The action's
-handler only adds its tables, checks and notes to that report, and ``main``
-finishes it.  ``decompose``, ``boolean counterexample-table``, ``rho
-exact|mc`` and ``verify-all`` write the reports of the library functions
-they call, which those functions finish.
+``family build`` takes the kind as one more action word (hub-block,
+window-majority, star, full, fano, run-dominance-lift).  One rule holds for
+every action, with no exception: its sub-parser declares exactly the options
+it reads, with their defaults, and refuses every other with exit code 2
+under its own usage (``--help`` lists what it reads).  ``main`` builds the
+action's report from it, named after the parser path (``family-build-fano``,
+``rho-mc``), with the declared options as parameters (``--m-max`` ->
+``m_max``, ``--in`` -> ``in``) but the output paths --json, --csv, --out and
+--emit-witness.  The handler only adds tables, checks, notes and a seed,
+some taken from a library report, and ``main`` finishes the report;
+``verify-all`` writes its criteria's reports before it.
 
 Exit codes: 0 all assertions passed, 1 assertion failure, 2 usage error
 (a bad option, value or file), 3 resource-cap refusal.  Reports are written
@@ -97,11 +95,7 @@ def word_from_string(text: str) -> tuple[int, int]:
     """Binary word literal, first character = position 1 = bit 0: '100' -> (1, 3)."""
     if not text or any(c not in "01" for c in text):
         raise ValueError(f"word literal must be nonempty over 0/1, got {text!r}")
-    mask = 0
-    for pos, c in enumerate(text, start=1):
-        if c == "1":
-            mask |= 1 << (pos - 1)
-    return mask, len(text)
+    return int(text[::-1], 2), len(text)
 
 
 def _write_family(report: Report, fam: Family, path: Optional[str], what: str = "family") -> None:
@@ -112,12 +106,12 @@ def _write_family(report: Report, fam: Family, path: Optional[str], what: str = 
 
 # ---------------------------------------------------------------------------
 # action handlers: each adds its tables and checks to the report that main
-# prepared for its action and finishes (the actions whose reports come from
-# the library are lambdas in build_parser, which return those reports)
+# prepared for its action and finishes (the actions whose results come from a
+# library report are lambdas in build_parser)
 # ---------------------------------------------------------------------------
 
 
-# family kind -> (the arguments it reads, its builder)
+# family kind -> (the options it reads, its builder)
 _FAMILY_KINDS = {
     "hub-block": (("n", "k", "u"), lambda a: build_hub_block_family(a.n, a.k, a.u)),
     "window-majority": (("n", "k", "r"), lambda a: build_window_majority(a.n, a.k, a.r)),
@@ -168,11 +162,12 @@ def cmd_family_stats(args, report: Report) -> None:
 
 def cmd_family_check(args, report: Report) -> None:
     fam = load_family(args.infile)
-    if args.cross:
-        other = load_family(args.cross)
-        report.check("cross_intersecting", True, are_cross_intersecting(fam, other))
-    else:
-        report.check(f"{args.t}_intersecting", True, is_t_intersecting(fam, args.t))
+    report.check(f"{args.t}_intersecting", True, is_t_intersecting(fam, args.t))
+
+
+def cmd_family_cross_check(args, report: Report) -> None:
+    fam, other = load_family(args.infile), load_family(args.cross)
+    report.check("cross_intersecting", True, are_cross_intersecting(fam, other))
 
 
 def cmd_lemma_check(args, report: Report) -> None:
@@ -319,24 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run, parser=p)
         return p
 
-    def command(name: str, help: str):
+    def command(name: str, help: str, within=commands, dest: str = "action"):
         """A command with actions; they are added to what this returns."""
-        p = commands.add_parser(name, help=help, allow_abbrev=False)
-        return p.add_subparsers(dest="action", required=True)
+        p = within.add_parser(name, help=help, allow_abbrev=False)
+        return p.add_subparsers(dest=dest, required=True)
 
     family = command("family", "build, inspect or check families")
-    p = action(family, "build", cmd_family_build, out)
-    p.add_argument("--kind", default="hub-block", choices=list(_FAMILY_KINDS))
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--u", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
+    kinds = command("build", "build a family of one kind", within=family, dest="kind")
+    defaults = {"n": 7, "k": 3, "u": 2, "r": 1}
+    for kind, (options, _) in _FAMILY_KINDS.items():
+        p = action(kinds, kind, cmd_family_build, out)
+        for name in options:
+            p.add_argument(f"--{name}", type=int, default=defaults[name])
     action(family, "stats", cmd_family_stats, infile)
     p = action(family, "check", cmd_family_check, infile)
     p.add_argument("--t", type=int, default=1)
-    p.add_argument("--cross", help="second family file for a cross check")
+    p = action(family, "cross-check", cmd_family_cross_check, infile)
+    p.add_argument("--cross", required=True, help="the second family file")
 
-    action(commands, "decompose", lambda a, _: bounds.verify_triangle_chain(load_family(a.infile)),
+    action(commands, "decompose",
+           lambda a, report: report.extend(bounds.verify_triangle_chain(load_family(a.infile))),
            infile, help="triangle-center decomposition report")
 
     lemma = command("lemma-sweep", "cross-intersecting weighted size bound")
@@ -375,13 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, help="one coordinate (default: all, and their total)")
     action(boolean, "gammap", cmd_boolean_value, junta)
     p = action(boolean, "counterexample-table",
-               lambda a, _: bl.counterexample_table(parse_r_range(a.r)))
+               lambda a, report: report.extend(bl.counterexample_table(parse_r_range(a.r))))
     p.add_argument("--r", default="2", help="r values: '5', a range '2..10' or a list '2,5,7'")
 
     rho = command("rho", "run-profile tie statistics")
-    action(rho, "exact", lambda a, _: runstat.rho_distribution(a.L, "exact"), word_length)
-    p = action(rho, "mc", lambda a, _: runstat.rho_distribution(a.L, "mc", a.samples, a.seed),
-               word_length)
+    action(rho, "exact", lambda a, report: report.extend(runstat.rho_distribution(a.L, "exact")),
+           word_length)
+    p = action(rho, "mc", lambda a, report: report.extend(
+        runstat.rho_distribution(a.L, "mc", a.samples, a.seed)), word_length)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p = action(rho, "profile", cmd_rho_profile)
@@ -395,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = action(ext, "enumerate", cmd_extremal_enumerate, nk)
     p.add_argument("--cap", type=int, help="stop after this many maximal families")
 
-    p = action(commands, "verify-all", lambda a, _: verify.run_all(quick=a.quick),
+    p = action(commands, "verify-all", lambda a, report: verify.run_all(report, a.quick),
                help="run the acceptance criteria")
     p.add_argument("--quick", action="store_true", help="shrunken parameter ranges")
 
@@ -414,9 +412,6 @@ def _action_report(args) -> Report:
         for act in args.parser._actions
         if act.option_strings and act.option_strings[-1] not in _OUTPUT_OPTIONS
     }
-    if "kind" in parameters:
-        used = ("kind", *_FAMILY_KINDS[parameters["kind"]][0])
-        parameters = {name: value for name, value in parameters.items() if name in used}
     return Report(command="-".join(args.parser.prog.split()[1:]), parameters=parameters)
 
 
@@ -427,15 +422,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         report = _action_report(args)
-        result = args.run(args, report) or report.finish()
-        reports = result if isinstance(result, list) else [result]
-        for rep in reports:
-            for line in rep.summary_lines():
-                print(line)
+        reports = [*(args.run(args, report) or ()), report.finish()]
+        print("\n".join(line for rep in reports for line in rep.summary_lines()))
         if args.json_path:
-            write_json(result, args.json_path)
+            write_json(reports, args.json_path)
         if args.csv_path:
-            reports[-1].write_csv(args.csv_path)
+            report.write_csv(args.csv_path)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

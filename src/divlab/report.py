@@ -75,6 +75,15 @@ class Report:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
+    def extend(self, other: "Report") -> None:
+        """Add another report's tables (JSON-only stay so), assertions, notes and seed if set."""
+        for name, rows in other.tables.items():
+            self.add_table(name, rows, csv=name not in other._json_only)
+        self.assertions += other.assertions
+        self.notes += other.notes
+        if other.seed is not None:
+            self.seed = other.seed
+
     def finish(self) -> "Report":
         self.duration_s = round(time.monotonic() - self._t0, 6)
         return self
@@ -144,11 +153,11 @@ class Report:
         return lines
 
 
-def write_json(reports: Report | list[Report], path) -> None:
-    """One report as its JSON object; a list of them as
+def write_json(reports: list[Report], path) -> None:
+    """A single report as its JSON object; more than one as
     ``{"schema": ..., "reports": [...]}``."""
-    if isinstance(reports, Report):
-        payload = reports.to_json_dict()
+    if len(reports) == 1:
+        payload = reports[0].to_json_dict()
     else:
         payload = {"schema": SCHEMA_VERSION, "reports": [r.to_json_dict() for r in reports]}
     with open(path, "w", encoding="utf-8") as fh:

@@ -6,7 +6,8 @@ parameter ranges for smoke runs; the full ranges are the acceptance gate.
 ``run_all`` is the one place that builds, names, times and finishes those
 reports: ``criterion-<name>`` after the criterion's ``CRITERIA`` key, with
 ``quick`` as the first parameter.  A criterion only adds its tables,
-checks, notes, seed and further parameters.
+checks, notes, seed and further parameters.  ``run_all`` fills the combined
+report it is given, which its caller builds and finishes.
 """
 
 from __future__ import annotations
@@ -367,19 +368,17 @@ CRITERIA: list[tuple[str, Callable[[Report, bool], None]]] = [
 ]
 
 
-def run_all(quick: bool = False) -> list[Report]:
-    """The criterion reports, then the combined ``verify-all`` report: one
-    check per criterion and the ``criteria`` table."""
-    combined = Report(command="verify-all", parameters={"quick": quick})
+def run_all(combined: Report, quick: bool) -> list[Report]:
+    """The criterion reports; ``combined`` gets one check per criterion and
+    the ``criteria`` table."""
     reports = []
     for name, criterion in CRITERIA:
         report = Report(command=f"criterion-{name}", parameters={"quick": quick})
         criterion(report, quick)
         reports.append(report.finish())
-    for rep in reports:
-        combined.check(rep.command, True, rep.ok)
+        combined.check(report.command, True, report.ok)
     combined.add_table(
         "criteria",
         [{"criterion": rep.command, "ok": rep.ok, "duration_s": rep.duration_s} for rep in reports],
     )
-    return reports + [combined.finish()]
+    return reports

@@ -378,6 +378,13 @@ def test_text_format_comments_and_blanks():
     assert fam.n == 5 and fam.k == 2
 
 
+@pytest.mark.parametrize("header", ["n=5 k=3 x", "n=5", "n=5 k="])
+def test_text_format_refuses_a_bad_header_by_name(header):
+    with pytest.raises(ValueError) as exc:
+        family_from_text(f"{header}\n1,2,3\n")
+    assert str(exc.value) == f"bad family header: {header!r}"
+
+
 def test_text_format_non_uniform():
     fam = family_from_masks(4, None, [0b1, 0b1011])
     round_tripped = family_from_text(family_to_text(fam))

@@ -5,6 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from divlab.bitfam import save_family
+from divlab.booleanlab import counterexample_table
+from divlab.bounds import verify_triangle_chain
 from divlab.cli import (
     build_parser,
     cmd_rho_profile,
@@ -13,8 +16,9 @@ from divlab.cli import (
     parse_r_range,
     word_from_string,
 )
+from divlab.constructions import fano_plane
 from divlab.report import Report
-from divlab.runstat import in_t_table
+from divlab.runstat import in_t_table, rho_distribution
 from divlab.verify import criterion_04_cross_weighted_sweep
 
 from oracles import cross_intersecting, lex_sorted_ksets, scan_words, word_to_string
@@ -54,7 +58,7 @@ def test_word_from_string():
 
 def test_family_build_stats_check_round_trip(tmp_path):
     fam_path = tmp_path / "fam.txt"
-    assert run(["family", "build", "--kind", "hub-block", "--n", "7", "--k", "3",
+    assert run(["family", "build", "hub-block", "--n", "7", "--k", "3",
                 "--u", "2", "--out", str(fam_path)]) == 0
     assert fam_path.exists()
     assert run(["family", "stats", "--in", str(fam_path)]) == 0
@@ -72,13 +76,13 @@ def test_cross_check(tmp_path):
     b = tmp_path / "b.txt"
     a.write_text("n=5 k=2\n1,2\n1,3\n")
     b.write_text("n=5 k=3\n1,4,5\n1,2,3\n")
-    assert run(["family", "check", "--in", str(a), "--cross", str(b)]) == 0
+    assert run(["family", "cross-check", "--in", str(a), "--cross", str(b)]) == 0
 
 
 def test_usage_error_exit_code(tmp_path):
-    assert run(["family", "build", "--kind", "hub-block", "--n", "5", "--k", "3",
+    assert run(["family", "build", "hub-block", "--n", "5", "--k", "3",
                 "--u", "2"]) == 2  # n < 2k
-    assert run(["family", "build", "--kind", "window-majority", "--n", "64", "--k", "3"]) == 2
+    assert run(["family", "build", "window-majority", "--n", "64", "--k", "3"]) == 2
 
 
 def test_extremal_search_past_the_ground_set_cap_is_usage_error(capsys):
@@ -102,7 +106,7 @@ def test_file_errors_are_usage_errors(argv, tmp_path, capsys):
 
 def test_resource_cap_exit_code():
     assert run(["rho", "exact", "--L", "30"]) == 3
-    assert run(["family", "build", "--n", "60", "--k", "30"]) == 3
+    assert run(["family", "build", "hub-block", "--n", "60", "--k", "30"]) == 3
     assert run(["extremal", "search", "--n", "40", "--k", "20"]) == 3
 
 
@@ -170,13 +174,21 @@ def test_json_report_schema(tmp_path):
     assert payload["ok"] is True
 
 
-def test_main_finishes_each_handler_report_once(monkeypatch):
+def test_main_finishes_each_handler_report_once(monkeypatch, tmp_path):
+    fam_path = tmp_path / "fano.txt"
+    save_family(fano_plane(), fam_path)
     finished = []
     finish = Report.finish
     monkeypatch.setattr(Report, "finish", lambda self: finished.append(self.command) or finish(self))
     assert run(["lex", "segment", "--m", "3"]) == 0
     assert run(["lemma-sweep", "check", "--m", "10", "--a", "2", "--b", "3"]) == 0
-    assert finished == ["lex-segment", "lemma-sweep-check"]
+    assert run(["decompose", "--in", str(fam_path)]) == 0
+    assert run(["rho", "exact", "--L", "9"]) == 0
+    assert run(["verify-all", "--quick"]) == 0
+    # the library and the criteria finish reports of their own, which main
+    # copies from or writes before the action's report
+    actions = ["lex-segment", "lemma-sweep-check", "decompose", "rho-exact", "verify-all"]
+    assert [command for command in finished if command in actions] == actions
 
 
 def test_lemma_sweep_single_and_json(tmp_path):
@@ -260,14 +272,14 @@ def test_lex_cli():
 
 def test_decompose_cli(tmp_path):
     fam_path = tmp_path / "fam.txt"
-    run(["family", "build", "--kind", "fano", "--n", "7", "--k", "3", "--out", str(fam_path)])
+    run(["family", "build", "fano", "--out", str(fam_path)])
     assert run(["decompose", "--in", str(fam_path)]) == 0
     # n < k + 3: the tail family h2 cannot fit in n - 3 points and is empty
-    run(["family", "build", "--kind", "star", "--n", "5", "--k", "3", "--out", str(fam_path)])
+    run(["family", "build", "star", "--n", "5", "--k", "3", "--out", str(fam_path)])
     assert run(["decompose", "--in", str(fam_path)]) == 0
     # 93,024 members: its intersecting check runs on the packed table
     json_path = tmp_path / "hub.json"
-    argv = ["--kind", "hub-block", "--n", "22", "--k", "8", "--u", "2", "--out", str(fam_path)]
+    argv = ["hub-block", "--n", "22", "--k", "8", "--u", "2", "--out", str(fam_path)]
     assert run(["family", "build", *argv, "--json", str(json_path)]) == 0
     assert json.loads(json_path.read_text())["results"]["rows"][0]["intersecting"] is True
     assert run(["decompose", "--in", str(fam_path)]) == 0
@@ -395,45 +407,96 @@ def _minimal_argv(parser):
     return argv
 
 
-# (command, action A, option) -> whether the option takes a value, for every
-# option that a sibling action of A declares and A does not
+def _leaves(parser, path=()):
+    """Parser path -> parser, for every action under ``parser``: a parser
+    with no sub-commands, found by recursing into nested ones."""
+    subs = _subcommands(parser)
+    if not subs:
+        return {path: parser}
+    return {leaf: p for name, sub in subs.items() for leaf, p in _leaves(sub, (*path, name)).items()}
+
+
+_ACTIONS = _leaves(build_parser())
+
+
+def _sibling_cases(parser, path):
+    """(*path of A, option) -> whether the option takes a value, for every
+    option that an action under a sibling of A declares and no action under
+    A does, where A is a sub-command of ``parser``, at every depth."""
+    subs = _subcommands(parser)
+    cases = {}
+    for name, sub in subs.items():
+        own = {flag for leaf in _leaves(sub).values() for flag in _declared(leaf)}
+        for sibling in subs.values():
+            for leaf in _leaves(sibling).values():
+                cases.update({(*path, name, flag): act.nargs != 0
+                              for flag, act in _declared(leaf).items() if flag not in own})
+        cases.update(_sibling_cases(sub, (*path, name)))
+    return cases
+
+
 _SIBLING_CASES = {
-    (command, a, flag): act.nargs != 0
+    case: takes_value
     for command, command_parser in _subcommands(build_parser()).items()
-    for a, a_parser in _subcommands(command_parser).items()
-    for b, b_parser in _subcommands(command_parser).items()
-    for flag, act in _declared(b_parser).items()
-    if b != a and flag not in _declared(a_parser)
+    for case, takes_value in _sibling_cases(command_parser, (command,)).items()
 }
 
 
-# the option/action pairs that exited 0 with the option ignored before every
+# the action/option pairs that exited 0 with the option ignored before every
 # action had its own parser
 _FORMERLY_IGNORED = [
-    ("family", "build", "--t --in --cross"),
-    ("family", "stats", "--kind --n --k --u --r --t --cross --out"),
-    ("family", "check", "--kind --n --k --u --r --out"),
-    ("lemma-sweep", "check", "--m-max --a-max --b-max --cprime-list"),
-    ("lemma-sweep", "grid", "--a --b --cprime"),
-    ("lex", "segment", "--a --b --b-size"),
-    ("lex", "partner-max", "--k --n"),
-    ("shift", "closure", "--i --j"),
-    ("shift", "is-shifted", "--i --j --out"),
+    ("family build", "--t --in --cross"),
+    ("family stats", "--n --k --u --r --t --cross --out"),
+    ("family check", "--n --k --u --r --out"),
+    ("lemma-sweep check", "--m-max --a-max --b-max --cprime-list"),
+    ("lemma-sweep grid", "--a --b --cprime"),
+    ("lex segment", "--a --b --b-size"),
+    ("lex partner-max", "--k --n"),
+    ("shift closure", "--i --j"),
+    ("shift is-shifted", "--i --j --out"),
+]
+# ... and those that exited 0 with the option ignored while the family kind
+# was an option of family build and the cross check a mode of family check
+_IGNORED_BY_KIND = [
+    ("family build hub-block", "--r"),
+    ("family build window-majority", "--u"),
+    ("family build star", "--u --r"),
+    ("family build full", "--u --r"),
+    ("family build fano", "--n --k --u --r"),
+    ("family build run-dominance-lift", "--u"),
+    ("family cross-check", "--t"),
 ]
 
 
+def _cases(table):
+    return [(*path.split(), flag) for path, flags in table for flag in flags.split()]
+
+
 def test_sibling_cases_cover_the_formerly_ignored_options():
-    formerly = {(c, a, flag) for c, a, flags in _FORMERLY_IGNORED for flag in flags.split()}
-    assert len(formerly) == 34
+    formerly = set(_cases(_FORMERLY_IGNORED + _IGNORED_BY_KIND))
+    assert len(formerly) == 44
     assert formerly <= _SIBLING_CASES.keys()
 
 
 @pytest.mark.parametrize("case", sorted(_SIBLING_CASES), ids=" ".join)
 def test_every_action_refuses_the_options_only_its_siblings_declare(case, capsys):
-    command, action, flag = case
-    action_parser = _subcommands(_subcommands(build_parser())[command])[action]
+    *path, flag = case
     value = ["1"] if _SIBLING_CASES[case] else []
-    assert_usage_error([command, action, *_minimal_argv(action_parser), flag, *value], flag, capsys)
+    for leaf, parser in _ACTIONS.items():
+        if leaf[:len(path)] == tuple(path):
+            assert_usage_error([*leaf, *_minimal_argv(parser), flag, *value], flag, capsys)
+
+
+@pytest.mark.parametrize("case", _cases(_IGNORED_BY_KIND), ids=" ".join)
+def test_kinds_and_cross_check_refuse_what_they_ignored_under_their_own_usage(case, capsys):
+    *path, flag = case
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*path, *_minimal_argv(_ACTIONS[tuple(path)]), flag, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: divlab {' '.join(path)} ")
+    assert err.rstrip().endswith(f"error: unrecognized arguments: {flag} 1")
 
 
 def test_family_stats_without_in_names_the_missing_option(capsys):
@@ -442,7 +505,7 @@ def test_family_stats_without_in_names_the_missing_option(capsys):
 
 def test_unread_option_is_refused_with_the_actions_usage(tmp_path, capsys):
     fam_path, out_path = tmp_path / "fam.txt", tmp_path / "g.txt"
-    assert run(["family", "build", "--kind", "fano", "--out", str(fam_path)]) == 0
+    assert run(["family", "build", "fano", "--out", str(fam_path)]) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["family", "stats", "--in", str(fam_path), "--out", str(out_path)])
@@ -493,10 +556,10 @@ def test_extremal_records_only_its_mode_parameters(tmp_path):
 def test_rho_dist_records_samples_only_when_consumed(tmp_path):
     # rho exact refuses --samples (test_cli_refuses_options_the_action_does_not_read)
     params = _parameters(["rho", "exact", "--L", "11"], tmp_path)
-    assert params == {"L": 11, "mode": "exact"}
+    assert params == {"L": 11}
     assert _parameters(["rho", "exact"], tmp_path) == params  # the default it applied
     params = _parameters(["rho", "mc", "--L", "11", "--samples", "100"], tmp_path)
-    assert params == {"L": 11, "mode": "mc", "samples": 100}
+    assert params == {"L": 11, "samples": 100, "seed": 0}
 
 
 def test_rho_seed_recorded_only_when_consumed(tmp_path):
@@ -529,34 +592,33 @@ def test_options_are_not_abbreviated(capsys):
                        "--emit", capsys)
 
 
-def test_family_build_fano_ignores_n_and_k(tmp_path):
+def test_family_build_fano_refuses_n_and_k(tmp_path, capsys):
     json_path = tmp_path / "fano.json"
-    assert run(["family", "build", "--kind", "fano", "--n", "60", "--k", "30",
-                "--json", str(json_path)]) == 0
+    assert_usage_error(["family", "build", "fano", "--n", "60", "--k", "30"], "--n 60 --k 30",
+                       capsys)
+    assert run(["family", "build", "fano", "--json", str(json_path)]) == 0
     payload = json.loads(json_path.read_text())
     assert payload["results"]["rows"][0]["size"] == 7
-    assert payload["parameters"] == {"kind": "fano"}
+    assert payload["parameters"] == {}
 
 
 def test_family_build_records_only_the_parameters_its_kind_reads(tmp_path):
     json_path = tmp_path / "hub.json"
-    assert run(["family", "build", "--kind", "hub-block", "--n", "7", "--k", "3",
+    assert run(["family", "build", "hub-block", "--n", "7", "--k", "3",
                 "--u", "2", "--json", str(json_path)]) == 0
-    assert json.loads(json_path.read_text())["parameters"] == {
-        "kind": "hub-block", "n": 7, "k": 3, "u": 2,
-    }
+    assert json.loads(json_path.read_text())["parameters"] == {"n": 7, "k": 3, "u": 2}
 
 
 def test_family_build_cap_still_refuses_enumerating_kinds():
-    assert run(["family", "build", "--kind", "full", "--n", "60", "--k", "30"]) == 3
+    assert run(["family", "build", "full", "--n", "60", "--k", "30"]) == 3
     for kind, extra in [("star", []), ("hub-block", ["--u", "3"]),
                         ("window-majority", ["--r", "13"]), ("run-dominance-lift", ["--r", "3"])]:
-        assert run(["family", "build", "--kind", kind, "--n", "40", "--k", "20", *extra]) == 3
+        assert run(["family", "build", kind, "--n", "40", "--k", "20", *extra]) == 3
 
 
 def test_run_dominance_lift_refuses_the_cap_before_building_the_table():
     in_t_table.cache_clear()
-    argv = ["family", "build", "--kind", "run-dominance-lift", "--r", "12", "--n", "40", "--k", "20"]
+    argv = ["family", "build", "run-dominance-lift", "--r", "12", "--n", "40", "--k", "20"]
     assert run(argv) == 3
     assert in_t_table.cache_info().currsize == 0
 
@@ -568,8 +630,8 @@ def test_family_build_past_the_pairwise_cap_writes_the_family(tmp_path):
     # on 30 points has more than PAIRWISE_CHECK_CAP pairs and is refused
     fam_path, json_path = tmp_path / "full.txt", tmp_path / "full.json"
     for argv, size, want in (
-        (["--kind", "full", "--n", "22", "--k", "7", "--out", str(fam_path)], 170544, False),
-        (["--kind", "window-majority", "--n", "30", "--k", "8", "--r", "3"], 348910, None),
+        (["full", "--n", "22", "--k", "7", "--out", str(fam_path)], 170544, False),
+        (["window-majority", "--n", "30", "--k", "8", "--r", "3"], 348910, None),
     ):
         assert run(["family", "build", *argv, "--json", str(json_path)]) == 0
         payload = json.loads(json_path.read_text())
@@ -590,51 +652,66 @@ def test_family_check_past_the_pairwise_cap_exits_3(tmp_path):
     fam_path = tmp_path / "fam.txt"
     save_family(family_from_masks(30, None, np.arange(1 << 16, dtype=np.int64)), fam_path)
     assert run(["family", "check", "--in", str(fam_path)]) == 1
-    assert run(["family", "check", "--in", str(fam_path), "--cross", str(fam_path)]) == 3
+    assert run(["family", "cross-check", "--in", str(fam_path), "--cross", str(fam_path)]) == 3
 
 
-# the actions whose report comes from the library, as it is
-_LIBRARY_ACTIONS = {"decompose", "boolean counterexample-table", "rho exact", "rho mc",
-                    "verify-all"}
 _OUTPUT_FLAGS = {"--help", "--json", "--csv", "--out", "--emit-witness"}
-# a value for each option that some CLI-built action requires
+# a value for each option that some action requires but --in and --cross
 _REQUIRED_VALUES = {"--m": "10", "--a": "2", "--b": "3", "--i": "1", "--j": "2",
-                    "--n": "5", "--k": "2", "--word": "1101"}
-# family kind -> the options it reads
-_KIND_OPTIONS = {"hub-block": ["n", "k", "u"], "window-majority": ["n", "k", "r"],
-                 "star": ["n", "k"], "full": ["n", "k"], "fano": [],
-                 "run-dominance-lift": ["n", "k", "r"]}
+                    "--n": "5", "--k": "2", "--word": "1101", "--samples": "100"}
 
 
-def _actions():
-    """'<command> <action>' -> its parser, for every action of build_parser()."""
-    actions = {}
-    for command, command_parser in _subcommands(build_parser()).items():
-        subs = _subcommands(command_parser)
-        if not subs:
-            actions[command] = command_parser
-        actions.update({f"{command} {a}": p for a, p in subs.items()})
-    return actions
+# '<command> <action>', or '<command>' where it has no actions; the actions
+# under each, found by recursing, are the six kinds under 'family build'
+_ACTION_WORDS = sorted({" ".join(path[:2]) for path in _ACTIONS})
 
 
-@pytest.mark.parametrize("path", sorted(set(_actions()) - _LIBRARY_ACTIONS))
-def test_every_cli_built_report_records_exactly_its_declared_options(path, tmp_path):
+@pytest.mark.parametrize("words", _ACTION_WORDS)
+def test_every_cli_built_report_records_exactly_its_declared_options(words, tmp_path):
     fam_path, json_path = tmp_path / "fano.txt", tmp_path / "report.json"
-    assert run(["family", "build", "--kind", "fano", "--out", str(fam_path)]) == 0
-    parser = _actions()[path]
-    argv = []
-    for act in parser._actions:
-        if act.required and act.option_strings:
-            flag = act.option_strings[0]
-            argv += [flag, str(fam_path) if flag == "--in" else _REQUIRED_VALUES[flag]]
-    declared = [act.option_strings[-1] for act in parser._actions if act.option_strings]
-    expected = [flag[2:].replace("-", "_") for flag in declared if flag not in _OUTPUT_FLAGS]
-    runs = [([], expected)]
-    if path == "family build":
-        assert sorted(_declared(parser)["--kind"].choices) == sorted(_KIND_OPTIONS)
-        runs = [(["--kind", kind], ["kind", *options]) for kind, options in _KIND_OPTIONS.items()]
-    for extra, keys in runs:
-        assert run([*path.split(), *argv, *extra, "--json", str(json_path)]) == 0
+    save_family(fano_plane(), fam_path)
+    for path, parser in _ACTIONS.items():
+        if " ".join(path[:2]) != words:
+            continue
+        argv = []
+        for act in parser._actions:
+            if act.required and act.option_strings:
+                flag = act.option_strings[0]
+                argv += [flag, str(fam_path) if flag in ("--in", "--cross") else _REQUIRED_VALUES[flag]]
+            elif isinstance(act, argparse._StoreTrueAction):
+                argv.append(act.option_strings[0])  # verify-all then runs its quick ranges
+        declared = [act.option_strings[-1] for act in parser._actions if act.option_strings]
+        expected = [flag[2:].replace("-", "_") for flag in declared if flag not in _OUTPUT_FLAGS]
+        assert run([*path, *argv, "--json", str(json_path)]) == 0
         payload = json.loads(json_path.read_text())
-        assert payload["command"] == path.replace(" ", "-")
-        assert list(payload["parameters"]) == keys
+        payload = payload["reports"][-1] if "reports" in payload else payload  # verify-all's is last
+        assert payload["command"] == "-".join(path)
+        assert list(payload["parameters"]) == expected
+
+
+# library-backed action -> (its options, its parameters, the library call behind it)
+_LIBRARY_BACKED = {
+    "decompose": ("--in {fano}", {"in": "{fano}"}, lambda: verify_triangle_chain(fano_plane())),
+    "rho exact": ("--L 9", {"L": 9}, lambda: rho_distribution(9, "exact")),
+    "rho mc": ("--L 9 --samples 500 --seed 3", {"L": 9, "samples": 500, "seed": 3},
+               lambda: rho_distribution(9, "mc", 500, 3)),
+    "boolean counterexample-table": ("--r 2..4", {"r": "2..4"},
+                                     lambda: counterexample_table([2, 3, 4])),
+}
+
+
+@pytest.mark.parametrize("path", list(_LIBRARY_BACKED))
+def test_library_backed_actions_report_the_library_results_under_their_own_name(path, tmp_path):
+    fam_path, json_path = tmp_path / "fano.txt", tmp_path / "report.json"
+    save_family(fano_plane(), fam_path)
+    options, parameters, library = _LIBRARY_BACKED[path]
+    argv = [*path.split(), *options.format(fano=fam_path).split(), "--json", str(json_path)]
+    assert run(argv) == 0
+    got, want = json.loads(json_path.read_text()), library().to_json_dict()
+    assert got["command"] == path.replace(" ", "-")
+    assert got["parameters"] == {
+        name: value.format(fano=fam_path) if isinstance(value, str) else value
+        for name, value in parameters.items()
+    }
+    for key in ("results", "assertions", "notes", "seed"):
+        assert got[key] == want[key], key

@@ -13,5 +13,8 @@ def test_verify_all_quick_passes_every_criterion(tmp_path):
     summary = reports[-1]
     assert summary["command"] == "verify-all"
     assert [row["ok"] for row in summary["results"]["criteria"]] == [True] * len(CRITERIA)
+    assert [(a["name"], a["pass"]) for a in summary["assertions"]] == [
+        (f"criterion-{name}", True) for name, _ in CRITERIA
+    ]
     assert [rep["command"] for rep in reports[:-1]] == [f"criterion-{name}" for name, _ in CRITERIA]
     assert all(list(rep["parameters"].items())[0] == ("quick", True) for rep in reports[:-1])
