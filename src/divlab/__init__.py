@@ -1,7 +1,8 @@
 """divlab: exact desk-scale verification of intersecting-family diversity results.
 
 Modules:
-    bitfam        bitmask families, lex k-subset enumeration, degrees, diversity
+    bitfam        bitmask families, packed 2^n-point tables, lex k-subset
+                  enumeration, degrees, diversity
     constructions named family builders and junta lifts
     shiftlex      (i,j)-shifts and Kruskal-Katona lex machinery
     bounds        exact binomial bounds, inequality sweeps and the

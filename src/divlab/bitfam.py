@@ -6,10 +6,17 @@ word instruction.  A Family is a sorted, duplicate-free collection of such
 masks, optionally k-uniform.
 
 A family on few points can also be held as its packed table over the 2^n
-cube, 64 points to a little-endian word.  The intersecting and
-cross-intersecting checks share one dispatcher, ``_check_pairs``: a t = 1
-check with at least 2^n member pairs runs on the packed tables, as do
-booleanlab's dense checks; any other check scans the pairs, up to a cap.
+cube: point m (the mask of one subset) at bit m % 64 of word m // 64, the
+words little-endian and a table under 64 points one zero-padded word.  A
+coordinate b < 6 is thus a bit pattern repeated in every word, b >= 6 a
+pattern of whole words, and the weight of point m is popcount(m // 64) +
+popcount(m % 64).  This module owns that layout: ``pack_table``,
+``pack_members`` and ``unpack`` convert, and ``flip``, ``without``,
+``up_closure``, ``tables_meet`` and ``weight_histogram`` are its kernels.
+The intersecting and cross-intersecting checks share one dispatcher,
+``_check_pairs``: a t = 1 check with at least 2^n member pairs runs on the
+packed tables, as do booleanlab's dense checks; any other check scans the
+pairs, up to a cap.
 """
 
 from __future__ import annotations
@@ -52,8 +59,10 @@ KSUBSET_CAP = 1 << 26
 KSUBSET_CACHE_SETS = 1 << 16
 KSUBSET_CACHE_TABLES = 16
 
-# bit i of _LOW[b] is set iff bit b of i is clear, for in-word indices i < 64
+# for in-word indices i < 64: bit i of _LOW[b] is set iff bit b of i is
+# clear, and bit i of _WEIGHT[c] iff i has c bits set
 _LOW = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(6))
+_WEIGHT = tuple(np.uint64(sum(1 << i for i in range(64) if i.bit_count() == c)) for c in range(7))
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
@@ -159,8 +168,10 @@ def family_from_masks(
     if k is not None:
         if not 0 <= k <= n:
             raise ValueError(f"uniformity k={k} outside [0, {n}]")
-        if arr.size and not bool(np.all(np.bitwise_count(arr.view(np.uint64)) == k)):
-            raise ValueError(f"member with cardinality != k={k}")
+        off = np.flatnonzero(np.bitwise_count(arr.view(np.uint64)) != k)
+        if off.size:
+            bad = elements_of_mask(int(arr[off[0]]))
+            raise ValueError(f"set {list(bad)} has cardinality {len(bad)}, expected k={k}")
     return Family(n=n, k=k, members=arr)
 
 
@@ -219,35 +230,32 @@ def make_family(n: int, k: Optional[int], sets: Iterable[Iterable[int]]) -> Fami
     """
     if not 1 <= n <= MAX_GROUND:
         raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
-    masks = []
-    for s in sets:
-        mask = mask_from_elements(s, n)
-        if k is not None and mask.bit_count() != k:
-            raise ValueError(
-                f"set {sorted(elements_of_mask(mask))} has cardinality {mask.bit_count()}, expected k={k}"
-            )
-        masks.append(mask)
-    return family_from_masks(n, k, masks)
+    return family_from_masks(n, k, [mask_from_elements(s, n) for s in sets])
 
 
-def _packed(table: np.ndarray) -> tuple[np.ndarray, int]:
-    """A 2^j-point bool table as little-endian words, point m at bit m % 64
-    of word m // 64 (a table under 64 points is one zero-padded word), and j."""
+def pack_table(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """The packed table of a 2^j-point bool table, and j."""
     j = int(table.size).bit_length() - 1
     packed = np.packbits(table, bitorder="little")
     return np.pad(packed, (0, -packed.size % 8)).view("<u8"), j
 
 
-def _packed_members(members: np.ndarray, n: int) -> np.ndarray:
-    """The packed 2^n-point table of a mask array, as ``_packed`` lays it
-    out, set word by word with no 2^n-entry table in between."""
+def pack_members(members: np.ndarray, n: int) -> np.ndarray:
+    """The packed 2^n-point table of a mask array, set word by word with no
+    2^n-entry table in between."""
     words = np.zeros(max(1, (1 << n) >> 6), dtype="<u8")
     masks = members.view(np.uint64)
     np.bitwise_or.at(words, masks >> np.uint64(6), np.uint64(1) << (masks & np.uint64(63)))
     return words
 
 
-def _flip(words: np.ndarray, b: int) -> np.ndarray:
+def unpack(words: np.ndarray) -> np.ndarray:
+    """The ascending points set in a packed table."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
+
+
+def flip(words: np.ndarray, b: int) -> np.ndarray:
     """The packed table reindexed with coordinate b flipped: bit m of the
     result is bit m ^ 2^b of the input."""
     if b < 6:
@@ -256,7 +264,16 @@ def _flip(words: np.ndarray, b: int) -> np.ndarray:
     return words.reshape(-1, 2, 1 << (b - 6))[:, ::-1, :].reshape(-1)
 
 
-def _up_closure(words: np.ndarray, j: int) -> np.ndarray:
+def without(words: np.ndarray, b: int) -> np.ndarray:
+    """The packed table with every point holding coordinate b cleared."""
+    if b < 6:
+        return words & _LOW[b]
+    out = words.copy()
+    out.reshape(-1, 2, 1 << (b - 6))[:, 1, :] = 0
+    return out
+
+
+def up_closure(words: np.ndarray, j: int) -> np.ndarray:
     """Packed superset closure: bit m is set iff some member is contained in m."""
     up = words.copy()
     for b in range(min(j, 6)):
@@ -267,18 +284,30 @@ def _up_closure(words: np.ndarray, j: int) -> np.ndarray:
     return up
 
 
-def _tables_meet(a: np.ndarray, b: np.ndarray, j: int) -> bool:
+def tables_meet(a: np.ndarray, b: np.ndarray, j: int) -> bool:
     """True iff every point set in the packed 2^j-point table ``a`` meets
     every point set in ``b``: no point of a lies in the reversed up-closure
     of b, whose bit m is bit 2^j-1-m of the closure and is set iff some
     point of b is disjoint from m.  The reversal turns the word order and
     the bits of each word round, which leaves a table under 64 points in
     the top 2^j bits of its word."""
-    rev = _up_closure(b, j)[::-1]
+    rev = up_closure(b, j)[::-1]
     for bit in range(6):
-        rev = _flip(rev, bit)
+        rev = flip(rev, bit)
     rev >>= np.uint64(max(0, 64 - (1 << j)))
     return not bool(np.any(a & rev))
+
+
+def weight_histogram(words: np.ndarray, j: int) -> np.ndarray:
+    """Entry w counts the points of weight w set in the packed 2^j-point
+    table: those of in-word weight c in word q have weight c + popcount(q)."""
+    word_weight = np.bitwise_count(np.arange(words.size, dtype=np.uint32))
+    counts = np.zeros(j + 7, dtype=np.int64)
+    for c, mask in enumerate(_WEIGHT):
+        # exact: float64 holds every count up to 2^53
+        by_word = np.bincount(word_weight, np.bitwise_count(words & mask))
+        counts[c : c + by_word.size] += by_word.astype(np.int64)
+    return counts[: j + 1]
 
 
 def _pairs_meet(rows: np.ndarray, cols: np.ndarray, t: int, triangle: bool) -> bool:
@@ -306,8 +335,8 @@ def _check_pairs(rows: np.ndarray, cols: np.ndarray, n: int, t: int) -> bool:
     triangle = rows is cols
     pairs = rows.size * (rows.size - 1) // 2 if triangle else rows.size * cols.size
     if t == 1 and n <= MAX_TABLE_N and 1 << n <= pairs:
-        words = _packed_members(rows, n)
-        return _tables_meet(words, words if triangle else _packed_members(cols, n), n)
+        words = pack_members(rows, n)
+        return tables_meet(words, words if triangle else pack_members(cols, n), n)
     if pairs > PAIRWISE_CHECK_CAP:
         raise ResourceCapError(f"pairwise check refused for {pairs} > 2^31 member pairs")
     return _pairs_meet(rows, cols, t, triangle)
@@ -373,26 +402,17 @@ def stats(fam: Family) -> FamilyStats:
     over the byte values with bit b set (a product with _BYTE_BITS).
     """
     size = len(fam)
-    if size == 0:
-        return FamilyStats(
-            size=0,
-            degrees=tuple(0 for _ in range(fam.n)),
-            max_degree=0,
-            max_degree_element=None,
-            diversity=0,
-        )
     octets = np.ascontiguousarray(fam.members, dtype="<i8").view(np.uint8).reshape(-1, 8)
     counts: list[int] = []
     for byte in range((fam.n + 7) // 8):
         counts += (np.bincount(octets[:, byte], minlength=256) @ _BYTE_BITS).tolist()
     degrees = tuple(counts[: fam.n])
     max_degree = max(degrees)
-    max_elt = degrees.index(max_degree) + 1
     return FamilyStats(
         size=size,
         degrees=degrees,
         max_degree=max_degree,
-        max_degree_element=max_elt,
+        max_degree_element=degrees.index(max_degree) + 1 if size else None,
         diversity=size - max_degree,
     )
 

@@ -5,11 +5,9 @@ A junta spec is its membership table on the center cube (at most
 table.  Every value is one exact rational: a float bias is taken at its
 exact binary value, so ``float()`` of a result is correctly rounded.
 
-Measures, influences and the biased diversity are all read off one packed
-weight histogram (``_packed_weight_counts``): the table packed 64 points to
-a little-endian word, point m at bit m % 64 of word m // 64, so that the
-weight of a point is popcount(word index) + popcount(bit index).  The dense
-up-closure and intersection checks run on the same packed words.
+Measures, influences and the biased diversity are read off weight
+histograms of the table packed as the bitfam module lays it out, and the
+dense up-closure and intersection checks run on the same packed words.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitfam import _LOW, _flip, _packed, _tables_meet, _up_closure
+from .bitfam import flip, pack_table, tables_meet, up_closure, weight_histogram, without
 from .constructions import (
     MAX_R,
     JuntaSpec,
@@ -53,26 +51,10 @@ def _measure_from_weight_counts(counts: Sequence[int], j: int, p) -> Fraction:
     return Fraction(num, b**j)
 
 
-# bit i of _WEIGHT[c] is set iff the in-word index i has c bits set
-_WEIGHT = tuple(np.uint64(sum(1 << i for i in range(64) if i.bit_count() == c)) for c in range(7))
-
-
-def _packed_weight_counts(words: np.ndarray, j: int) -> np.ndarray:
-    """Weight histogram over 0..j of the points set in the packed table:
-    the points of in-word weight c in word q have weight c + popcount(q)."""
-    word_weight = np.bitwise_count(np.arange(words.size, dtype=np.uint32))
-    counts = np.zeros(j + 7, dtype=np.int64)
-    for c, mask in enumerate(_WEIGHT):
-        # exact: float64 holds every count up to 2^53
-        by_word = np.bincount(word_weight, np.bitwise_count(words & mask))
-        counts[c : c + by_word.size] += by_word.astype(np.int64)
-    return counts[: j + 1]
-
-
 def is_up_closed_table(table: np.ndarray) -> bool:
     """True iff the dense family table is closed under adding elements."""
-    words, j = _packed(table)
-    return np.array_equal(_up_closure(words, j), words)
+    words, j = pack_table(table)
+    return np.array_equal(up_closure(words, j), words)
 
 
 def is_intersecting_table(table: np.ndarray) -> bool:
@@ -80,8 +62,8 @@ def is_intersecting_table(table: np.ndarray) -> bool:
     with the single-member family {{}} vacuously intersecting."""
     if table[0] and np.count_nonzero(table) == 1:
         return True
-    words, j = _packed(table)
-    return _tables_meet(words, words, j)
+    words, j = pack_table(table)
+    return tables_meet(words, words, j)
 
 
 def spec_is_up_closed(spec: JuntaSpec) -> bool:
@@ -92,14 +74,14 @@ def spec_is_intersecting(spec: JuntaSpec) -> bool:
     return is_intersecting_table(spec.membership_table())
 
 
-def _member_weight_counts(spec: JuntaSpec) -> np.ndarray:
-    words, j = _packed(spec.membership_table())
-    return _packed_weight_counts(words, j)
+def weight_counts(spec: JuntaSpec) -> np.ndarray:
+    """Entry w is the number of members of weight w on the center cube."""
+    return weight_histogram(*pack_table(spec.membership_table()))
 
 
 def biased_measure(spec: JuntaSpec, p) -> Fraction:
     """Total bias-p measure of the defining family on its center cube."""
-    return _measure_from_weight_counts(_member_weight_counts(spec), spec.center_size, p)
+    return _measure_from_weight_counts(weight_counts(spec), spec.center_size, p)
 
 
 def measure_derivative(spec: JuntaSpec, p) -> Fraction:
@@ -111,16 +93,10 @@ def measure_derivative(spec: JuntaSpec, p) -> Fraction:
     p = a/b, one integer numerator over b^(j-1).  By Russo's lemma it equals
     the total influence when the family is closed upward.
     """
-    c = _member_weight_counts(spec)
+    c = weight_counts(spec)
     j = spec.center_size
     d = [(v + 1) * c[v + 1] - (j - v) * c[v] for v in range(j)]
     return _measure_from_weight_counts(d, j - 1, p)
-
-
-def _pivotal_counts(words: np.ndarray, j: int, b: int) -> np.ndarray:
-    """Weight histogram of the points whose membership flips with coordinate
-    b, in the packed table.  Independent of the bias."""
-    return _packed_weight_counts(words ^ _flip(words, b), j)
 
 
 def _is_cyclic(table: np.ndarray) -> bool:
@@ -141,13 +117,14 @@ def _prepared(spec: JuntaSpec) -> tuple[np.ndarray, int, range]:
     """The spec's packed table, its center size and the coordinates whose
     values need computing, shared by the quantities read from one spec."""
     table = spec.membership_table()
-    words, j = _packed(table)
+    words, j = pack_table(table)
     return words, j, _coordinates(table, j)
 
 
 def _influences(words: np.ndarray, j: int, coordinates: range, p) -> list[Fraction]:
     """The influence of every coordinate: a cyclic table's one value j times."""
-    per = [_measure_from_weight_counts(_pivotal_counts(words, j, b), j, p) for b in coordinates]
+    pivotal = (weight_histogram(words ^ flip(words, b), j) for b in coordinates)
+    per = [_measure_from_weight_counts(counts, j, p) for counts in pivotal]
     return per * (j // len(per))
 
 
@@ -160,18 +137,9 @@ def total_influence(spec: JuntaSpec, p) -> InfluenceProfile:
     return InfluenceProfile(per_coordinate=tuple(per), total=sum(per, Fraction(0)))
 
 
-def _without(words: np.ndarray, b: int) -> np.ndarray:
-    """The packed table with every point containing coordinate b cleared."""
-    if b < 6:
-        return words & _LOW[b]
-    out = words.copy()
-    out.reshape(-1, 2, 1 << (b - 6))[:, 1, :] = 0
-    return out
-
-
 def _diversity(words: np.ndarray, j: int, coordinates: range, p) -> Fraction:
     return min(
-        _measure_from_weight_counts(_packed_weight_counts(_without(words, b), j), j, p)
+        _measure_from_weight_counts(weight_histogram(without(words, b), j), j, p)
         for b in coordinates
     )
 
@@ -226,7 +194,7 @@ def counterexample_table(r_values: Sequence[int]) -> Report:
                     "r": r,
                     "p": p,
                     "family": name,
-                    "mu": _measure_from_weight_counts(_packed_weight_counts(words, j), j, p),
+                    "mu": _measure_from_weight_counts(weight_histogram(words, j), j, p),
                     "gamma_p": gp,
                     "deficit": (1 - p) / 2 - gp,
                     "total_influence": sum(_influences(words, j, coordinates, p), Fraction(0)),

@@ -83,12 +83,13 @@ def _bias_option(text: str) -> Fraction:
 
 def parse_r_range(text: str) -> list[int]:
     """'2..10' -> [2,...,10]; '5' -> [5]; '2,5,7' -> [2,5,7]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in text:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
         return [int(x) for x in text.split(",") if x]
-    return [int(text)]
+    except ValueError:
+        raise ValueError(f"bad r range: {text!r}") from None
 
 
 def word_from_string(text: str) -> tuple[int, int]:

@@ -29,12 +29,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bitfam import MAX_TABLE_N
+from .bitfam import MAX_GROUND, MAX_TABLE_N
 from .errors import ResourceCapError
 from .report import Report
 
 EXACT_CAP_L = 25  # a time cap: _exact_counts builds no table
-MAX_L = 63
 # A Monte Carlo cell is compared with its exact value where the sample expects
 # at least this many hits (and, for a probability, this many misses), at this
 # many standard errors: a false alarm is about 2e-9 a cell.
@@ -76,8 +75,8 @@ def _tie(ones: tuple[int, ...], zeros: tuple[int, ...]) -> int:
 
 
 def _check_word(word: int, length: int) -> None:
-    if not 1 <= length <= MAX_L:
-        raise ValueError(f"word length {length} outside [1, {MAX_L}]")
+    if not 1 <= length <= MAX_GROUND:
+        raise ValueError(f"word length {length} outside [1, {MAX_GROUND}]")
     if word < 0 or word >> length:
         raise ValueError(f"word {word:#x} has bits outside its length {length}")
 
@@ -333,12 +332,14 @@ def rho_distribution(
     running totals, so its memory is one block whatever ``samples`` is, and
     ``samples`` sets only the time; the blocks continue one generator stream,
     so the words are those of a single draw.  Only mc mode consumes a seed and
-    a sample count, so only mc reports record them.
+    a sample count, so only mc reports record them and exact mode refuses them.
     """
     report = Report(command="rho-dist", parameters={"L": length, "mode": mode})
     _check_word(0, length)
     kmax = length // 2
     if mode == "exact":
+        if samples is not None or seed is not None:
+            raise ValueError("exact mode reads no samples or seed")
         hist, nrun_sums, dominant = _exact_counts(length)
         total, nrun_sumsq = 1 << length, None
     elif mode == "mc":

@@ -4,9 +4,9 @@ The lex order used here puts A before B iff min(A \\ B) < min(B \\ A); the
 initial segment of that order on k-sets therefore starts at {1,...,k}.
 
 On n <= CUBE_N points, ``shift_closure`` and ``is_shifted`` hold a family
-as one Python int over the 2^n cube, bit m set iff mask m is a member, and
-take each (i,j)-shift as whole-cube operations (``_cube_step``).  Larger
-ground sets shift the sorted mask array.
+as one Python int over the 2^n cube, the bits of its packed table as
+bitfam lays it out, and take each (i,j)-shift as whole-cube operations
+(``_cube_step``).  Larger ground sets shift the sorted mask array.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import numpy as np
 from .bitfam import (
     MAX_GROUND,
     Family,
-    _packed_members,
     family_from_masks,
     ksubset_masks,
+    pack_members,
+    unpack,
 )
 
 # Largest n whose families are shifted on the 2^n cube.  Against the mask
@@ -50,16 +51,9 @@ def _shift(members: np.ndarray, i: int, j: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)  # at most CUBE_N entries, 28 KB at n = 14
 def _cube_elements(n: int) -> tuple[int, ...]:
-    """Entry b is the cube bitset of the subsets of [n] holding element
-    b + 1: bit m is set iff bit b of m is, so the bits run 2^b clear then
-    2^b set, and that period doubles until it spans the 2^n bits."""
-    out = []
-    for b in range(n):
-        mask, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
-        while width < 1 << n:
-            mask, width = mask | mask << width, width << 1
-        out.append(mask)
-    return tuple(out)
+    """Entry b is the cube bitset of the subsets of [n] holding element b + 1."""
+    points = np.arange(1 << n)
+    return tuple(_to_cube(points[points >> b & 1 == 1], n) for b in range(n))
 
 
 def _cube_step(cube: int, holds: tuple[int, ...], i: int, j: int) -> tuple[int, int]:
@@ -76,13 +70,12 @@ def _cube_step(cube: int, holds: tuple[int, ...], i: int, j: int) -> tuple[int, 
 
 
 def _to_cube(members: np.ndarray, n: int) -> int:
-    return int.from_bytes(_packed_members(members, n).tobytes(), "little")
+    return int.from_bytes(pack_members(members, n).tobytes(), "little")
 
 
 def _from_cube(cube: int, n: int) -> np.ndarray:
     """The ascending masks of the cube bitset's members."""
-    raw = np.frombuffer(cube.to_bytes(max(8, (1 << n) >> 3), "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    return unpack(np.frombuffer(cube.to_bytes(max(8, (1 << n) >> 3), "little"), dtype="<u8"))
 
 
 def _refamily(fam: Family, members: np.ndarray) -> Family:

@@ -79,6 +79,31 @@ def test_make_family_errors(n, k, sets, err):
         make_family(n, k, sets)
 
 
+def test_family_from_masks_names_the_set_of_the_wrong_cardinality():
+    # both entry points give the one message, from family_from_masks
+    want = r"set \[1, 2\] has cardinality 2, expected k=3"
+    with pytest.raises(ValueError, match=want):
+        make_family(7, 3, [{1, 2, 4}, {1, 2}])
+    with pytest.raises(ValueError, match=want):
+        family_from_masks(7, 3, [0b1011, 0b11])
+
+
+@pytest.mark.parametrize("n", [0, 3, 6, 7, 10])
+def test_packed_tables_hold_point_m_at_bit_m_mod_64_of_word_m_div_64(n):
+    rng = np.random.default_rng(n)
+    table = rng.random(1 << n) < 0.4
+    points = np.flatnonzero(table)
+    words, j = bitfam.pack_table(table)
+    assert j == n and words.size == max(1, (1 << n) // 64)
+    for m in range(1 << n):
+        assert bool(int(words[m // 64]) >> (m % 64) & 1) == table[m]
+    assert np.array_equal(bitfam.pack_members(points, n), words)
+    assert np.array_equal(bitfam.unpack(words), points)
+    for b in range(n):
+        assert np.array_equal(bitfam.unpack(bitfam.flip(words, b)), np.sort(points ^ (1 << b)))
+        assert np.array_equal(bitfam.unpack(bitfam.without(words, b)), points[points >> b & 1 == 0])
+
+
 def test_is_t_intersecting_examples():
     tri = make_family(3, 2, [{1, 2}, {1, 3}, {2, 3}])
     assert is_t_intersecting(tri, 1)
@@ -160,7 +185,7 @@ def test_packed_and_pairwise_checks_agree_at_the_switch(monkeypatch, n):
             fam = family_from_masks(n, None, masks)
             packed = n <= MAX_TABLE_N and len(fam) >= m
             with monkeypatch.context() as mp:
-                mp.setattr(bitfam, "_pairs_meet" if packed else "_tables_meet", _refuse)
+                mp.setattr(bitfam, "_pairs_meet" if packed else "tables_meet", _refuse)
                 got = is_t_intersecting(fam, 1)
             if n <= 12:
                 assert got == pairwise_t_intersecting(family_as_sets(fam), 1)
@@ -190,7 +215,7 @@ def test_packed_and_pairwise_checks_agree_at_the_switch(monkeypatch, n):
             fam, cross = family_from_masks(n, None, masks), family_from_masks(n, None, other)
             packed = n <= MAX_TABLE_N and len(fam) * len(cross) >= 1 << n
             with monkeypatch.context() as mp:
-                mp.setattr(bitfam, "_pairs_meet" if packed else "_tables_meet", _refuse)
+                mp.setattr(bitfam, "_pairs_meet" if packed else "tables_meet", _refuse)
                 got = are_cross_intersecting(fam, cross)
                 assert are_cross_intersecting(cross, fam) == got
             if n <= 12:
@@ -237,7 +262,7 @@ def test_is_t_intersecting_across_row_blocks(monkeypatch, t):
     # runs the row-block scan, which the patch makes sure of
     for n in (13, MAX_TABLE_N + 1):
         if n > MAX_TABLE_N:
-            monkeypatch.setattr(bitfam, "_tables_meet", _refuse)
+            monkeypatch.setattr(bitfam, "tables_meet", _refuse)
         for masks in cases:
             fam = family_from_masks(n, None, masks)
             want = pairwise_t_intersecting(family_as_sets(fam), t)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab import booleanlab as bl
+from divlab.bitfam import flip, pack_table, weight_histogram, without
 from divlab.bounds import binom
 from divlab.constructions import (
     JuntaSpec,
@@ -291,17 +292,19 @@ def test_dense_checks_on_empty_and_only_empty_set(j):
 def assert_packed_counts_match_unpacked(table):
     """Weight counts of the members, of the pivotal points of every
     coordinate and of the members avoiding it, and the biased diversity."""
-    words, j = bl._packed(table)
+    words, j = pack_table(table)
     members = np.flatnonzero(table)
-    assert np.array_equal(bl._packed_weight_counts(words, j), weight_counts_of_masks(members, j))
+    assert np.array_equal(weight_histogram(words, j), weight_counts_of_masks(members, j))
     for b in range(j):
-        assert np.array_equal(bl._pivotal_counts(words, j, b), pivotal_counts_unpacked(table, j, b))
+        pivotal = words ^ flip(words, b)
+        assert np.array_equal(weight_histogram(pivotal, j), pivotal_counts_unpacked(table, j, b))
         assert np.array_equal(
-            bl._packed_weight_counts(bl._without(words, b), j),
+            weight_histogram(without(words, b), j),
             avoiding_counts_unpacked(table, j, b),
         )
     if j:
         spec = JuntaSpec(table)
+        assert np.array_equal(bl.weight_counts(spec), weight_counts_of_masks(members, j))
         p = Fraction(2, 5)
         want = min(
             bl._measure_from_weight_counts(avoiding_counts_unpacked(table, j, b), j, p)

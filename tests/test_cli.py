@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,14 @@ def test_parse_r_range():
     assert parse_r_range("2..5") == [2, 3, 4, 5]
     assert parse_r_range("7") == [7]
     assert parse_r_range("2,4,9") == [2, 4, 9]
+    for bad in ("2..", "..5", "2,x", "x"):
+        with pytest.raises(ValueError, match=rf"^bad r range: '{re.escape(bad)}'$"):
+            parse_r_range(bad)
+
+
+def test_open_r_range_is_a_usage_error_that_names_it(capsys):
+    assert run(["boolean", "counterexample-table", "--r", "2.."]) == 2
+    assert "usage error: bad r range: '2..'" in capsys.readouterr().err
 
 
 def test_word_from_string():

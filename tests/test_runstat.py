@@ -257,6 +257,12 @@ def test_rho_distribution_caps_and_validation():
         rho_distribution(11, "bogus")
 
 
+@pytest.mark.parametrize("unread", [{"samples": 5}, {"seed": 3}, {"samples": 5, "seed": 3}])
+def test_exact_rho_refuses_the_samples_and_seed_it_does_not_read(unread):
+    with pytest.raises(ValueError, match="exact mode reads no samples or seed"):
+        rho_distribution(9, "exact", **unread)
+
+
 @pytest.mark.parametrize("length", range(1, 21))
 def test_exact_scan_matches_full_word_scan(length):
     # the counts from run-partition pairs against a scan of every word,
