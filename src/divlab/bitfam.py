@@ -50,6 +50,15 @@ _BYTE_BITS = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
 ).astype(np.int64)
 
+# stats sums _SPREAD over the bytes of each member below this many members,
+# where the fixed cost of a byte histogram is the larger (on one Xeon core
+# the two cross at about 30 members for n <= 11, 24 at n = 20, 16 at n = 63)
+SMALL_STATS_MEMBERS = 20
+
+# _SPREAD[v] holds bit b of the byte value v at bit 16b: a sum of fewer than
+# 2^16 of them keeps each count in its own 16-bit field
+_SPREAD = tuple(sum(1 << (16 * b) for b in range(8) if v >> b & 1) for v in range(256))
+
 # Largest C(n, k) that ksubset_masks materialises.
 KSUBSET_CAP = 1 << 26
 
@@ -393,20 +402,39 @@ def intersection_rows(masks: np.ndarray, sources: Optional[np.ndarray] = None) -
     return rows
 
 
+def _octets(members: np.ndarray) -> np.ndarray:
+    """Row i holds the 8 bytes of mask i, little-endian whatever the host's
+    byte order: bit b of byte B is element 8B + b + 1."""
+    return np.ascontiguousarray(members, dtype="<i8").view(np.uint8).reshape(-1, 8)
+
+
 def stats(fam: Family) -> FamilyStats:
     """Degrees, max degree (smallest element on ties) and diversity.
 
-    Every degree comes from one histogram per byte of the masks, read
-    little-endian whatever the host's byte order: bit b of byte B is
-    element 8B + b + 1, so that element's degree is the histogram's count
-    over the byte values with bit b set (a product with _BYTE_BITS).
+    Bit b of byte B of a mask is element 8B + b + 1.  From
+    SMALL_STATS_MEMBERS members on, every degree comes from one histogram
+    per byte of the masks (``_octets``): an element's degree is the
+    histogram's count over the byte values with its bit set (a product with
+    _BYTE_BITS).  A smaller family sums _SPREAD[v] << 128B over the byte
+    values v of its members, which leaves the degree of element e + 1 in the
+    16-bit field e.
     """
     size = len(fam)
-    octets = np.ascontiguousarray(fam.members, dtype="<i8").view(np.uint8).reshape(-1, 8)
-    counts: list[int] = []
-    for byte in range((fam.n + 7) // 8):
-        counts += (np.bincount(octets[:, byte], minlength=256) @ _BYTE_BITS).tolist()
-    degrees = tuple(counts[: fam.n])
+    if size < SMALL_STATS_MEMBERS:
+        total = 0
+        for mask in fam.members.tolist():
+            shift = 0
+            while mask:
+                total += _SPREAD[mask & 255] << shift
+                mask >>= 8
+                shift += 128
+        degrees = tuple(total >> (16 * e) & 0xFFFF for e in range(fam.n))
+    else:
+        octets = _octets(fam.members)
+        counts: list[int] = []
+        for byte in range((fam.n + 7) // 8):
+            counts += (np.bincount(octets[:, byte], minlength=256) @ _BYTE_BITS).tolist()
+        degrees = tuple(counts[: fam.n])
     max_degree = max(degrees)
     return FamilyStats(
         size=size,
@@ -423,11 +451,24 @@ def family_to_text(fam: Family) -> str:
     First line ``n=<n> k=<k|->``, then one set per line as comma-separated
     ascending elements; the empty set is the line ``-`` (a blank line would
     be skipped on parse).  Round-trips bit-exactly through family_from_text.
+    A member's line joins the texts of its nonzero bytes, looked up by byte
+    value in a table per byte position.
     """
+    nbytes = (fam.n + 7) // 8
+    texts = [_byte_text(byte) for byte in range(nbytes)]
     lines = [f"n={fam.n} k={fam.k if fam.k is not None else '-'}"]
-    for m in fam.members:
-        lines.append(",".join(str(e) for e in elements_of_mask(m)) or "-")
+    for row in _octets(fam.members)[:, :nbytes].tolist():
+        lines.append(",".join([text[v] for text, v in zip(texts, row) if v]) or "-")
     return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_text(byte: int) -> tuple[str, ...]:
+    """Entry v: the elements of the byte value v at byte ``byte`` of a mask,
+    comma-separated and ascending."""
+    return tuple(
+        ",".join(str(8 * byte + b + 1) for b in range(8) if v >> b & 1) for v in range(256)
+    )
 
 
 def family_from_text(text: str) -> Family:

@@ -82,14 +82,19 @@ def _bias_option(text: str) -> Fraction:
 
 
 def parse_r_range(text: str) -> list[int]:
-    """'2..10' -> [2,...,10]; '5' -> [5]; '2,5,7' -> [2,5,7]."""
+    """'2..10' -> [2,...,10]; '5' -> [5]; '2,5,7' -> [2,5,7]; a text that
+    names no value, such as '5..2' or ',,', is refused."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in text.split(",") if x]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise ValueError(f"bad r range: {text!r}") from None
+        values = []
+    if not values:
+        raise ValueError(f"bad r range: {text!r}")
+    return values
 
 
 def word_from_string(text: str) -> tuple[int, int]:

@@ -7,10 +7,11 @@ run-length sequences (ones-runs, zeros-runs).  The profile comparison rule
 unequal lengths) defines the run-dominance junta families; the tie-length
 statistic measures how many leading run lengths the two profiles share.
 Sampled words go through a vectorized scan, drawn and scanned one block at
-a time, so Monte Carlo memory is one block whatever the sample count: the
-count sets only the time.  The exact statistics over all 2^L words depend
-only on the run multisets, so they are counted from pairs of partitions,
-with no word enumerated.
+a time, with the long-run tails of many blocks pooled and scanned together,
+so Monte Carlo memory is a block plus at most one block of pooled
+survivors whatever the sample count: the count sets only the time.  The
+exact statistics over all 2^L words depend only on the run multisets, so
+they are counted from pairs of partitions, with no word enumerated.
 
 The run-dominance table (``in_t_table``) decides each word by the sign of
 one integer key, sum W[len] over ones-runs minus sum W[len] over zeros-runs.
@@ -42,6 +43,11 @@ MC_TOLERANCE_SE = 6.0
 # words per Monte Carlo block: its state arrays stay in cache, and no array
 # holds more than one block, so memory does not grow with the sample count
 _BLOCK = 1 << 16
+# A block is scanned whole while more than this share of its words is live,
+# and its live words are then pooled: at L = 25, 9.3 % of the words are live
+# after step 7.  Shares from 1/16 to 1/4 took the same time at L = 13, 25
+# and 63 on one Xeon core; 3/4 took about a third longer at L = 25.
+_POOL_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -103,63 +109,133 @@ def run_profile(word: int, length: int) -> RunProfile:
 # ---------------------------------------------------------------------------
 
 
-def _scan_block(words: np.ndarray, length: int):
-    """Tie-length histogram and run-count sums of a word block.
+class _RunScan:
+    """Tie-length histogram and run-count sums over a stream of word blocks.
 
-    Returns (tie_hist, nrun_sums, nrun_sumsq): tie_hist over 0..length//2 + 1,
-    nrun_sums[t] the sum over words of N(t) = number of maximal runs of
-    length >= t, and nrun_sumsq[t] the sum of N(t)^2.
+    ``tie_hist`` is over 0..length//2 + 1, ``nrun_sums[t]`` the sum over
+    words of N(t) = number of maximal runs of length >= t, and
+    ``nrun_sumsq[t]`` the sum of N(t)^2.  ``add`` scans one block and
+    ``finish`` what is left in the pool.  The totals are integer sums over
+    words, so they do not depend on the order the words are scanned in.
 
     After step t, bit p of acc1 (acc0) is set iff positions p..p+t all hold
     a 1 (a 0).  A run of length r >= t holds r - t + 1 windows of length t
     and r - t of length t + 1, so step t counts the ones-runs of length >= t
-    as nu = popcount(acc1) before minus after; likewise nz for zeros, and a
-    constant word counts one run at every t.  nu and nz only fall as t grows,
-    so the last t where they differ fixes the tie, min(nu, nz); a full tie
-    (even length only) keeps tie nu(1).  A word whose runs are used up
-    (acc1 | acc0 == 0) has nu = nz = 0 at every larger t: it adds nothing
-    more and its tie is final, so it is counted into the histogram and
-    dropped from the scan, in one batch once a quarter of the words left are
-    used up, and every word at t = length.
+    as nu = popcount(acc1) before minus after; likewise nz for zeros.  nu and
+    nz only fall as t grows, so the last t where they differ fixes the tie,
+    min(nu, nz); a full tie (even length only) keeps tie nu(1).
+
+    A constant word is one run of length ``length``, with tie 0, so it adds
+    1 to every N(t).  These are the words with nu(1) = 0: they are counted
+    in closed form and dropped after step 1.  Every other word's runs are
+    shorter than ``length``.  A word whose runs are used up (acc1 | acc0 ==
+    0) has nu = nz = 0 at every larger t: it adds nothing more and its tie
+    is final.  No word is live after step length - 1, so a scan ends when
+    none is.
+
+    A block is scanned whole while more than _POOL_SHARE of its words is
+    live.  Its finished words are then counted into the histogram and its
+    live words join a pool of at most _BLOCK words at one step, so the long
+    tail of many blocks pays the fixed cost of a step once.  The pool is
+    scanned to the end when the next block's survivors do not fit or stand
+    at another step, and by ``finish``, dropping its finished words each
+    time a quarter of those left are done.
     """
-    dt = words.dtype.type
-    full = dt((1 << length) - 1)
-    one, high = dt(1), dt(length - 1)
-    rot1, acc1, acc0 = words.copy(), words.copy(), ~words & full
-    cnt1, cnt0 = np.bitwise_count(acc1), np.bitwise_count(acc0)
-    tie_hist = np.zeros(length // 2 + 2, dtype=np.int64)
-    nrun_sums = np.zeros(length + 1, dtype=np.int64)
-    nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
-    for t in range(1, length + 1):
-        rot1 = (rot1 >> one) | ((rot1 & one) << high)
-        acc1 &= rot1
-        acc0 &= ~rot1
-        nu, cnt1 = cnt1, np.bitwise_count(acc1)
-        nz, cnt0 = cnt0, np.bitwise_count(acc0)
-        nu -= cnt1
-        nz -= cnt0
-        nu += cnt1 == length
-        nz += cnt0 == length
-        both = nu + nz
-        nrun_sums[t] = both.sum(dtype=np.int64)
-        both = both.astype(np.uint16)  # both <= 64, so both^2 fits
-        nrun_sumsq[t] = (both * both).sum(dtype=np.int64)
-        if t == 1:
-            tie = nu.copy()
-        # where nu != nz: tie = min(nu, nz); arithmetic (exact mod 256) is
-        # several times faster than a masked copy
-        low = np.minimum(nu, nz)
-        tie = low + (tie - low) * (nu == nz)
-        live = np.logical_or(cnt1, cnt0) & (t < length)
-        if 4 * (live.size - np.count_nonzero(live)) >= live.size:
-            # the finished words' counts: all words' less the kept words'
-            # (a boolean mask of the finished words is several times slower)
-            tie_hist += np.bincount(tie, minlength=tie_hist.size)
-            keep = np.flatnonzero(live)
-            state = (rot1, acc1, acc0, cnt1, cnt0, tie)
-            rot1, acc1, acc0, cnt1, cnt0, tie = (a[keep] for a in state)
-            tie_hist -= np.bincount(tie, minlength=tie_hist.size)
-    return tie_hist, nrun_sums, nrun_sumsq
+
+    def __init__(self, length: int, dtype) -> None:
+        self.length = length
+        self.tie_hist = np.zeros(length // 2 + 2, dtype=np.int64)
+        self.nrun_sums = np.zeros(length + 1, dtype=np.int64)
+        self.nrun_sumsq = np.zeros(length + 1, dtype=np.int64)
+        # rot1, acc1, acc0, cnt1, cnt0 and tie of the pooled words
+        self.pool = [np.empty(_BLOCK, dtype=d) for d in (dtype,) * 3 + (np.uint8,) * 3]
+        self.fill = self.step = 0
+
+    def add(self, words: np.ndarray) -> None:
+        """Scan a block of at most _BLOCK words, pooling its long-run tail."""
+        state, t = self._steps(self._first_step(words), 1, int(words.size * _POOL_SHARE))
+        size = state[0].size
+        if not size:
+            return
+        if self.fill and (self.step != t or self.fill + size > _BLOCK):
+            self.finish()
+        for buf, part in zip(self.pool, state):
+            buf[self.fill : self.fill + size] = part
+        self.fill += size
+        self.step = t
+
+    def finish(self) -> None:
+        """Scan the pooled words to the end and empty the pool."""
+        state, t = tuple(buf[: self.fill] for buf in self.pool), self.step
+        while state[0].size:
+            state, t = self._steps(state, t, 3 * state[0].size // 4)
+        self.fill = 0
+
+    def _first_step(self, words: np.ndarray):
+        """Step 1 of a block, where nu = nz (the runs of the two bits
+        alternate round the circle) is the tie: the scan state of the words
+        that are not constant."""
+        dt = words.dtype.type
+        one, high, full = dt(1), dt(self.length - 1), dt((1 << self.length) - 1)
+        rot1 = (words >> one) | ((words & one) << high)
+        acc1, acc0 = words & rot1, ~(words | rot1) & full
+        cnt1, cnt0 = np.bitwise_count(acc1), np.bitwise_count(acc0)
+        nu = np.bitwise_count(words) - cnt1
+        self._add_counts(1, nu, nu)
+        state = (rot1, acc1, acc0, cnt1, cnt0, nu)
+        constant = words.size - np.count_nonzero(nu)
+        if constant:
+            self.tie_hist[0] += constant
+            self.nrun_sums[1:] += constant
+            self.nrun_sumsq[1:] += constant
+            keep = np.flatnonzero(nu)
+            state = tuple(a[keep] for a in state)
+        return state
+
+    def _add_counts(self, t: int, nu: np.ndarray, nz: np.ndarray) -> None:
+        # N(t) <= length <= 63, so N(t)^2 fits in 16 bits, and an array holds
+        # at most _BLOCK = 2^16 words, so its sum fits in 32
+        both = np.add(nu, nz, dtype=np.uint16)
+        self.nrun_sums[t] += int(both.sum(dtype=np.uint32))
+        both *= both
+        self.nrun_sumsq[t] += int(both.sum(dtype=np.uint32))
+
+    def _steps(self, state, t: int, until: int):
+        """Scan steps t + 1, t + 2, ... of the words in ``state`` until at
+        most ``until`` of them are live; count the finished words' ties and
+        return the live words' state and the last step."""
+        rot1, acc1, acc0, cnt1, cnt0, tie = state
+        if not rot1.size:
+            return state, t
+        dt = rot1.dtype.type
+        one, high = dt(1), dt(self.length - 1)
+        spare = np.empty_like(rot1)
+        while True:
+            t += 1
+            np.bitwise_and(rot1, one, out=spare)
+            spare <<= high
+            rot1 >>= one
+            rot1 |= spare
+            acc1 &= rot1
+            acc0 &= np.invert(rot1, out=spare)
+            nu, cnt1 = cnt1, np.bitwise_count(acc1)
+            nz, cnt0 = cnt0, np.bitwise_count(acc0)
+            nu -= cnt1
+            nz -= cnt0
+            self._add_counts(t, nu, nz)
+            # where nu != nz: tie = min(nu, nz); arithmetic (exact mod 256) is
+            # several times faster than a masked copy
+            low = np.minimum(nu, nz)
+            tie = low + (tie - low) * (nu == nz)
+            live = np.logical_or(cnt1, cnt0)
+            if np.count_nonzero(live) <= until:
+                break
+        # the finished words' ties: all words' less the live words'
+        self.tie_hist += np.bincount(tie, minlength=self.tie_hist.size)
+        keep = np.flatnonzero(live)
+        state = tuple(a[keep] for a in (rot1, acc1, acc0, cnt1, cnt0, tie))
+        self.tie_hist -= np.bincount(state[-1], minlength=self.tie_hist.size)
+        return state, t
 
 
 def _partitions(total: int, parts: int, largest: int):
@@ -199,7 +275,7 @@ def _exact_counts(length: int):
 
     Returns (tie_hist, nrun_sums, dominant): the tie histogram over
     0..length//2 + 1 and the run-count sums over t = 0..length as int64
-    arrays, equal to those of ``_scan_block`` over every word, and the
+    arrays, equal to those of ``_RunScan`` over every word, and the
     number of dominant words.
     """
     if length > EXACT_CAP_L:
@@ -329,10 +405,11 @@ def rho_distribution(
     their run-partition pairs (length <= 25); mc mode draws ``samples`` words
     from a counter-based generator keyed by ``seed`` (default 0) and reports
     standard errors.  It draws and scans ``_BLOCK`` words at a time and keeps
-    running totals, so its memory is one block whatever ``samples`` is, and
-    ``samples`` sets only the time; the blocks continue one generator stream,
-    so the words are those of a single draw.  Only mc mode consumes a seed and
-    a sample count, so only mc reports record them and exact mode refuses them.
+    running totals, so its memory is a block plus at most one block of pooled
+    survivors (``_RunScan``) whatever ``samples`` is, and ``samples`` sets
+    only the time; the blocks continue one generator stream, so the words are
+    those of a single draw.  Only mc mode consumes a seed and a sample count,
+    so only mc reports record them and exact mode refuses them.
     """
     report = Report(command="rho-dist", parameters={"L": length, "mode": mode})
     _check_word(0, length)
@@ -349,11 +426,12 @@ def rho_distribution(
         report.seed = seed = 0 if seed is None else seed
         rng = np.random.Generator(np.random.Philox(key=seed))
         dtype = np.uint32 if length <= 30 else np.uint64
-        totals = [0, 0, 0]
+        scan = _RunScan(length, dtype)
         for start in range(0, samples, _BLOCK):
             words = rng.integers(0, 1 << length, size=min(_BLOCK, samples - start), dtype=np.uint64)
-            totals = [a + b for a, b in zip(totals, _scan_block(words.astype(dtype), length))]
-        hist, nrun_sums, nrun_sumsq = totals
+            scan.add(words.astype(dtype))
+        scan.finish()
+        hist, nrun_sums, nrun_sumsq = scan.tie_hist, scan.nrun_sums, scan.nrun_sumsq
         total = samples
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -35,6 +35,13 @@ def diversity_by_scan(sets, n):
     return len(sets) - max(degrees_by_scan(sets, n).values())
 
 
+def family_text_by_elements(fam):
+    """The family text format, written member by member from element tuples."""
+    lines = [f"n={fam.n} k={fam.k if fam.k is not None else '-'}"]
+    lines += [",".join(map(str, s)) or "-" for s in fam.member_sets()]
+    return "\n".join(lines) + "\n"
+
+
 def pairwise_t_intersecting(sets, t):
     return all(len(a & b) >= t for a, b in combinations(sets, 2))
 

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -35,6 +36,7 @@ from oracles import (
     degrees_by_scan,
     diversity_by_scan,
     family_as_sets,
+    family_text_by_elements,
     pairwise_t_intersecting,
 )
 
@@ -341,6 +343,27 @@ def test_stats_empty():
     assert st_.max_degree_element is None
 
 
+@pytest.mark.parametrize("n", [7, 9, 20, 63])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_stats_match_scan_oracle_at_the_small_family_switch(monkeypatch, n, offset):
+    # either side of the member count where stats leaves its spread-table
+    # sum for the byte histograms; n > 8 puts more than one byte in a mask
+    size = bitfam.SMALL_STATS_MEMBERS + offset
+    rng = random.Random(100 * n + offset)
+    masks = rng.sample(range(1 << (n - 1)), size - 1) + [(1 << n) - 1]
+    fam = family_from_masks(n, None, masks)
+    assert len(fam) == size
+    deg = degrees_by_scan(family_as_sets(fam), n)
+    want = [deg[e] for e in range(1, n + 1)]
+    got = stats(fam)
+    assert list(got.degrees) == want
+    assert got.diversity == size - max(want)
+    assert got.max_degree_element == want.index(max(want)) + 1
+    for switch in (0, size + 1):  # every family on one side, then the other
+        monkeypatch.setattr(bitfam, "SMALL_STATS_MEMBERS", switch)
+        assert stats(fam) == got
+
+
 @given(small_families())
 @settings(max_examples=150)
 def test_stats_match_scan_oracle(fam):
@@ -394,6 +417,29 @@ def test_self_cross_empty_set_edge():
 @settings(max_examples=80)
 def test_text_round_trip(fam):
     assert family_from_text(family_to_text(fam)) == fam
+
+
+@pytest.mark.parametrize(
+    "n, masks",
+    [
+        (1, [0, 1]),
+        (8, [0, 0b1, 0b10000001, 0xFF]),
+        (9, [0x100, 0x1FF, 0b10]),
+        (30, [0, (1 << 29) | 1, 0xFF00, 0xFF0000]),
+        (63, [1 << 62, (1 << 63) - 1, 0x0101010101010101]),
+    ],
+)
+def test_text_writer_is_the_element_by_element_text(n, masks):
+    # byte tables at each byte position, empty bytes skipped and the empty
+    # set written as '-', give the text of the elements one by one
+    fam = family_from_masks(n, None, masks)
+    assert family_to_text(fam) == family_text_by_elements(fam)
+
+
+@given(small_families())
+@settings(max_examples=80)
+def test_text_writer_matches_element_by_element_text(fam):
+    assert family_to_text(fam) == family_text_by_elements(fam)
 
 
 def test_text_format_comments_and_blanks():

@@ -47,7 +47,8 @@ def test_parse_r_range():
     assert parse_r_range("2..5") == [2, 3, 4, 5]
     assert parse_r_range("7") == [7]
     assert parse_r_range("2,4,9") == [2, 4, 9]
-    for bad in ("2..", "..5", "2,x", "x"):
+    assert parse_r_range("5..5") == [5]
+    for bad in ("2..", "..5", "2,x", "x", "5..2", ",,", ""):
         with pytest.raises(ValueError, match=rf"^bad r range: '{re.escape(bad)}'$"):
             parse_r_range(bad)
 
@@ -55,6 +56,14 @@ def test_parse_r_range():
 def test_open_r_range_is_a_usage_error_that_names_it(capsys):
     assert run(["boolean", "counterexample-table", "--r", "2.."]) == 2
     assert "usage error: bad r range: '2..'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5..2", ",,"])
+def test_empty_r_range_is_a_usage_error_that_names_it(capsys, text):
+    # a descending or empty range names no r, and is refused by its text
+    # rather than as the r values [] outside the table's range
+    assert run(["boolean", "counterexample-table", "--r", text]) == 2
+    assert f"usage error: bad r range: '{text}'" in capsys.readouterr().err
 
 
 def test_word_from_string():

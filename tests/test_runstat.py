@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab import booleanlab as bl
+from divlab import runstat
 from divlab.errors import ResourceCapError
 from divlab.runstat import (
     _BLOCK,
@@ -435,3 +436,71 @@ def test_mc_memory_is_one_block_whatever_the_sample_count():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def one_draw_tables(length, samples, seed):
+    """The mc report's tables for the words of one draw, scanned by the oracle."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    words = rng.integers(0, 1 << length, size=samples, dtype=np.uint64)
+    tie, _, sums, sumsq = scan_words(words, length)
+    tail = np.cumsum(np.bincount(tie, minlength=length // 2 + 2)[::-1])[::-1]
+    rho_tail = []
+    for k in range(length // 2 + 1):
+        p = tail[k] / samples
+        rho_tail.append({"k": k, "prob": p, "stderr": math.sqrt(max(p * (1 - p), 0.0) / samples)})
+    runs = []
+    for t in range(1, length + 1):
+        mean = sums[t] / samples
+        var = max(sumsq[t] / samples - mean * mean, 0.0)
+        runs.append({"t": t, "expected_runs": mean, "stderr": math.sqrt(var / samples)})
+    return {"rho_tail": rho_tail, "expected_runs": runs}
+
+
+@pytest.fixture
+def pool_fills(monkeypatch):
+    """The pooled word counts that each scan of the pool starts from."""
+    fills = []
+    finish = runstat._RunScan.finish
+
+    def spy(self):
+        fills.append(self.fill)
+        finish(self)
+
+    monkeypatch.setattr(runstat._RunScan, "finish", spy)
+    return fills
+
+
+@pytest.mark.parametrize("length", [13, 25, 63])
+def test_small_blocks_flush_the_pool_mid_stream_and_match_the_oracle(
+    monkeypatch, pool_fills, length
+):
+    monkeypatch.setattr(runstat, "_BLOCK", 64)
+    samples, seed = 64 * 300 + 17, length
+    rep = rho_distribution(length, "mc", samples=samples, seed=seed)
+    assert {name: rep.tables[name] for name in ("rho_tail", "expected_runs")} == one_draw_tables(
+        length, samples, seed
+    )
+    assert len(pool_fills) > 10 and max(pool_fills) <= 64
+
+
+def test_a_sample_ending_with_a_pooled_tail_matches_the_oracle(pool_fills):
+    samples = 5 * _BLOCK + 321
+    rep = rho_distribution(25, "mc", samples=samples, seed=3)
+    assert {name: rep.tables[name] for name in ("rho_tail", "expected_runs")} == one_draw_tables(
+        25, samples, 3
+    )
+    # at L = 25 about 9 % of a block is pooled, so five blocks and a part
+    # fit in the pool and are scanned once, at the end
+    assert len(pool_fills) == 1 and 0 < pool_fills[0] <= _BLOCK
+
+
+@pytest.mark.parametrize("length", [1, 3, 5])
+def test_words_that_never_reach_the_pool_match_the_oracle(pool_fills, length):
+    # at L = 1 every word is constant; at L = 3 and 5 more than an eighth of
+    # a block is live after each step but its last, so no word is pooled
+    samples = 2 * _BLOCK + 9
+    rep = rho_distribution(length, "mc", samples=samples, seed=length)
+    assert {name: rep.tables[name] for name in ("rho_tail", "expected_runs")} == one_draw_tables(
+        length, samples, length
+    )
+    assert pool_fills == [0]
