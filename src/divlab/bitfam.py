@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -58,6 +59,12 @@ SMALL_STATS_MEMBERS = 20
 # _SPREAD[v] holds bit b of the byte value v at bit 16b: a sum of fewer than
 # 2^16 of them keeps each count in its own 16-bit field
 _SPREAD = tuple(sum(1 << (16 * b) for b in range(8) if v >> b & 1) for v in range(256))
+
+# family_from_text turns set lines into masks in blocks of whole lines of
+# about this many bytes, so that its per-number index arrays stay small: on
+# a 6.8 MB text, this step took 0.13 s and 97 MB of temporaries in one
+# block, 0.08 s and 18 MB in 1 MiB blocks.
+_TEXT_BLOCK = 1 << 20
 
 # Largest C(n, k) that ksubset_masks materialises.
 KSUBSET_CAP = 1 << 26
@@ -246,7 +253,9 @@ def pack_table(table: np.ndarray) -> tuple[np.ndarray, int]:
     """The packed table of a 2^j-point bool table, and j."""
     j = int(table.size).bit_length() - 1
     packed = np.packbits(table, bitorder="little")
-    return np.pad(packed, (0, -packed.size % 8)).view("<u8"), j
+    if packed.size < 8:  # a table under 64 points
+        packed = np.pad(packed, (0, 8 - packed.size))
+    return packed.view("<u8"), j
 
 
 def pack_members(members: np.ndarray, n: int) -> np.ndarray:
@@ -297,11 +306,14 @@ def tables_meet(a: np.ndarray, b: np.ndarray, j: int) -> bool:
     """True iff every point set in the packed 2^j-point table ``a`` meets
     every point set in ``b``: no point of a lies in the reversed up-closure
     of b, whose bit m is bit 2^j-1-m of the closure and is set iff some
-    point of b is disjoint from m.  The reversal turns the word order and
-    the bits of each word round, which leaves a table under 64 points in
-    the top 2^j bits of its word."""
-    rev = up_closure(b, j)[::-1]
-    for bit in range(6):
+    point of b is disjoint from m.  The reversal turns the word order round
+    and the 64 bits of each word: an in-place byteswap reverses its bytes
+    and flips of coordinates 0-2 the bits within each byte.  It leaves a
+    table under 64 points in the top 2^j bits of its word."""
+    rev = up_closure(b, j)
+    rev.byteswap(inplace=True)
+    rev = rev[::-1]
+    for bit in range(3):
         rev = flip(rev, bit)
     rev >>= np.uint64(max(0, 64 - (1 << j)))
     return not bool(np.any(a & rev))
@@ -471,28 +483,118 @@ def _byte_text(byte: int) -> tuple[str, ...]:
     )
 
 
+def _is_digit(octets: np.ndarray) -> np.ndarray:
+    return (octets >= 48) & (octets <= 57)
+
+
+def _first_bad_line(body: bytes, squeezed: bytes) -> Optional[int]:
+    """The index of the first line out of format in a body of set lines,
+    given with and without its spaces and tabs, or None.  Out of format are
+    a byte outside the alphabet; a sign that neither starts a number nor, as
+    '-', stands alone on its line; and a run of spaces and tabs between two
+    numbers, two commas or a sign and its number.  Both texts end in a
+    newline, which index -1 also reads."""
+    spaced, g = np.frombuffer(body, dtype=np.uint8), np.frombuffer(squeezed, dtype=np.uint8)
+    sign = (g == 43) | (g == 45)
+    at = np.flatnonzero(sign)
+    before, after = g[at - 1], g[at + 1]
+    leads = ((before == 10) | (before == 44)) & _is_digit(after)
+    lone = (g[at] == 45) & (before == 10) & (after == 10)
+    blank = np.flatnonzero((spaced == 32) | (spaced == 9))
+    first = blank[np.diff(blank, prepend=-2) > 1]
+    left, right = spaced[first - 1], spaced[blank[np.diff(blank, append=spaced.size) > 1] + 1]
+    numbers = (_is_digit(left) | (left == 43) | (left == 45)) & _is_digit(right)
+    bad = [
+        (g, np.flatnonzero(~(_is_digit(g) | sign | (g == 10) | (g == 44)))),
+        (g, at[~(leads | lone)]),
+        (spaced, first[numbers | (left == 44) & (right == 44)]),
+    ]
+    lines = [int(np.count_nonzero(b[: pos[0]] == 10)) for b, pos in bad if pos.size]
+    return min(lines, default=None)
+
+
+def _number(squeezed: bytes, digit: np.ndarray, last: int) -> tuple[int, int]:
+    """The unsigned number whose last digit is byte ``last`` of a body, and
+    the byte before it (index -1 reads the final newline)."""
+    start = last
+    while digit[start - 1]:
+        start -= 1
+    return int(squeezed[start : last + 1]), squeezed[start - 1]
+
+
+def _set_masks(squeezed: bytes, n: int) -> np.ndarray:
+    """The mask of each set line of a body in format with spaces and tabs
+    removed, in file order, parsed in blocks of whole lines."""
+    blocks, start = [], 0
+    while start < len(squeezed):
+        stop = squeezed.index(b"\n", min(start + _TEXT_BLOCK, len(squeezed)) - 1) + 1
+        blocks.append(_block_masks(squeezed[start:stop], n))
+        start = stop
+    return np.concatenate(blocks)
+
+
+def _block_masks(squeezed: bytes, n: int) -> np.ndarray:
+    """``_set_masks`` of one block, which ends in a newline (index -1 reads
+    it).  Refuses the first element outside [1, n]."""
+    g = np.frombuffer(squeezed, dtype=np.uint8)
+    digit = _is_digit(g)
+    last = np.flatnonzero(digit[:-1] & ~digit[1:])  # each number's last digit
+    prev = last - 1
+    two = digit[prev]
+    value = (10 * (np.where(two, g[prev], 48) - 48) + g[last] - 48).astype(np.int16)
+    prev -= two
+    before = g[prev]  # the byte before a number of one or two digits
+    for i in np.flatnonzero(digit[prev]):  # three digits or more
+        v, before[i] = _number(squeezed, digit, last[i])
+        value[i] = min(v, n + 1)
+    value[before == 45] *= -1
+    out = np.flatnonzero((value < 1) | (value > n))
+    if out.size:
+        v, sign = _number(squeezed, digit, last[out[0]])
+        raise ValueError(f"element {-v if sign == 45 else v} outside ground set [1, {n}]")
+    # line i holds the numbers from lo[i] up to hi[i], and is blank iff empty
+    breaks = np.flatnonzero(g == 10)
+    hi = np.searchsorted(last, breaks)
+    lo = np.concatenate(([0], hi[:-1]))
+    masks = np.zeros(breaks.size, dtype=np.int64)
+    some = hi > lo
+    masks[some] = np.bitwise_or.reduceat(np.left_shift(np.int64(1), value - 1), lo[some])
+    return masks[np.diff(breaks, prepend=-1) > 1]
+
+
 def family_from_text(text: str) -> Family:
-    """Parse the family text format; blank lines and ``#`` comments ignored."""
-    header = None
-    sets: list[list[int]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = dict(p.partition("=")[::2] for p in line.split())
-            if not {"n", "k"} <= parts.keys() or "" in parts.values():
-                raise ValueError(f"bad family header: {raw!r}")
-            header = (int(parts["n"]), None if parts["k"] == "-" else int(parts["k"]))
-            continue
-        if line == "-":
-            sets.append([])
-            continue
-        sets.append([int(x) for x in line.split(",") if x])
-    if header is None:
+    """Parse the family text format; blank lines and ``#`` comments ignored.
+
+    The first line that is not blank is the header; every later one is a
+    set: ``-``, or integers between commas, with spaces or tabs around them
+    and empty tokens skipped.  The set lines are checked as one byte array
+    and parsed in blocks of whole lines of about ``_TEXT_BLOCK`` bytes.  On
+    the first line outside that format, the error is the one ``int()``
+    raises for its first bad token, or ``bad family line`` where ``int()``
+    would take every token (``1_0``, a non-ASCII digit or space).  Errors
+    come in the order of a line-by-line parse: tokens, the ground set size,
+    elements, then k and each set's size.
+    """
+    lines = text.splitlines()
+    head = next((i for i, raw in enumerate(lines) if raw.split("#", 1)[0].strip()), None)
+    if head is None:
         raise ValueError("family text has no header line")
-    n, k = header
-    return make_family(n, k, sets)
+    parts = dict(p.partition("=")[::2] for p in lines[head].split("#", 1)[0].split())
+    if not {"n", "k"} <= parts.keys() or "" in parts.values():
+        raise ValueError(f"bad family header: {lines[head]!r}")
+    n, k = int(parts["n"]), None if parts["k"] == "-" else int(parts["k"])
+    body = (re.sub("#.*", "", "\n".join(lines[head + 1 :])) + "\n").encode()
+    squeezed = body.translate(None, b" \t")
+    bad = _first_bad_line(body, squeezed)
+    if bad is not None:
+        raw = lines[head + 1 + bad]
+        line = raw.split("#", 1)[0].strip()
+        for token in filter(None, line.split(",") if line != "-" else ()):
+            int(token)  # the error of the first token that is no integer
+        raise ValueError(f"bad family line: {raw!r}")
+    if not 1 <= n <= MAX_GROUND:
+        raise ValueError(f"ground set size {n} outside [1, {MAX_GROUND}]")
+    return family_from_masks(n, k, _set_masks(squeezed, n))
 
 
 def load_family(path) -> Family:

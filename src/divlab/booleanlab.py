@@ -101,10 +101,10 @@ def measure_derivative(spec: JuntaSpec, p) -> Fraction:
 
 def _is_cyclic(table: np.ndarray) -> bool:
     """True iff the table is invariant under rotating the coordinates:
-    T[m] = T[rot(m)], with rot moving bit 0 of m to the top.  Row a of
-    ``reshape(-1, 2)`` holds points 2a and 2a+1, row a of the transposed
-    ``reshape(2, -1)`` points a and a + 2^(j-1), their rotations."""
-    return bool(np.array_equal(table.reshape(-1, 2), table.reshape(2, -1).T))
+    T[m] = T[rot(m)], with rot moving bit 0 of m to the top: the even
+    point 2a rotates to a and the odd point 2a+1 to a + 2^(j-1)."""
+    half = table.size // 2
+    return np.array_equal(table[::2], table[:half]) and np.array_equal(table[1::2], table[half:])
 
 
 def _coordinates(table: np.ndarray, j: int) -> range:

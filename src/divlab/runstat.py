@@ -17,6 +17,8 @@ The run-dominance table (``in_t_table``) decides each word by the sign of
 one integer key, sum W[len] over ones-runs minus sum W[len] over zeros-runs.
 Each W[p] exceeds any sum of W over runs shorter than p of total length at
 most L - p, so the largest length whose run counts differ decides the sign.
+Every length built is kept, read-only, for the life of the process: the
+13 odd lengths up to 25 hold 2^1 + 2^3 + ... + 2^25 bytes, about 44.7 MB.
 """
 
 from __future__ import annotations
@@ -316,12 +318,14 @@ def _run_weights(length: int) -> list[int]:
     return weights
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=None)
 def in_t_table(length: int) -> np.ndarray:
     """Dominance membership for every word of the given odd length.
 
     Returns a read-only bool array of size 2^length: entry w is True iff the
-    ones-profile of w beats the zeros-profile.
+    ones-profile of w beats the zeros-profile.  Each length is built once
+    and kept, so the tables of all odd lengths up to the cap hold about
+    44.7 MB.
 
     Each word is decided by the sign of its key (see the module docstring),
     with W from ``_run_weights``.  Let p be the largest length whose run
@@ -342,7 +346,9 @@ def in_t_table(length: int) -> np.ndarray:
 
     An even word 2v below 2^(L-1) is v rotated and shares its flag, filled
     level by level; word 0 is not dominant; and the complement maps the
-    upper half onto the lower half reversed, flipping dominance.
+    upper half onto the lower half reversed, flipping dominance.  The upper
+    half is written in place, in 64-bit words: the lower half's words in
+    reverse order with each byte XORed with 1, then byteswapped.
     """
     if length % 2 == 0:
         raise ValueError("run dominance needs an odd word length")
@@ -374,7 +380,13 @@ def in_t_table(length: int) -> np.ndarray:
         dominant[(high << low) + 1 : (high + 1) << low : 2] = by_bottom[bottom] > -closed_high
     for b in range(1, length - 1):
         dominant[1 << b : 2 << b : 2] = dominant[1 << (b - 1) : 1 << b]
-    np.logical_not(dominant[:half][::-1], out=dominant[half:])
+    if half < 8:  # L <= 3: half a table is under one word
+        np.logical_not(dominant[:half][::-1], out=dominant[half:])
+    else:  # the lower half reversed word by word and byte by byte, negated
+        upper = dominant[half:].view(np.uint64)
+        lower = dominant[:half].view(np.uint64)
+        np.bitwise_xor(lower[::-1], np.uint64(0x0101010101010101), out=upper)
+        upper.byteswap(inplace=True)
     dominant.setflags(write=False)
     return dominant
 

@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement, groupby
 
 import numpy as np
 
-from divlab.bitfam import family_from_masks, ksubset_masks
+from divlab.bitfam import family_from_masks, ksubset_masks, make_family
 
 
 def all_ksets(n, k):
@@ -40,6 +40,11 @@ def family_text_by_elements(fam):
     lines = [f"n={fam.n} k={fam.k if fam.k is not None else '-'}"]
     lines += [",".join(map(str, s)) or "-" for s in fam.member_sets()]
     return "\n".join(lines) + "\n"
+
+
+def tables_meet_by_points(a, b):
+    """No point of a is disjoint from a point of b, points as masks."""
+    return not any(x & y == 0 for x in a for y in b)
 
 
 def pairwise_t_intersecting(sets, t):
@@ -322,3 +327,27 @@ def lift_by_filter(table, n, k):
     masks = ksubset_masks(n, k)
     center = table.size.bit_length() - 1
     return family_from_masks(n, k, masks[table[masks & ((1 << center) - 1)]])
+
+
+def family_from_text_by_lines(text):
+    """The family text format parsed line by line, each token through int()."""
+    header = None
+    sets = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            parts = dict(p.partition("=")[::2] for p in line.split())
+            if not {"n", "k"} <= parts.keys() or "" in parts.values():
+                raise ValueError(f"bad family header: {raw!r}")
+            header = (int(parts["n"]), None if parts["k"] == "-" else int(parts["k"]))
+            continue
+        if line == "-":
+            sets.append([])
+            continue
+        sets.append([int(x) for x in line.split(",") if x])
+    if header is None:
+        raise ValueError("family text has no header line")
+    n, k = header
+    return make_family(n, k, sets)

@@ -1,7 +1,8 @@
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from oracles import (
     degrees_by_scan,
     diversity_by_scan,
     family_as_sets,
+    family_from_text_by_lines,
     family_text_by_elements,
     pairwise_t_intersecting,
+    tables_meet_by_points,
 )
 
 FANO_LINES = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
@@ -104,6 +107,30 @@ def test_packed_tables_hold_point_m_at_bit_m_mod_64_of_word_m_div_64(n):
     for b in range(n):
         assert np.array_equal(bitfam.unpack(bitfam.flip(words, b)), np.sort(points ^ (1 << b)))
         assert np.array_equal(bitfam.unpack(bitfam.without(words, b)), points[points >> b & 1 == 0])
+
+
+def _random_table(rng, j):
+    """Points above half weight with one density, the rest with a lower one,
+    so that pairs of these tables both meet and fail to."""
+    heavy = np.bitwise_count(np.arange(1 << j)) * 2 > j
+    return rng.random(1 << j) < np.where(heavy, rng.random(), rng.choice([0.0, 0.02, 0.1]))
+
+
+def test_tables_meet_is_every_pair_of_points_meeting():
+    pairs = [(a, b) for j in range(3) for a in product([False, True], repeat=1 << j)
+             for b in product([False, True], repeat=1 << j)]
+    rng = np.random.default_rng(5)
+    for j in range(3, 9):  # the packed tables cross from one word to several at j = 6
+        for _ in range(40):
+            a = _random_table(rng, j)
+            pairs += [(a, _random_table(rng, j)), (a, a)]
+    outcomes = Counter()
+    for a, b in pairs:
+        (wa, j), (wb, _) = bitfam.pack_table(np.array(a)), bitfam.pack_table(np.array(b))
+        want = tables_meet_by_points(np.flatnonzero(a).tolist(), np.flatnonzero(b).tolist())
+        assert bitfam.tables_meet(wa, wb, j) == want, (j, np.flatnonzero(a), np.flatnonzero(b))
+        outcomes[j, want] += 1
+    assert all(outcomes[j, True] and outcomes[j, False] for j in range(9))
 
 
 def test_is_t_intersecting_examples():
@@ -454,6 +481,85 @@ def test_text_format_refuses_a_bad_header_by_name(header):
     with pytest.raises(ValueError) as exc:
         family_from_text(f"{header}\n1,2,3\n")
     assert str(exc.value) == f"bad family header: {header!r}"
+
+
+def _parsed(parse, text):
+    """The family a parser returns, or the type and message of its error."""
+    try:
+        fam = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return fam.n, fam.k, fam.members.tolist()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "# only a comment\n\n",
+        "n=5 k=3 x\n1,2,3\n",
+        "n=5\n",
+        "n=5 k=\n",
+        "n=x k=2\n1,2\n",
+        "  n=5   k=2  # header comment\n 1 , 2 \n\n# comment\n2,3#tail\n",
+        "n=5 k=-\n-\n - \n,\n , \n1,,2\n,,3,\n",
+        "n=5 k=2\n1,\t2\n1, 3\n 4 ,5 \n",
+        "n=5 k=2\n1,2\n2,3\n1,2\n",
+        "n=5 k=2\n1,1,2\n",
+        "n=5 k=2\n007,+2\n",
+        "n=5 k=2\n1,6\n",
+        "n=5 k=2\n1,2\n0,1\n",
+        "n=5 k=2\n1,-1\n",
+        "n=5 k=2\n1,2\n3,99999999999999999999999\n",
+        "n=5 k=2\n1,102\n",
+        "n=5 k=2\n1,2,3\n",
+        "n=5 k=2\n1,2\n-\n",
+        "n=5 k=9\n1,2\n",
+        "n=64 k=2\n1,2\n",
+        "n=64 k=2\n1,a\n",
+        "n=5 k=2\n7,1\n1,a\n",
+        "n=5 k=2\n1, ,2\n",
+        "n=5 k=2\n1 2\n",
+        "n=5 k=2\n- 1\n",
+        "n=5 k=2\n1-2\n",
+        "n=5 k=2\n--\n",
+        "n=5 k=2\n+\n",
+        "n=5 k=2\n1,2,\n",
+        "n=5 k=2\n1,2",
+        "\r\nn=5 k=2\r\n1,2\r\n2,3\r\n",
+        "n=63 k=1\n63\n1\n",
+        "n=9 k=3\n" + "".join(f"{i % 7 + 1}, {i % 5 + 2},{9 - i % 3}\n" for i in range(300)),
+        "n=9 k=3\n" + "1,2,3\n" * 200 + "1,2\n" + "4,5,6\n" * 100 + "1,2,10\n",
+    ],
+)
+@pytest.mark.parametrize("block", [bitfam._TEXT_BLOCK, 7, 1])
+def test_text_parser_matches_the_line_by_line_parser(text, block, monkeypatch):
+    # the same family, or the same error: int() errors come before element
+    # errors, and those before cardinality errors, wherever their lines and
+    # however the set lines are cut into blocks
+    monkeypatch.setattr(bitfam, "_TEXT_BLOCK", block)
+    assert _parsed(family_from_text, text) == _parsed(family_from_text_by_lines, text)
+
+
+@given(
+    st.integers(0, 8),
+    st.sampled_from(["-", "0", "1", "2", "3"]),
+    st.text(alphabet="0123456789,,,\n\n- \t#+x", max_size=40),
+    st.sampled_from([bitfam._TEXT_BLOCK, 3]),
+)
+@settings(max_examples=300)
+def test_text_parser_matches_the_line_by_line_parser_on_any_body(n, k, body, block):
+    text = f"n={n} k={k}\n{body}"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitfam, "_TEXT_BLOCK", block)
+        assert _parsed(family_from_text, text) == _parsed(family_from_text_by_lines, text)
+
+
+@pytest.mark.parametrize("line", ["1_0,2", "1,\u0663", "1,2\u00a0"])
+def test_text_parser_refuses_a_token_only_int_would_read(line):
+    with pytest.raises(ValueError) as exc:
+        family_from_text(f"n=5 k=-\n1\n{line}\n")
+    assert str(exc.value) == f"bad family line: {line!r}"
 
 
 def test_text_format_non_uniform():

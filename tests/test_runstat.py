@@ -154,6 +154,15 @@ def test_in_t_table_matches_scalar(length):
     assert int(table.sum()) == 1 << (length - 1)
 
 
+def test_in_t_table_builds_each_length_once():
+    assert in_t_table(9) is in_t_table(9)
+    for length in range(3, 24, 2):
+        in_t_table(length)
+    misses = in_t_table.cache_info().misses
+    bl.counterexample_table(range(2, 10))  # reads the tables of L = 5..19
+    assert in_t_table.cache_info().misses == misses
+
+
 def test_in_t_table_rejects_even_and_capped():
     with pytest.raises(ValueError):
         in_t_table(4)
@@ -428,7 +437,7 @@ def test_streamed_mc_matches_one_draw_through_the_oracle_scan(length, samples):
     assert rep.notes == []
 
 
-def test_mc_memory_is_one_block_whatever_the_sample_count():
+def test_mc_memory_is_a_block_and_one_pooled_block_whatever_the_sample_count():
     tracemalloc.start()
     try:
         rho_distribution(25, "mc", samples=10**6)
