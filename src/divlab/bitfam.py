@@ -12,7 +12,8 @@ coordinate b < 6 is thus a bit pattern repeated in every word, b >= 6 a
 pattern of whole words, and the weight of point m is popcount(m // 64) +
 popcount(m % 64).  This module owns that layout: ``pack_table``,
 ``pack_members`` and ``unpack`` convert, and ``flip``, ``without``,
-``up_closure``, ``tables_meet`` and ``weight_histogram`` are its kernels.
+``up_closure``, ``reverse_closure``, ``tables_meet`` and
+``weight_histogram`` are its kernels.
 The intersecting and cross-intersecting checks share one dispatcher,
 ``_check_pairs``: a t = 1 check with at least 2^n member pairs runs on the
 packed tables, as do booleanlab's dense checks; any other check scans the
@@ -298,25 +299,35 @@ def up_closure(words: np.ndarray, j: int) -> np.ndarray:
         up |= (up & _LOW[b]) << np.uint64(1 << b)
     for b in range(6, j):
         v = up.reshape(-1, 2, 1 << (b - 6))
-        v[:, 1, :] |= v[:, 0, :]
+        high, low = v[:, 1, :], v[:, 0, :]
+        if b < 9:  # blocks of at most 4 words: walk each word position down the table
+            high, low = high.T, low.T
+        np.bitwise_or(high, low, out=high, order="C")
     return up
+
+
+def reverse_closure(up: np.ndarray, j: int) -> np.ndarray:
+    """The reversal of a packed 2^j-point up-closure: bit m of the result is
+    bit 2^j-1-m of ``up``, and so is set iff some point of the closed family
+    is disjoint from m.  The reversal turns the word order round and the 64
+    bits of each word: a byteswap, done in place on ``up``, reverses its
+    bytes and flips of coordinates 0-2 the bits within each byte.  That
+    leaves a table under 64 points in the top 2^j bits of its word, which
+    one shift moves down."""
+    up.byteswap(inplace=True)
+    rev = up[::-1]
+    for bit in range(3):
+        rev = flip(rev, bit)
+    if j < 6:
+        rev >>= np.uint64(64 - (1 << j))
+    return rev
 
 
 def tables_meet(a: np.ndarray, b: np.ndarray, j: int) -> bool:
     """True iff every point set in the packed 2^j-point table ``a`` meets
     every point set in ``b``: no point of a lies in the reversed up-closure
-    of b, whose bit m is bit 2^j-1-m of the closure and is set iff some
-    point of b is disjoint from m.  The reversal turns the word order round
-    and the 64 bits of each word: an in-place byteswap reverses its bytes
-    and flips of coordinates 0-2 the bits within each byte.  It leaves a
-    table under 64 points in the top 2^j bits of its word."""
-    rev = up_closure(b, j)
-    rev.byteswap(inplace=True)
-    rev = rev[::-1]
-    for bit in range(3):
-        rev = flip(rev, bit)
-    rev >>= np.uint64(max(0, 64 - (1 << j)))
-    return not bool(np.any(a & rev))
+    of b."""
+    return not bool(np.any(a & reverse_closure(up_closure(b, j), j)))
 
 
 def weight_histogram(words: np.ndarray, j: int) -> np.ndarray:

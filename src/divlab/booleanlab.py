@@ -8,17 +8,20 @@ exact binary value, so ``float()`` of a result is correctly rounded.
 Measures, influences and the biased diversity are read off weight
 histograms of the table packed as the bitfam module lays it out, and the
 dense up-closure and intersection checks run on the same packed words.
+Both verdicts of a spec come from one up-closure; a weak-keyed memo keeps
+the two booleans, and no table, while the spec lives.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .bitfam import flip, pack_table, tables_meet, up_closure, weight_histogram, without
+from .bitfam import flip, pack_table, reverse_closure, up_closure, weight_histogram, without
 from .constructions import (
     MAX_R,
     JuntaSpec,
@@ -51,27 +54,45 @@ def _measure_from_weight_counts(counts: Sequence[int], j: int, p) -> Fraction:
     return Fraction(num, b**j)
 
 
+def _table_verdicts(table: np.ndarray) -> tuple[bool, bool]:
+    """Whether the dense family table is intersecting and whether it is
+    up-closed, from one up-closure: up-closed iff the closure is the table,
+    intersecting iff the table is {{}} or misses the reversed closure."""
+    words, j = pack_table(table)
+    up = up_closure(words, j)
+    up_closed = bool(np.array_equal(up, words))
+    if table[0] and np.count_nonzero(table) == 1:
+        return True, up_closed
+    return not np.any(words & reverse_closure(up, j)), up_closed
+
+
 def is_up_closed_table(table: np.ndarray) -> bool:
     """True iff the dense family table is closed under adding elements."""
-    words, j = pack_table(table)
-    return np.array_equal(up_closure(words, j), words)
+    return _table_verdicts(table)[1]
 
 
 def is_intersecting_table(table: np.ndarray) -> bool:
     """True iff no two (not necessarily distinct) members are disjoint,
     with the single-member family {{}} vacuously intersecting."""
-    if table[0] and np.count_nonzero(table) == 1:
-        return True
-    words, j = pack_table(table)
-    return tables_meet(words, words, j)
+    return _table_verdicts(table)[0]
+
+
+_VERDICTS: weakref.WeakKeyDictionary[JuntaSpec, tuple[bool, bool]] = weakref.WeakKeyDictionary()
+
+
+def _spec_verdicts(spec: JuntaSpec) -> tuple[bool, bool]:
+    """``_table_verdicts`` of the spec's read-only table, kept while the spec lives."""
+    if spec not in _VERDICTS:
+        _VERDICTS[spec] = _table_verdicts(spec.membership_table())
+    return _VERDICTS[spec]
 
 
 def spec_is_up_closed(spec: JuntaSpec) -> bool:
-    return is_up_closed_table(spec.membership_table())
+    return _spec_verdicts(spec)[1]
 
 
 def spec_is_intersecting(spec: JuntaSpec) -> bool:
-    return is_intersecting_table(spec.membership_table())
+    return _spec_verdicts(spec)[0]
 
 
 def weight_counts(spec: JuntaSpec) -> np.ndarray:

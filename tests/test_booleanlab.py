@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlab import bitfam
 from divlab import booleanlab as bl
 from divlab.bitfam import flip, pack_table, weight_histogram, without
 from divlab.bounds import binom
@@ -287,6 +289,60 @@ def test_dense_checks_on_empty_and_only_empty_set(j):
     full = ~empty
     assert bl.is_up_closed_table(full)
     assert bl.is_intersecting_table(full) == (j == 0)
+
+
+def verdict_tables(j, rng):
+    """Random tables, the empty table, {{}}, the full cube and {{1}}, which
+    is intersecting and, from j = 2 on, not up-closed."""
+    tables = [dense_table(j, kind, rng) for kind in ("random", "up", "flipped") * 8]
+    empty = np.zeros(1 << j, dtype=bool)
+    only_empty, only_one = empty.copy(), empty.copy()
+    only_empty[0] = only_one[1] = True
+    return tables + [empty, only_empty, ~empty, only_one]
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_spec_verdicts_match_oracles_in_either_order_from_one_closure(monkeypatch, j):
+    # both verdicts of a spec, asked in either order, against the oracles;
+    # each spec builds one up-closure for the two, wherever it is built
+    closures, build = [], bitfam.up_closure
+
+    def counted(words, j):
+        closures.append(j)
+        return build(words, j)
+
+    monkeypatch.setattr(bitfam, "up_closure", counted)
+    monkeypatch.setattr(bl, "up_closure", counted)
+    seen = set()
+    for table in verdict_tables(j, np.random.default_rng(j)):
+        sets = table_sets(table)
+        want = (intersecting_by_pairs(sets), up_closed_by_scan(sets, j))
+        for first_intersecting in (True, False):
+            spec = JuntaSpec(table)
+            del closures[:]
+            if first_intersecting:
+                got = (bl.spec_is_intersecting(spec), bl.spec_is_up_closed(spec))
+            else:
+                got = (bl.spec_is_up_closed(spec), bl.spec_is_intersecting(spec))[::-1]
+            assert got == want, (j, np.flatnonzero(table))
+            assert closures == [j]
+        seen.add(want)
+    # on one point the one family that is not intersecting, {{}, {1}}, is up-closed
+    assert len(seen) == (3 if j == 1 else 4)
+
+
+def test_spec_verdicts_are_two_booleans_dropped_with_the_spec():
+    gc.collect()  # specs of earlier tests held in reference cycles
+    before = len(bl._VERDICTS)
+    spec = JuntaSpec(np.arange(8) == 1)  # {{1}} on [3]: intersecting, not up-closed
+    assert bl.spec_is_up_closed(spec) is False
+    assert bl.spec_is_intersecting(spec) is True
+    assert bl._VERDICTS[spec] == (True, False)
+    assert all(type(v) is bool for v in bl._VERDICTS[spec])
+    assert len(bl._VERDICTS) == before + 1
+    del spec
+    gc.collect()
+    assert len(bl._VERDICTS) == before
 
 
 def assert_packed_counts_match_unpacked(table):

@@ -15,8 +15,7 @@ from divlab.errors import ResourceCapError
 from divlab.runstat import (
     _BLOCK,
     _exact_counts,
-    _orders,
-    _partitions,
+    _partition_table,
     _run_weights,
     in_t_table,
     mc_disagreements,
@@ -25,7 +24,10 @@ from divlab.runstat import (
 )
 
 from oracles import (
+    exact_counts_by_pairs,
+    orders,
     padded_compare,
+    partitions_into,
     partitions_up_to,
     run_key,
     run_profile_by_string,
@@ -296,10 +298,36 @@ def test_words_per_run_partition_pair(length):
     want = {}
     for weight in range(1, length):
         for m in range(1, min(weight, length - weight) + 1):
-            for u in _partitions(weight, m, weight):
-                for z in _partitions(length - weight, m, length - weight):
-                    want[u, z] = Fraction(length * _orders(u) * _orders(z), m)
+            for u in partitions_into(weight, m, weight):
+                for z in partitions_into(length - weight, m, length - weight):
+                    want[u, z] = Fraction(length * orders(u) * orders(z), m)
     assert tally == want
+
+
+@pytest.mark.parametrize("length", range(1, 26))
+def test_exact_counts_match_the_pair_walk(length):
+    # the partition table and the closed-form run sums against a walk of
+    # every partition pair that counts each pair's runs, up to the cap
+    hist, sums, dominant = _exact_counts(length)
+    assert (hist.tolist(), sums.tolist(), dominant) == exact_counts_by_pairs(length)
+
+
+def test_partition_table_holds_every_partition_with_its_orders():
+    # at length 48 the table reaches every m <= n for n <= 24; each entry
+    # against the partitions enumerated by largest part, their orders and
+    # their count of ones
+    table = _partition_table(48)
+    want = {}
+    for parts in partitions_up_to(24):
+        want.setdefault((sum(parts), len(parts)), {})[parts] = (orders(parts), parts.count(1))
+    got = {
+        (n, m): {u: (o, c) for u, o, c in table[n][m]}
+        for n in range(25)
+        for m in range(n + 1)
+    }
+    assert all(len(table[n][m]) == len(got[n, m]) for n, m in got)  # no repeats
+    assert got == {(n, m): want.get((n, m), {}) for n in range(25) for m in range(n + 1)}
+    assert [len(row) for row in table] == [min(n, 48 - n) + 1 for n in range(48)]
 
 
 @pytest.mark.parametrize("length", range(1, 18, 2))
